@@ -11,13 +11,14 @@ u32 dimension, parameters as little-endian float64.
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
+
+from .files import atomic_write
 
 MODEL_MAGIC = b"MCLM"
 MODEL_VERSION = 1
@@ -27,12 +28,23 @@ POP_ALL = "all"
 
 STD_FLOOR = 1e-8
 
-DEFAULT_LR_L2 = 0.1
-DEFAULT_LR_EPOCHS = 800
-DEFAULT_LR_RATE = 0.005
-DEFAULT_SVM_C = 1.0
-DEFAULT_SVM_EPOCHS = 500
-DEFAULT_SVM_RATE = 0.1
+
+@dataclass(frozen=True)
+class LrConfig:
+    """Logistic-regression hyperparameters (defaults of :func:`lr_train`)."""
+
+    l2: float = 0.1
+    epochs: int = 800
+    learning_rate: float = 0.005
+
+
+@dataclass(frozen=True)
+class SvmConfig:
+    """Linear-SVM hyperparameters (defaults of :func:`svm_train`)."""
+
+    c: float = 1.0
+    epochs: int = 500
+    learning_rate: float = 0.1
 
 
 class FitError(ValueError):
@@ -107,31 +119,47 @@ class LrModel:
             raise ValueError("weight dimension must match the standardizer")
 
 
-def lr_train(
-    features: np.ndarray,
-    labels: np.ndarray,
-    l2: float = DEFAULT_LR_L2,
-    epochs: int = DEFAULT_LR_EPOCHS,
-    lr: float = DEFAULT_LR_RATE,
-    standardizer: Standardizer | None = None,
-) -> LrModel:
-    """Full-batch gradient descent on mean BCE + l2*||w||^2 from zero init;
-    the default standardizer is fit on bonafide rows only."""
+def _lr_inputs(
+    features: np.ndarray, labels: np.ndarray, standardizer: Standardizer | None
+) -> tuple[np.ndarray, np.ndarray, Standardizer]:
+    """(standardized features, float labels, standardizer); the default
+    standardizer is fit on bonafide rows only."""
     features = np.asarray(features, dtype=np.float64)
     y = _check_two_classes(labels)
     if standardizer is None:
         standardizer = standardize_fit(features, labels, POP_BONAFIDE_ONLY)
-    xs = standardizer.apply(features)
+    return standardizer.apply(features), y, standardizer
+
+
+def _lr_descent(
+    xs: np.ndarray, y: np.ndarray, l2: float, epochs: int, lr: float
+) -> Iterator[tuple[np.ndarray, float]]:
+    """Full-batch gradient descent on mean BCE + l2*||w||^2 from zero init.
+    Yields (w, b) at init and after every epoch; ``w`` is updated in place."""
     n, d = xs.shape
     w = np.zeros(d)
     b = 0.0
+    yield w, b
     for _ in range(epochs):
-        p = _sigmoid(xs @ w + b)
-        err = p - y
-        grad_w = xs.T @ err / n + 2.0 * l2 * w
-        grad_b = float(err.mean())
-        w -= lr * grad_w
-        b -= lr * grad_b
+        err = _sigmoid(xs @ w + b) - y
+        w -= lr * (xs.T @ err / n + 2.0 * l2 * w)
+        b -= lr * float(err.mean())
+        yield w, b
+
+
+def lr_train(
+    features: np.ndarray,
+    labels: np.ndarray,
+    l2: float = LrConfig.l2,
+    epochs: int = LrConfig.epochs,
+    lr: float = LrConfig.learning_rate,
+    standardizer: Standardizer | None = None,
+) -> LrModel:
+    """Logistic regression by :func:`_lr_descent`; the default standardizer
+    is fit on bonafide rows only."""
+    xs, y, standardizer = _lr_inputs(features, labels, standardizer)
+    for w, b in _lr_descent(xs, y, l2, epochs, lr):
+        pass
     return LrModel(weights=w, bias=b, standardizer=standardizer, l2=l2)
 
 
@@ -154,28 +182,14 @@ def lr_loss(model_w: np.ndarray, model_b: float, xs: np.ndarray, y: np.ndarray, 
 def lr_training_losses(
     features: np.ndarray,
     labels: np.ndarray,
-    l2: float = DEFAULT_LR_L2,
-    epochs: int = DEFAULT_LR_EPOCHS,
-    lr: float = DEFAULT_LR_RATE,
+    l2: float = LrConfig.l2,
+    epochs: int = LrConfig.epochs,
+    lr: float = LrConfig.learning_rate,
     standardizer: Standardizer | None = None,
 ) -> np.ndarray:
-    """Objective per epoch for the same schedule as :func:`lr_train`."""
-    features = np.asarray(features, dtype=np.float64)
-    y = _check_two_classes(labels)
-    if standardizer is None:
-        standardizer = standardize_fit(features, labels, POP_BONAFIDE_ONLY)
-    xs = standardizer.apply(features)
-    n, d = xs.shape
-    w = np.zeros(d)
-    b = 0.0
-    losses = [lr_loss(w, b, xs, y, l2)]
-    for _ in range(epochs):
-        p = _sigmoid(xs @ w + b)
-        err = p - y
-        w -= lr * (xs.T @ err / n + 2.0 * l2 * w)
-        b -= lr * float(err.mean())
-        losses.append(lr_loss(w, b, xs, y, l2))
-    return np.array(losses)
+    """Objective at init and after each epoch of :func:`lr_train`'s descent."""
+    xs, y, _ = _lr_inputs(features, labels, standardizer)
+    return np.array([lr_loss(w, b, xs, y, l2) for w, b in _lr_descent(xs, y, l2, epochs, lr)])
 
 
 @dataclass
@@ -193,9 +207,9 @@ class SvmModel:
 def svm_train(
     features: np.ndarray,
     labels: np.ndarray,
-    c: float = DEFAULT_SVM_C,
-    epochs: int = DEFAULT_SVM_EPOCHS,
-    lr: float = DEFAULT_SVM_RATE,
+    c: float = SvmConfig.c,
+    epochs: int = SvmConfig.epochs,
+    lr: float = SvmConfig.learning_rate,
     standardizer: Standardizer | None = None,
 ) -> SvmModel:
     """Sub-gradient descent on (1/2)||w||^2 + C * mean hinge from zero init
@@ -294,13 +308,8 @@ def save_model(model: LrModel | SvmModel | ScoreNormalizer, path: str | Path) ->
         params = np.array([model.lo, model.hi])
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<BBI", MODEL_VERSION, kind, dim))
-        fh.write(np.asarray(params, dtype="<f8").tobytes())
-    os.replace(tmp, path)
+    header = MODEL_MAGIC + struct.pack("<BBI", MODEL_VERSION, kind, dim)
+    atomic_write(path, header + np.asarray(params, dtype="<f8").tobytes())
 
 
 def load_model(path: str | Path) -> LrModel | SvmModel | ScoreNormalizer:

@@ -12,20 +12,19 @@ import os
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import yaml
 
-from .dataset import ATTACK_CATEGORIES, AttackType, ChannelId, SynthConfig
+from .classical import LrConfig, SvmConfig
+from .codec import ConfigError, build, coerce, plain
+from .dataset import ATTACK_CATEGORIES, AttackType, SynthConfig
 from .features.haralick import GlcmConfig
 from .features.iqm import IQM_NAMES
 from .features.lbp import LbpConfig
+from .files import atomic_write
 from .mccnn import McCnnConfig
 from .preprocess import AlignTargets
-
-
-class ConfigError(ValueError):
-    """Configuration file or override is invalid."""
 
 
 @dataclass(frozen=True)
@@ -34,6 +33,9 @@ class PathsConfig:
     out_root: str = "runs/out"
 
 
+# The synth and mccnn sections are the YAML views of SynthConfig and
+# McCnnConfig: labels stay strings, and the seed, the BPCER target and the
+# pretrain switch are set at run level (see synth_config, mccnn_config).
 @dataclass(frozen=True)
 class SynthSection:
     bonafide_clients: int = 16
@@ -64,45 +66,16 @@ class PreprocessSection:
 
 
 @dataclass(frozen=True)
-class LbpSection:
-    p: int = 8
-    r: float = 1.0
-    uniform: bool = True
-    grid: tuple[int, int] = (3, 3)
-
-
-@dataclass(frozen=True)
-class GlcmSection:
-    levels: int = 8
-    offsets: tuple[tuple[int, int], ...] = ((0, 1), (1, 0), (1, 1), (1, -1))
-    symmetric: bool = True
-
-
-@dataclass(frozen=True)
 class FeaturesSection:
-    lbp: LbpSection = field(default_factory=LbpSection)
-    glcm: GlcmSection = field(default_factory=GlcmSection)
+    lbp: LbpConfig = field(default_factory=LbpConfig)
+    glcm: GlcmConfig = field(default_factory=GlcmConfig)
     iqm_measures: tuple[str, ...] = IQM_NAMES
 
 
 @dataclass(frozen=True)
-class LrSection:
-    l2: float = 0.1
-    epochs: int = 800
-    learning_rate: float = 0.005
-
-
-@dataclass(frozen=True)
-class SvmSection:
-    c: float = 1.0
-    epochs: int = 500
-    learning_rate: float = 0.1
-
-
-@dataclass(frozen=True)
 class ClassifiersSection:
-    lr: LrSection = field(default_factory=LrSection)
-    svm: SvmSection = field(default_factory=SvmSection)
+    lr: LrConfig = field(default_factory=LrConfig)
+    svm: SvmConfig = field(default_factory=SvmConfig)
 
 
 @dataclass(frozen=True)
@@ -140,71 +113,10 @@ class RunConfig:
 
 
 # --------------------------------------------------------------------------
-# strict dataclass construction from nested dicts
+# loading
 # --------------------------------------------------------------------------
 
-def _coerce(value: Any, annotation: Any, where: str) -> Any:
-    origin = getattr(annotation, "__origin__", None)
-    if is_dataclass(annotation):
-        if not isinstance(value, Mapping):
-            raise ConfigError(f"{where}: expected a mapping")
-        return _build(annotation, value, where)
-    if origin is tuple:
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{where}: expected a list")
-        args = annotation.__args__
-        if len(args) == 2 and args[1] is Ellipsis:
-            return tuple(_coerce(v, args[0], f"{where}[{i}]") for i, v in enumerate(value))
-        if len(value) != len(args):
-            raise ConfigError(f"{where}: expected {len(args)} entries")
-        return tuple(_coerce(v, a, f"{where}[{i}]") for i, (v, a) in enumerate(zip(value, args)))
-    if origin is dict:
-        if not isinstance(value, Mapping):
-            raise ConfigError(f"{where}: expected a mapping")
-        k_ann, v_ann = annotation.__args__
-        return {
-            _coerce(k, k_ann, f"{where}.{k}"): _coerce(v, v_ann, f"{where}.{k}")
-            for k, v in value.items()
-        }
-    if annotation is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{where}: expected a number, got {value!r}")
-        return float(value)
-    if annotation is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{where}: expected an integer, got {value!r}")
-        return value
-    if annotation is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{where}: expected a boolean, got {value!r}")
-        return value
-    if annotation is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"{where}: expected a string, got {value!r}")
-        return value
-    # optional tuple fields (targets) arrive as typing unions; accept lists
-    if value is None:
-        return None
-    if isinstance(value, (list, tuple)):
-        return tuple(value)
-    return value
-
-
-def _build(cls, data: Mapping, where: str = "config"):
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    type_hints = typing.get_type_hints(cls)
-    kwargs = {
-        name: _coerce(data[name], type_hints[name], f"{where}.{name}")
-        for name in known
-        if name in data
-    }
-    return cls(**kwargs)
-
-
-def _deep_get_set(cls, obj, dotted: str, raw_value: str):
+def _deep_get_set(obj, dotted: str, raw_value: str):
     parts = dotted.split(".")
     target = obj
     owners = []
@@ -217,8 +129,11 @@ def _deep_get_set(cls, obj, dotted: str, raw_value: str):
     if not is_dataclass(target) or leaf not in {f.name for f in fields(target)}:
         raise ConfigError(f"--set {dotted}: no such key {leaf!r}")
     annotation = typing.get_type_hints(type(target))[leaf]
-    value = _coerce(yaml.safe_load(raw_value), annotation, f"--set {dotted}")
-    new = dataclasses.replace(target, **{leaf: value})
+    value = coerce(yaml.safe_load(raw_value), annotation, f"--set {dotted}")
+    try:
+        new = dataclasses.replace(target, **{leaf: value})
+    except ValueError as exc:
+        raise ConfigError(f"--set {dotted}: {exc}") from None
     for owner, part in reversed(owners):
         new = dataclasses.replace(owner, **{part: new})
     return new
@@ -244,12 +159,12 @@ def load_config(
             raw = {}
         if not isinstance(raw, Mapping):
             raise ConfigError("config root must be a mapping")
-        cfg = _build(RunConfig, raw)
+        cfg = build(RunConfig, raw)
     for override in overrides:
         if "=" not in override:
             raise ConfigError(f"--set expects key=value, got {override!r}")
         dotted, raw_value = override.split("=", 1)
-        cfg = _deep_get_set(RunConfig, cfg, dotted.strip(), raw_value)
+        cfg = _deep_get_set(cfg, dotted.strip(), raw_value)
     env = os.environ if env is None else env
     if "MCPAD_SEED" in env:
         try:
@@ -262,42 +177,26 @@ def load_config(
 
 
 def validate_config(cfg: RunConfig) -> None:
-    try:
-        for name in cfg.synth.signal_channels:
-            ChannelId.from_label(name)
-        for name in cfg.synth.attack_instruments:
-            AttackType.from_label(name)
-        for name in cfg.mccnn.channels:
-            ChannelId.from_label(name)
-        if cfg.protocol.name.startswith("LOO_"):
-            AttackType.from_label(cfg.protocol.name[len("LOO_"):])
-        elif cfg.protocol.name != "grandtest":
-            raise ValueError("protocol name must be 'grandtest' or 'LOO_<attack>'")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    """Checks that span sections: the synth and MC-CNN domain configs must
+    build, the protocol must be known, and the IQM measures must exist."""
+    synth_config(cfg)
+    mccnn_config(cfg)
+    name = cfg.protocol.name
+    if name != "grandtest":
+        if not name.startswith("LOO_"):
+            raise ConfigError("protocol name must be 'grandtest' or 'LOO_<attack>'")
+        coerce(name[len("LOO_"):], AttackType, "config.protocol.name")
     unknown = set(cfg.features.iqm_measures) - set(IQM_NAMES)
     if unknown:
         raise ConfigError(f"unknown IQM measures {sorted(unknown)}")
 
 
 # --------------------------------------------------------------------------
-# adapters into the domain configs
+# domain configs
 # --------------------------------------------------------------------------
 
 def synth_config(cfg: RunConfig) -> SynthConfig:
-    return SynthConfig(
-        bonafide_clients=cfg.synth.bonafide_clients,
-        attack_instruments={
-            AttackType.from_label(k): v for k, v in sorted(cfg.synth.attack_instruments.items())
-        },
-        frames_per_sample=cfg.synth.frames_per_sample,
-        image_size=cfg.synth.image_size,
-        signal_channels=frozenset(ChannelId.from_label(c) for c in cfg.synth.signal_channels),
-        noise_level=cfg.synth.noise_level,
-        thermal_offset=cfg.synth.thermal_offset,
-        samples_per_client=cfg.synth.samples_per_client,
-        seed=cfg.seed,
-    )
+    return build(SynthConfig, {**plain(cfg.synth), "seed": cfg.seed}, "config.synth")
 
 
 def align_targets(cfg: RunConfig) -> AlignTargets:
@@ -307,51 +206,23 @@ def align_targets(cfg: RunConfig) -> AlignTargets:
     return AlignTargets(tuple(t.left_eye), tuple(t.right_eye), tuple(t.mouth), cfg.preprocess.out_size)
 
 
-def lbp_config(cfg: RunConfig) -> LbpConfig:
-    s = cfg.features.lbp
-    return LbpConfig(p=s.p, r=s.r, uniform=s.uniform, grid=tuple(s.grid))
-
-
-def glcm_config(cfg: RunConfig) -> GlcmConfig:
-    s = cfg.features.glcm
-    return GlcmConfig(levels=s.levels, offsets=tuple(tuple(o) for o in s.offsets), symmetric=s.symmetric)
-
-
 def mccnn_config(cfg: RunConfig, channels: Sequence[str] | None = None) -> McCnnConfig:
-    s = cfg.mccnn
-    names = tuple(channels) if channels is not None else s.channels
-    return McCnnConfig(
-        channels=tuple(ChannelId.from_label(c) for c in names),
-        input_size=s.input_size,
-        embedding_dim=s.embedding_dim,
-        adapt=frozenset(s.adapt),
-        epochs=s.epochs,
-        batch_size=s.batch_size,
-        learning_rate=s.learning_rate,
-        flip_prob=s.flip_prob,
-        seed=cfg.seed,
-        base_width=s.base_width,
-        bpcer_target=cfg.protocol.bpcer_target,
-        pretrain_epochs=s.pretrain_epochs,
-    )
+    """The network config: the ``mccnn`` section (less the run-level
+    ``pretrain``) with the run seed and the protocol's BPCER target."""
+    data = plain(cfg.mccnn)
+    del data["pretrain"]
+    if channels is not None:
+        data["channels"] = list(channels)
+    data.update(seed=cfg.seed, bpcer_target=cfg.protocol.bpcer_target)
+    return build(McCnnConfig, data, "config.mccnn")
 
 
 # --------------------------------------------------------------------------
 # canonical serialization / digests / lock files
 # --------------------------------------------------------------------------
 
-def _plain(value: Any) -> Any:
-    if is_dataclass(value) and not isinstance(value, type):
-        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, Mapping):
-        return {str(k): _plain(v) for k, v in sorted(value.items())}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
-
-
 def to_canonical_json(cfg: RunConfig) -> str:
-    return json.dumps(_plain(cfg), sort_keys=True, separators=(",", ":"))
+    return json.dumps(plain(cfg), sort_keys=True, separators=(",", ":"))
 
 
 def config_digest(cfg: RunConfig) -> str:
@@ -363,9 +234,7 @@ def write_lock(directory: str | Path, cfg: RunConfig, command: str) -> Path:
     with identical inputs rewrite identical bytes."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    payload = {"command": command, "digest": config_digest(cfg), "config": _plain(cfg)}
+    payload = {"command": command, "digest": config_digest(cfg), "config": plain(cfg)}
     path = directory / "config.lock"
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-    os.replace(tmp, path)
+    atomic_write(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
     return path

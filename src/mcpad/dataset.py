@@ -14,13 +14,16 @@ Manifest format: CSV with header ``sample_id,path,client_id,label,attack_type,se
 from __future__ import annotations
 
 import csv
+import io
 import os
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
+
+from .files import atomic_write
 
 MAGIC = b"MCPD"
 CONTAINER_VERSION = 1
@@ -73,6 +76,10 @@ class AttackType(Enum):
     RIGIDMASK = "rigidmask"
     FLEXIBLEMASK = "flexiblemask"
     PAPERMASK = "papermask"
+
+    @property
+    def label(self) -> str:
+        return self.value
 
     @classmethod
     def from_label(cls, label: str) -> "AttackType":
@@ -170,9 +177,7 @@ def write_sample(sample: MultiChannelSample, path: str | Path) -> None:
             raise ValueError("dimension exceeds u16 container limit")
         parts.append(_CHAN_HEADER.pack(ch.value, width, height, frames, bits))
         parts.append(stack.astype("<u2" if bits == 16 else "u1").tobytes(order="C"))
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(b"".join(parts))
-    os.replace(tmp, path)
+    atomic_write(path, b"".join(parts))
 
 
 def read_sample(path: str | Path, meta: SampleMeta | None = None) -> MultiChannelSample:
@@ -231,8 +236,8 @@ class Manifest:
     entries: list[ManifestEntry] = field(default_factory=list)
 
     def __post_init__(self):
-        ids = [e.sample_id for e in self.entries]
-        if len(ids) != len(set(ids)):
+        self._by_id = {e.sample_id: e for e in self.entries}
+        if len(self._by_id) != len(self.entries):
             raise ValueError("duplicate sample_ids in manifest")
 
     def __iter__(self):
@@ -242,10 +247,7 @@ class Manifest:
         return len(self.entries)
 
     def by_id(self, sample_id: str) -> ManifestEntry:
-        for e in self.entries:
-            if e.sample_id == sample_id:
-                return e
-        raise KeyError(sample_id)
+        return self._by_id[sample_id]
 
     def client_ids(self) -> set[int]:
         return {e.meta.client_id for e in self.entries}
@@ -253,17 +255,16 @@ class Manifest:
 
 def save_manifest(manifest: Manifest, path: str | Path) -> None:
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MANIFEST_HEADER)
-        for e in manifest.entries:
-            rel = os.path.relpath(e.path, path.parent)
-            writer.writerow(
-                [e.sample_id, rel, e.meta.client_id, e.meta.label,
-                 e.meta.attack_type.value, e.meta.session_id]
-            )
-    os.replace(tmp, path)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(MANIFEST_HEADER)
+    for e in manifest.entries:
+        rel = os.path.relpath(e.path, path.parent)
+        writer.writerow(
+            [e.sample_id, rel, e.meta.client_id, e.meta.label,
+             e.meta.attack_type.value, e.meta.session_id]
+        )
+    atomic_write(path, buf.getvalue())
 
 
 def load_manifest(path: str | Path, check_paths: bool = True) -> Manifest:
@@ -524,10 +525,7 @@ def synth_generate(cfg: SynthConfig, out_dir: str | Path) -> Manifest:
             container = out_dir / f"{sample_id}.mcpd"
             write_sample(sample, container)
             lm_lines = _landmark_lines(cfg, params, (cfg.seed, 31, client_id, k))
-            lm_path = container.with_suffix(".landmarks")
-            tmp = lm_path.with_name(lm_path.name + ".tmp")
-            tmp.write_text("\n".join(lm_lines) + "\n")
-            os.replace(tmp, lm_path)
+            atomic_write(container.with_suffix(".landmarks"), "\n".join(lm_lines) + "\n")
             entries.append(ManifestEntry(sample_id, container.resolve(), meta))
 
     entries.sort(key=lambda e: e.sample_id)

@@ -6,23 +6,16 @@ presentation is classified bonafide iff score >= threshold.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dataset import (
-    ATTACK_CATEGORIES,
-    LABEL_ATTACK,
-    LABEL_BONAFIDE,
-    AttackType,
-    Manifest,
-)
+from .dataset import ATTACK_CATEGORIES, LABEL_BONAFIDE, AttackType, Manifest
+from .files import atomic_write
 
 SPLITS = ("train", "dev", "eval")
 
@@ -56,14 +49,11 @@ class ScoreEntry:
 def save_scores(entries: Sequence[ScoreEntry], path: str | Path) -> None:
     """Score file: one ``sample_id,frame_idx,score,label,attack_type`` line
     per entry (no header)."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
     lines = [
         f"{e.sample_id},{e.frame_idx},{e.score!r},{e.label},{e.attack_type.value}"
         for e in entries
     ]
-    tmp.write_text("\n".join(lines) + ("\n" if lines else ""))
-    os.replace(tmp, path)
+    atomic_write(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def load_scores(path: str | Path) -> list[ScoreEntry]:
@@ -219,20 +209,7 @@ def save_protocol(spec: ProtocolSpec, path: str | Path) -> None:
         "left_out": spec.left_out.value if spec.left_out else None,
         "assignment": dict(sorted(spec.assignment.items())),
     }
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-    os.replace(tmp, path)
-
-
-def load_protocol(path: str | Path) -> ProtocolSpec:
-    payload = json.loads(Path(path).read_text())
-    left = payload.get("left_out")
-    return ProtocolSpec(
-        name=payload["name"],
-        assignment=dict(payload["assignment"]),
-        left_out=AttackType.from_label(left) if left else None,
-    )
+    atomic_write(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
 # --------------------------------------------------------------------------
@@ -280,6 +257,17 @@ class SplitMetrics:
         }
 
 
+def error_rates(scores: np.ndarray, bona: np.ndarray, tau: float) -> tuple[float, float]:
+    """(APCER, BPCER) in percent at threshold ``tau``: the share of attack
+    scores >= tau and of bonafide scores < tau (0 for an absent class)."""
+    accepted = scores >= tau
+    n_att = int((~bona).sum())
+    n_bona = int(bona.sum())
+    apcer = 100.0 * int((~bona & accepted).sum()) / n_att if n_att else 0.0
+    bpcer = 100.0 * int((bona & ~accepted).sum()) / n_bona if n_bona else 0.0
+    return apcer, bpcer
+
+
 def compute_metrics(entries: Sequence[ScoreEntry], tau: float) -> SplitMetrics:
     """Percent rates at a fixed threshold: APCER aggregates over all attack
     entries (paper-table convention); the stricter ISO worst-PAI rate is
@@ -287,14 +275,8 @@ def compute_metrics(entries: Sequence[ScoreEntry], tau: float) -> SplitMetrics:
     if not entries:
         raise MetricError("empty score set")
     scores, bona = _as_arrays(entries)
-    att = ~bona
-    n_bona = int(bona.sum())
-    n_att = int(att.sum())
+    apcer, bpcer = error_rates(scores, bona, tau)
     accepted = scores >= tau
-    n_att_accepted = int((att & accepted).sum())
-    n_bona_rejected = int((bona & ~accepted).sum())
-    apcer = 100.0 * n_att_accepted / n_att if n_att else 0.0
-    bpcer = 100.0 * n_bona_rejected / n_bona if n_bona else 0.0
 
     per_pai_apcer: dict[str, float] = {}
     for cat in ATTACK_CATEGORIES:
@@ -313,10 +295,10 @@ def compute_metrics(entries: Sequence[ScoreEntry], tau: float) -> SplitMetrics:
         per_pai_apcer=per_pai_apcer,
         per_pai_accuracy=per_pai_acc,
         counts={
-            "bonafide": n_bona,
-            "attack": n_att,
-            "attack_accepted": n_att_accepted,
-            "bonafide_rejected": n_bona_rejected,
+            "bonafide": int(bona.sum()),
+            "attack": int((~bona).sum()),
+            "attack_accepted": int((~bona & accepted).sum()),
+            "bonafide_rejected": int((bona & ~accepted).sum()),
         },
     )
 
@@ -396,14 +378,8 @@ def build_report(
 # report files
 # --------------------------------------------------------------------------
 
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
 def write_report_json(report: MetricsReport, path: str | Path) -> None:
-    _atomic_write(Path(path), json.dumps(report.as_dict(), indent=1, sort_keys=True) + "\n")
+    atomic_write(path, json.dumps(report.as_dict(), indent=1, sort_keys=True) + "\n")
 
 
 def write_metrics_csv(report: MetricsReport, path: str | Path) -> None:
@@ -412,7 +388,7 @@ def write_metrics_csv(report: MetricsReport, path: str | Path) -> None:
         lines.append(
             f"{split},{metrics.apcer!r},{metrics.bpcer!r},{metrics.acer!r},{report.threshold!r}"
         )
-    _atomic_write(Path(path), "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def write_per_pai_csv(report: MetricsReport, path: str | Path) -> None:
@@ -422,11 +398,11 @@ def write_per_pai_csv(report: MetricsReport, path: str | Path) -> None:
             lines.append(
                 f"{split},{cat},{metrics.per_pai_apcer[cat]!r},{metrics.per_pai_accuracy[cat]!r}"
             )
-    _atomic_write(Path(path), "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def write_roc_csv(points: Iterable[RocPoint], path: str | Path) -> None:
     lines = ["threshold,apcer,bpcer"]
     for pt in points:
         lines.append(f"{pt.threshold!r},{pt.apcer!r},{pt.bpcer!r}")
-    _atomic_write(Path(path), "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")

@@ -10,8 +10,6 @@ import numpy as np
 
 from .wavelet import rdwt_haar
 
-EXTRACTOR_ID = "rdwt-haralick-v1"
-
 _EPS = 1e-12
 
 

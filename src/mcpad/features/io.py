@@ -6,11 +6,13 @@ frame_idx).
 from __future__ import annotations
 
 import csv
-import os
+import io
 import struct
 from pathlib import Path
 
 import numpy as np
+
+from ..files import atomic_write
 
 MAGIC = b"MCFV"
 ROWS_SUFFIX = ".rows.csv"
@@ -27,22 +29,15 @@ def write_feature_table(path: str | Path, table: np.ndarray, rows: list[tuple[st
         raise ValueError("feature table must be 2-d")
     if len(rows) != table.shape[0]:
         raise ValueError("row sidecar length mismatch")
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", table.shape[0], table.shape[1]))
-        fh.write(table.astype("<f8").tobytes(order="C"))
-    os.replace(tmp, path)
+    header = MAGIC + struct.pack("<II", table.shape[0], table.shape[1])
+    atomic_write(path, header + table.astype("<f8").tobytes(order="C"))
 
-    sidecar = rows_sidecar(path)
-    tmp = sidecar.with_name(sidecar.name + ".tmp")
-    with open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "sample_id", "frame_idx"])
-        for row, (sid, fidx) in enumerate(rows):
-            writer.writerow([row, sid, fidx])
-    os.replace(tmp, sidecar)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["row", "sample_id", "frame_idx"])
+    for row, (sid, fidx) in enumerate(rows):
+        writer.writerow([row, sid, fidx])
+    atomic_write(rows_sidecar(path), buf.getvalue())
 
 
 def read_feature_table(path: str | Path) -> tuple[np.ndarray, list[tuple[str, int]]]:

@@ -2,8 +2,7 @@
 
 Each measure compares the luminance image I against its Gaussian-smoothed
 reference (sigma 1.2, 5x5 kernel, mirrored borders). The 18-measure set
-spans pixel-difference, correlation, spectral, gradient, and edge families;
-the extractor id ``iqm18-v1`` names this subset.
+spans pixel-difference, correlation, spectral, gradient, and edge families.
 """
 
 from __future__ import annotations
@@ -11,8 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..preprocess import to_gray
-
-EXTRACTOR_ID = "iqm18-v1"
 
 GAUSS_SIGMA = 1.2
 GAUSS_SIZE = 5

@@ -21,19 +21,20 @@ u32 dims..., float32 data (little-endian, names sorted).
 from __future__ import annotations
 
 import json
-import os
 import struct
 from dataclasses import dataclass, field, replace as dataclass_replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .classical import FitError
+from .codec import build, plain
 from .dataset import ChannelId
-from .evaluation import threshold_from_bonafide
+from .evaluation import error_rates, threshold_from_bonafide
+from .files import atomic_write
 
 MODEL_MAGIC = b"MCNN"
 MODEL_VERSION = 1
@@ -289,10 +290,6 @@ def batch_class_weights(labels: np.ndarray) -> tuple[float, float]:
     return w_bona, w_att
 
 
-def weighted_bce(p: Tensor, targets: np.ndarray, w_bonafide: float = 1.0, w_attack: float = 1.0) -> Tensor:
-    return ad.weighted_bce(p, targets, w_bonafide, w_attack)
-
-
 def flip_decision(seed: int, epoch: int, sample_index: int, prob: float) -> bool:
     """One horizontal-flip coin per sample per epoch, derived from
     (seed, epoch, sample index) so data-parallel loading cannot reorder it."""
@@ -316,36 +313,57 @@ class TrainResult:
     best_dev_acer: float = float("nan")
 
 
-class _Adam:
-    def __init__(self, params: list[Tensor], lr: float, beta1: float, beta2: float, eps: float):
-        self.params = params
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.m = [np.zeros_like(p.data) for p in params]
-        self.v = [np.zeros_like(p.data) for p in params]
-        self.t = 0
-
-    def step(self) -> None:
-        self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        for i, p in enumerate(self.params):
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            self.m[i] = b1 * self.m[i] + (1 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
-            m_hat = self.m[i] / (1 - b1**self.t)
-            v_hat = self.v[i] / (1 - b2**self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+def _flipped(stack: np.ndarray, idx: np.ndarray, flips: np.ndarray) -> np.ndarray:
+    """Copy of ``stack[idx]`` with the ``flips`` rows mirrored left-right."""
+    frames = np.array(stack[idx])
+    if flips.any():
+        frames[flips] = frames[flips][..., ::-1]
+    return frames
 
 
-def _acer_at_dev_bpcer(scores: np.ndarray, labels: np.ndarray, target: float) -> tuple[float, float]:
-    bona = scores[labels == 1]
-    tau = threshold_from_bonafide(bona, target)
-    att = scores[labels == 0]
-    apcer = float((att >= tau).mean()) if att.size else 0.0
-    bpcer = float((bona < tau).mean())
-    return (apcer + bpcer) / 2.0, tau
+def _adam_epochs(
+    params: list[Tensor],
+    labels: np.ndarray,
+    cfg: McCnnConfig,
+    seed: int,
+    epochs: int,
+    batch_prob: Callable[[np.ndarray, np.ndarray], Tensor],
+) -> Iterator[tuple[int, float]]:
+    """Adam on the class-weighted BCE of ``batch_prob(idx, flips)`` over
+    mini-batches of a per-epoch permutation seeded by (seed, epoch), with
+    one flip coin per sample per epoch. Yields (epoch, mean batch loss)
+    after each epoch."""
+    b1, b2 = cfg.beta1, cfg.beta2
+    m = [np.zeros_like(p.data) for p in params]
+    v = [np.zeros_like(p.data) for p in params]
+    t = 0
+    n = labels.size
+    for epoch in range(epochs):
+        order = np.random.default_rng(np.random.SeedSequence((seed, 547, epoch))).permutation(n)
+        total = 0.0
+        batches = 0
+        for lo in range(0, n, cfg.batch_size):
+            idx = order[lo : lo + cfg.batch_size]
+            flips = np.array(
+                [flip_decision(seed, epoch, int(i), cfg.flip_prob) for i in idx], dtype=bool
+            )
+            y = labels[idx]
+            w_bona, w_att = batch_class_weights(y)
+            loss = ad.weighted_bce(batch_prob(idx, flips), y, w_bona, w_att)
+            for p in params:
+                p.zero_grad()
+            loss.backward()
+            t += 1
+            for i, p in enumerate(params):
+                g = p.grad if p.grad is not None else np.zeros_like(p.data)
+                m[i] = b1 * m[i] + (1 - b1) * g
+                v[i] = b2 * v[i] + (1 - b2) * g * g
+                m_hat = m[i] / (1 - b1**t)
+                v_hat = v[i] / (1 - b2**t)
+                p.data -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+            total += float(loss.data)
+            batches += 1
+        yield epoch, total / max(batches, 1)
 
 
 def _embed_frozen(model: McCnnModel, channel: ChannelId, frames: np.ndarray, chunk: int = 128) -> np.ndarray:
@@ -362,7 +380,8 @@ def train(
     backbone: Mapping[str, Mapping[str, np.ndarray]] | None = None,
 ) -> TrainResult:
     """Train DSU copies of the adapt set plus the head with Adam; the best
-    epoch is selected by dev ACER at the dev BPCER target threshold.
+    epoch is the first with the lowest dev ACER (percent) at the threshold
+    set on dev bonafide scores for the BPCER target.
 
     Branches with no trainable blocks (the gray reference, or every branch
     when the adapt set is empty) are frozen, so their embeddings are
@@ -391,10 +410,7 @@ def train(
                 arr = np.where(flips[:, None], emb_flip[ch][idx], emb_plain[ch][idx])
                 parts.append(Tensor(arr))
             else:
-                frames = np.array(data.train_x[ch][idx])
-                if flips.any():
-                    frames[flips] = frames[flips][..., ::-1]
-                parts.append(branch_forward(model, ch, frames))
+                parts.append(branch_forward(model, ch, _flipped(data.train_x[ch], idx, flips)))
         return _head(model, parts)
 
     def dev_scores() -> np.ndarray:
@@ -412,34 +428,17 @@ def train(
         return out
 
     trainable = [t for _, t in model.trainable()]
-    optimizer = _Adam(trainable, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_eps)
+    dev_bona = data.dev_y == 1
     result = TrainResult(model=model)
     best_snapshot = None
     best_acer = float("inf")
-    n = data.train_y.size
-    for epoch in range(cfg.epochs):
-        order = np.random.default_rng(np.random.SeedSequence((cfg.seed, 547, epoch))).permutation(n)
-        total = 0.0
-        batches = 0
-        for lo in range(0, n, cfg.batch_size):
-            idx = order[lo : lo + cfg.batch_size]
-            flips = np.array(
-                [flip_decision(cfg.seed, epoch, int(i), cfg.flip_prob) for i in idx], dtype=bool
-            )
-            y = data.train_y[idx]
-            w_bona, w_att = batch_class_weights(y)
-            loss = weighted_bce(batch_prob(idx, flips), y, w_bona, w_att)
-            for p in trainable:
-                p.zero_grad()
-            loss.backward()
-            optimizer.step()
-            total += float(loss.data)
-            batches += 1
+    for epoch, loss in _adam_epochs(trainable, data.train_y, cfg, cfg.seed, cfg.epochs, batch_prob):
         scores = dev_scores()
-        dev_acer, dev_tau = _acer_at_dev_bpcer(scores, data.dev_y, cfg.bpcer_target)
+        dev_tau = threshold_from_bonafide(scores[dev_bona], cfg.bpcer_target)
+        apcer, bpcer = error_rates(scores, dev_bona, dev_tau)
+        dev_acer = (apcer + bpcer) / 2.0
         result.history.append(
-            {"epoch": epoch, "train_loss": total / max(batches, 1),
-             "dev_acer": dev_acer, "dev_tau": dev_tau}
+            {"epoch": epoch, "train_loss": loss, "dev_acer": dev_acer, "dev_tau": dev_tau}
         )
         if dev_acer < best_acer:
             best_acer = dev_acer
@@ -482,34 +481,12 @@ def pretrain_reference(
     proxy = McCnnModel(config=pre_cfg, shared=blocks, dsu={}, head={})
     frames = np.asarray(gray_frames)
 
+    def batch_prob(idx: np.ndarray, flips: np.ndarray) -> Tensor:
+        emb = branch_forward(proxy, ChannelId.GRAY, _flipped(frames, idx, flips))
+        return ad.reshape(ad.sigmoid(ad.linear(emb, head_w, head_b)), (-1,))
+
     params = [t for group in GROUPS for _, t in sorted(blocks[group].items())] + [head_w, head_b]
-    optimizer = _Adam(params, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_eps)
-    losses = []
-    n = labels.size
-    for epoch in range(epochs):
-        order = np.random.default_rng(np.random.SeedSequence((cfg.seed + 1, 547, epoch))).permutation(n)
-        total = 0.0
-        batches = 0
-        for lo in range(0, n, cfg.batch_size):
-            idx = order[lo : lo + cfg.batch_size]
-            flips = np.array(
-                [flip_decision(cfg.seed + 1, epoch, int(i), cfg.flip_prob) for i in idx], dtype=bool
-            )
-            batch = np.array(frames[idx], dtype=np.float32)
-            if flips.any():
-                batch[flips] = batch[flips][..., ::-1]
-            emb = branch_forward(proxy, ChannelId.GRAY, Tensor(batch[:, None]))
-            p = ad.reshape(ad.sigmoid(ad.linear(emb, head_w, head_b)), (-1,))
-            y = labels[idx]
-            w_bona, w_att = batch_class_weights(y)
-            loss = weighted_bce(p, y, w_bona, w_att)
-            for param in params:
-                param.zero_grad()
-            loss.backward()
-            optimizer.step()
-            total += float(loss.data)
-            batches += 1
-        losses.append(total / max(batches, 1))
+    losses = [loss for _, loss in _adam_epochs(params, labels, cfg, cfg.seed + 1, epochs, batch_prob)]
     return {g: {n: t.data.copy() for n, t in blk.items()} for g, blk in blocks.items()}, losses
 
 
@@ -528,7 +505,7 @@ def grad_check(
     w_bona, w_att = batch_class_weights(labels)
 
     def loss_fn():
-        return weighted_bce(forward(model, frames), labels, w_bona, w_att)
+        return ad.weighted_bce(forward(model, frames), labels, w_bona, w_att)
 
     return ad.check_gradients(loss_fn, [t for _, t in model.trainable()], eps=eps)
 
@@ -537,53 +514,13 @@ def grad_check(
 # serialization
 # --------------------------------------------------------------------------
 
-def _config_json(cfg: McCnnConfig) -> dict:
-    return {
-        "channels": [ch.label for ch in cfg.channels],
-        "input_size": cfg.input_size,
-        "embedding_dim": cfg.embedding_dim,
-        "adapt": sorted(cfg.adapt),
-        "epochs": cfg.epochs,
-        "batch_size": cfg.batch_size,
-        "learning_rate": cfg.learning_rate,
-        "beta1": cfg.beta1,
-        "beta2": cfg.beta2,
-        "adam_eps": cfg.adam_eps,
-        "flip_prob": cfg.flip_prob,
-        "seed": cfg.seed,
-        "base_width": cfg.base_width,
-        "bpcer_target": cfg.bpcer_target,
-        "pretrain_epochs": cfg.pretrain_epochs,
-    }
-
-
-def config_from_json(payload: Mapping) -> McCnnConfig:
-    return McCnnConfig(
-        channels=tuple(ChannelId.from_label(c) for c in payload["channels"]),
-        input_size=payload["input_size"],
-        embedding_dim=payload["embedding_dim"],
-        adapt=frozenset(payload["adapt"]),
-        epochs=payload["epochs"],
-        batch_size=payload["batch_size"],
-        learning_rate=payload["learning_rate"],
-        beta1=payload["beta1"],
-        beta2=payload["beta2"],
-        adam_eps=payload["adam_eps"],
-        flip_prob=payload["flip_prob"],
-        seed=payload["seed"],
-        base_width=payload["base_width"],
-        bpcer_target=payload["bpcer_target"],
-        pretrain_epochs=payload["pretrain_epochs"],
-    )
-
-
 def block_bytes(model: McCnnModel) -> dict[str, bytes]:
     """Serialized (float32) bytes of every named parameter block."""
     return {name: np.asarray(arr, dtype="<f4").tobytes() for name, arr in model.named_blocks().items()}
 
 
 def save_model(model: McCnnModel, path: str | Path) -> None:
-    config_blob = json.dumps(_config_json(model.config), sort_keys=True).encode()
+    config_blob = json.dumps(plain(model.config), sort_keys=True).encode()
     blocks = model.named_blocks()
     parts = [MODEL_MAGIC, struct.pack("<BI", MODEL_VERSION, len(config_blob)), config_blob,
              struct.pack("<I", len(blocks))]
@@ -595,10 +532,7 @@ def save_model(model: McCnnModel, path: str | Path) -> None:
         parts.append(struct.pack("<B", arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         parts.append(arr.tobytes(order="C"))
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(b"".join(parts))
-    os.replace(tmp, path)
+    atomic_write(path, b"".join(parts))
 
 
 def load_model(path: str | Path) -> McCnnModel:
@@ -609,7 +543,10 @@ def load_model(path: str | Path) -> McCnnModel:
     if version != MODEL_VERSION:
         raise ValueError(f"unknown model version {version}")
     pos = 9
-    cfg = config_from_json(json.loads(blob[pos : pos + config_len].decode()))
+    echo = json.loads(blob[pos : pos + config_len].decode())
+    cfg = build(McCnnConfig, echo, "model config")
+    if plain(cfg) != echo:
+        raise ValueError("model config echo is incomplete or not canonical")
     pos += config_len
     (n_blocks,) = struct.unpack_from("<I", blob, pos)
     pos += 4
@@ -627,7 +564,7 @@ def load_model(path: str | Path) -> McCnnModel:
         blocks[name] = (
             np.frombuffer(blob, dtype="<f4", count=count, offset=pos)
             .reshape(shape)
-            .astype(np.float64)
+            .astype(np.float32)
         )
         pos += count * 4
 

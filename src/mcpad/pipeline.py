@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,16 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from . import classical, mccnn
-from .config import (
-    RunConfig,
-    align_targets,
-    glcm_config,
-    lbp_config,
-    mccnn_config,
-    synth_config,
-    write_lock,
-)
+from .config import RunConfig, align_targets, mccnn_config, synth_config, write_lock
 from .dataset import (
+    AttackType,
     ChannelId,
     Manifest,
     load_manifest,
@@ -57,8 +49,8 @@ from .features import (
     read_feature_table,
     write_feature_table,
 )
+from .files import atomic_write
 from .preprocess import align_color, landmarks_path, load_landmarks, preprocess_sample
-from .dataset import AttackType
 
 
 class ValidationError(ValueError):
@@ -210,10 +202,10 @@ def _extract_one(args) -> tuple[str, list[int], dict[str, np.ndarray]]:
     for ch in channels:
         stack = sample.channels[ch]
         if extractor == "lbp":
-            feats = [lbp_histogram(stack[i], lbp_config(cfg)) for i in range(stack.shape[0])]
+            feats = [lbp_histogram(stack[i], cfg.features.lbp) for i in range(stack.shape[0])]
         else:
             feats = [
-                rdwt_haralick_features(stack[i].astype(np.float64), glcm_config(cfg))
+                rdwt_haralick_features(stack[i].astype(np.float64), cfg.features.glcm)
                 for i in range(stack.shape[0])
             ]
         out[ch.label] = np.stack(feats)
@@ -364,9 +356,7 @@ def cmd_train_baseline(cfg: RunConfig, pipeline: str) -> Path:
         "normalizers": normalizer_info,
         "normalizer_fit": "train+dev",
     }
-    tmp = base_dir / "pipeline.json.tmp"
-    tmp.write_text(json.dumps(info, indent=1, sort_keys=True) + "\n")
-    os.replace(tmp, base_dir / "pipeline.json")
+    atomic_write(base_dir / "pipeline.json", json.dumps(info, indent=1, sort_keys=True) + "\n")
     write_lock(base_dir, cfg, f"train-baseline:{pipeline}")
     return base_dir
 
@@ -461,9 +451,7 @@ def cmd_train_mccnn(cfg: RunConfig) -> Path:
         history_lines.append(
             f"{record['epoch']},{record['train_loss']!r},{record['dev_acer']!r},{record['dev_tau']!r}"
         )
-    tmp = out / "history.csv.tmp"
-    tmp.write_text("\n".join(history_lines) + "\n")
-    os.replace(tmp, out / "history.csv")
+    atomic_write(out / "history.csv", "\n".join(history_lines) + "\n")
     write_lock(out, cfg, "train-mccnn")
     return out
 
@@ -509,8 +497,6 @@ def cmd_report(cfg: RunConfig) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     lines = ["experiment,split,apcer,bpcer,acer,threshold"]
     lines.extend(",".join(row) for row in rows)
-    tmp = out / "summary.csv.tmp"
-    tmp.write_text("\n".join(lines) + "\n")
-    os.replace(tmp, out / "summary.csv")
+    atomic_write(out / "summary.csv", "\n".join(lines) + "\n")
     write_lock(out, cfg, "report")
     return out / "summary.csv"

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+import yaml
 
 from mcpad.cli import main
 from mcpad.config import (
@@ -72,6 +73,34 @@ class TestLoading:
     def test_bad_protocol_name(self):
         with pytest.raises(ConfigError):
             load_config(None, overrides=["protocol.name=LOO_nothing"], env={})
+
+
+# Each value passes its section's type check but not its domain config's.
+@pytest.mark.parametrize("override", [
+    "features.lbp.p=5",
+    "mccnn.input_size=12",
+    "mccnn.channels=[color]",
+    "synth.signal_channels=[gray]",
+])
+class TestDomainChecksAtLoad:
+    def test_set_rejected(self, override):
+        with pytest.raises(ConfigError):
+            load_config(None, overrides=[override], env={})
+
+    def test_yaml_rejected(self, override, tmp_path):
+        dotted, value = override.split("=", 1)
+        doc = yaml.safe_load(value)
+        for key in reversed(dotted.split(".")):
+            doc = {key: doc}
+        path = tmp_path / "c.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ConfigError):
+            load_config(path, env={})
+
+    def test_cli_exits_2(self, override, tmp_path):
+        rc = main(["synth", "--set", override, "--set", f"paths.data_root={tmp_path}",
+                   "--set", "synth.frames_per_sample=1", "--set", "synth.image_size=16"])
+        assert rc == 2
 
 
 class TestAdapters:

@@ -181,6 +181,16 @@ class TestManifest:
         with pytest.raises(ValueError):
             Manifest([e, e])
 
+    def test_by_id(self):
+        from mcpad.dataset import ManifestEntry
+        from pathlib import Path
+
+        entries = [ManifestEntry(sid, Path("/dev/null"), make_meta(sid)) for sid in ("a", "b")]
+        manifest = Manifest(entries)
+        assert manifest.by_id("b") is entries[1]
+        with pytest.raises(KeyError):
+            manifest.by_id("c")
+
     def test_unresolvable_path(self, tmp_path):
         (tmp_path / "manifest.csv").write_text(
             "sample_id,path,client_id,label,attack_type,session\nx,gone.mcpd,0,bonafide,none,1\n"

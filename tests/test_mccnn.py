@@ -1,8 +1,12 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from mcpad.classical import FitError
 from mcpad.dataset import AttackType, ChannelId, SynthConfig, synth_generate, read_sample
+from mcpad.evaluation import threshold_from_bonafide
 from mcpad.mccnn import (
     GROUPS,
     McCnnConfig,
@@ -232,6 +236,26 @@ class TestTraining:
         assert flip_decision(7, 0, 0, 1.0) is True
 
 
+class TestEpochSelection:
+    def test_best_epoch_is_first_dev_acer_minimum(self):
+        # Labels carry no signal, so dev ACER moves between epochs
+        # (43.75, 37.5, then 31.25 four times).
+        rng = np.random.default_rng(11)
+        x, y = separable_frames(rng, 32, 16, signal=False)
+        xd, yd = separable_frames(rng, 16, 16, signal=False)
+        cfg = mini_config(seed=1, learning_rate=3e-3, epochs=6)
+        result = train(TrainData({GRAY: x, DEPTH: x}, y, {GRAY: xd, DEPTH: xd}, yd), cfg)
+        acers = [record["dev_acer"] for record in result.history]
+        assert len(set(acers)) > 1 and acers.count(min(acers)) > 1
+        assert all(0.0 <= a <= 100.0 for a in acers) and max(acers) > 1.0  # percent
+        assert result.best_epoch == int(np.argmin(acers))
+        assert result.best_dev_acer == min(acers)
+        # the returned weights are the selected epoch's
+        scores = predict(result.model, {GRAY: xd, DEPTH: xd})
+        tau = threshold_from_bonafide(scores[yd == 1], cfg.bpcer_target)
+        assert tau == result.history[result.best_epoch]["dev_tau"]
+
+
 class TestPretraining:
     def test_backbone_shapes(self):
         cfg = mini_config()
@@ -277,6 +301,27 @@ class TestSerialization:
         frames = {ch: rng.normal(size=(2, 16, 16)).astype(np.float32) for ch in cfg.channels}
         assert np.allclose(forward(model, frames).data, forward(loaded, frames).data, atol=1e-6)
         assert block_bytes(model) == block_bytes(loaded)
+
+    def test_reload_predicts_bit_exact(self, tmp_path):
+        cfg = mini_config()
+        rng = np.random.default_rng(5)
+        x, y = separable_frames(rng, 24, 16)
+        frames = {GRAY: x, DEPTH: x}
+        result = train(TrainData(frames, y, {GRAY: x[:8], DEPTH: x[:8]}, y[:8]), cfg)
+        save_model(result.model, tmp_path / "m.mcnn")
+        loaded = load_model(tmp_path / "m.mcnn")
+        assert np.array_equal(predict(loaded, frames), predict(result.model, frames))
+
+    def test_incomplete_config_echo_rejected(self, tmp_path):
+        save_model(build_model(mini_config()), tmp_path / "m.mcnn")
+        blob = (tmp_path / "m.mcnn").read_bytes()
+        (length,) = struct.unpack_from("<I", blob, 5)
+        echo = json.loads(blob[9 : 9 + length])
+        del echo["seed"]
+        cut = json.dumps(echo).encode()
+        (tmp_path / "cut.mcnn").write_bytes(blob[:5] + struct.pack("<I", len(cut)) + cut + blob[9 + length :])
+        with pytest.raises(ValueError):
+            load_model(tmp_path / "cut.mcnn")
 
     def test_bad_magic(self, tmp_path):
         (tmp_path / "bad.mcnn").write_bytes(b"NOPE" + bytes(32))
