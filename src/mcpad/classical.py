@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .files import atomic_write
+from .files import ByteReader, FormatError, atomic_write
 
 MODEL_MAGIC = b"MCLM"
 MODEL_VERSION = 1
@@ -285,6 +285,7 @@ _KIND_SVM = 2
 _KIND_NORM = 3
 
 _POP_CODES = {POP_BONAFIDE_ONLY: 0.0, POP_ALL: 1.0}
+_POPS = {code: pop for pop, code in _POP_CODES.items()}
 
 
 def save_model(model: LrModel | SvmModel | ScoreNormalizer, path: str | Path) -> None:
@@ -313,23 +314,25 @@ def save_model(model: LrModel | SvmModel | ScoreNormalizer, path: str | Path) ->
 
 
 def load_model(path: str | Path) -> LrModel | SvmModel | ScoreNormalizer:
-    blob = Path(path).read_bytes()
-    if blob[:4] != MODEL_MAGIC:
-        raise ValueError(f"bad model magic {blob[:4]!r}")
-    version, kind, dim = struct.unpack_from("<BBI", blob, 4)
+    reader = ByteReader(Path(path).read_bytes())
+    reader.magic(MODEL_MAGIC, "model")
+    version, kind, dim = reader.take("<BBI", "header")
     if version != MODEL_VERSION:
-        raise ValueError(f"unknown model version {version}")
-    params = np.frombuffer(blob, dtype="<f8", offset=10).astype(np.float64)
-    pops = {0.0: POP_BONAFIDE_ONLY, 1.0: POP_ALL}
+        raise FormatError(f"unknown model version {version}", offset=4)
+    if kind not in (_KIND_LR, _KIND_SVM, _KIND_NORM):
+        raise FormatError(f"unknown model kind {kind}", offset=5)
+    count = 2 if kind == _KIND_NORM else 3 * dim + 3
+    params = reader.array("<f8", count, "parameters").astype(np.float64)
+    reader.end()
     if kind == _KIND_NORM:
         return ScoreNormalizer(lo=params[0], hi=params[1])
     w = params[:dim]
     bias, hyper, pop_code = params[dim : dim + 3]
+    if pop_code not in _POPS:
+        raise FormatError(f"unknown standardizer population code {pop_code}", offset=10 + 8 * (dim + 2))
     mean = params[dim + 3 : 2 * dim + 3]
     std = params[2 * dim + 3 : 3 * dim + 3]
-    std_obj = Standardizer(mean=mean, std=std, population=pops[pop_code])
+    std_obj = Standardizer(mean=mean, std=std, population=_POPS[pop_code])
     if kind == _KIND_LR:
         return LrModel(weights=w, bias=float(bias), standardizer=std_obj, l2=float(hyper))
-    if kind == _KIND_SVM:
-        return SvmModel(weights=w, bias=float(bias), c=float(hyper), standardizer=std_obj)
-    raise ValueError(f"unknown model kind {kind}")
+    return SvmModel(weights=w, bias=float(bias), c=float(hyper), standardizer=std_obj)

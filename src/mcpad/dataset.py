@@ -23,23 +23,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .files import atomic_write
+from .files import ByteReader, FormatError, atomic_write
 
 MAGIC = b"MCPD"
 CONTAINER_VERSION = 1
 
 LABEL_BONAFIDE = "bonafide"
 LABEL_ATTACK = "attack"
-
-
-class FormatError(ValueError):
-    """Container file violates the byte layout."""
-
-    def __init__(self, message: str, offset: int | None = None):
-        if offset is not None:
-            message = f"{message} (byte offset {offset})"
-        super().__init__(message)
-        self.offset = offset
 
 
 class ChannelId(Enum):
@@ -183,37 +173,26 @@ def write_sample(sample: MultiChannelSample, path: str | Path) -> None:
 def read_sample(path: str | Path, meta: SampleMeta | None = None) -> MultiChannelSample:
     """Parse a container file; ``meta`` is attached as-is (it lives in the
     manifest, not in the container)."""
-    blob = Path(path).read_bytes()
-    if blob[:4] != MAGIC:
-        raise FormatError(f"bad magic {blob[:4]!r}", offset=0)
-    if len(blob) < 6:
-        raise FormatError("truncated header", offset=len(blob))
-    version, n_channels = blob[4], blob[5]
+    reader = ByteReader(Path(path).read_bytes())
+    reader.magic(MAGIC, "container")
+    version, n_channels = reader.take("<BB", "header")
     if version != CONTAINER_VERSION:
         raise FormatError(f"unknown version {version}", offset=4)
     channels: dict[ChannelId, np.ndarray] = {}
-    pos = 6
     for _ in range(n_channels):
-        if pos + _CHAN_HEADER.size > len(blob):
-            raise FormatError("truncated channel header", offset=pos)
-        code, width, height, frames, bits = _CHAN_HEADER.unpack_from(blob, pos)
+        pos = reader.pos
+        code, width, height, frames, bits = reader.take(_CHAN_HEADER.format, "channel header")
         try:
             ch = ChannelId(code)
         except ValueError:
             raise FormatError(f"unknown channel id {code}", offset=pos) from None
         if bits not in (8, 16):
             raise FormatError(f"unsupported bit depth {bits}", offset=pos + 7)
-        pos += _CHAN_HEADER.size
         values = frames * height * width * (3 if ch is ChannelId.COLOR else 1)
-        nbytes = values * (bits // 8)
-        if pos + nbytes > len(blob):
-            raise FormatError("truncated payload", offset=pos)
-        flat = np.frombuffer(blob, dtype="<u2" if bits == 16 else "u1", count=values, offset=pos)
+        flat = reader.array("<u2" if bits == 16 else "u1", values, "payload")
         shape = (frames, height, width, 3) if ch is ChannelId.COLOR else (frames, height, width)
         channels[ch] = flat.reshape(shape).astype(flat.dtype.newbyteorder("="))
-        pos += nbytes
-    if pos != len(blob):
-        raise FormatError("trailing bytes after last channel", offset=pos)
+    reader.end()
     return MultiChannelSample(meta=meta, channels=channels)
 
 

@@ -58,11 +58,14 @@ def save_scores(entries: Sequence[ScoreEntry], path: str | Path) -> None:
 
 def load_scores(path: str | Path) -> list[ScoreEntry]:
     entries = []
-    for line in Path(path).read_text().splitlines():
+    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
         if not line:
             continue
-        sid, fidx, score, label, attack = line.split(",")
+        fields = line.split(",")
+        if len(fields) != 5:
+            raise ValueError(f"{path}: line {number}: expected 5 columns, found {len(fields)}")
+        sid, fidx, score, label, attack = fields
         entries.append(
             ScoreEntry(
                 score=float(score),

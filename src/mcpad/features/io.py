@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..files import atomic_write
+from ..files import ByteReader, atomic_write
 
 MAGIC = b"MCFV"
 ROWS_SUFFIX = ".rows.csv"
@@ -42,21 +42,21 @@ def write_feature_table(path: str | Path, table: np.ndarray, rows: list[tuple[st
 
 def read_feature_table(path: str | Path) -> tuple[np.ndarray, list[tuple[str, int]]]:
     path = Path(path)
-    blob = path.read_bytes()
-    if blob[:4] != MAGIC:
-        raise ValueError(f"bad feature-table magic {blob[:4]!r}")
-    count, dim = struct.unpack_from("<II", blob, 4)
-    expect = 12 + count * dim * 8
-    if len(blob) != expect:
-        raise ValueError("feature table size mismatch")
-    table = np.frombuffer(blob, dtype="<f8", count=count * dim, offset=12).reshape(count, dim)
+    reader = ByteReader(path.read_bytes())
+    reader.magic(MAGIC, "feature-table")
+    count, dim = reader.take("<II", "header")
+    table = reader.array("<f8", count * dim, "table").reshape(count, dim)
+    reader.end()
     rows = []
     with open(rows_sidecar(path), newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for line in reader:
-            if line:
-                rows.append((line[1], int(line[2])))
+        lines = csv.reader(fh)
+        next(lines, None)
+        for number, line in enumerate(lines, 2):
+            if not line:
+                continue
+            if len(line) != 3:
+                raise ValueError(f"{rows_sidecar(path)}: line {number}: expected 3 columns")
+            rows.append((line[1], int(line[2])))
     if len(rows) != count:
         raise ValueError("row sidecar length mismatch")
     return table.astype(np.float64), rows

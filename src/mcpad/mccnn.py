@@ -21,6 +21,7 @@ u32 dims..., float32 data (little-endian, names sorted).
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field, replace as dataclass_replace
 from pathlib import Path
@@ -34,7 +35,7 @@ from .classical import FitError
 from .codec import build, plain
 from .dataset import ChannelId
 from .evaluation import error_rates, threshold_from_bonafide
-from .files import atomic_write
+from .files import ByteReader, FormatError, atomic_write
 
 MODEL_MAGIC = b"MCNN"
 MODEL_VERSION = 1
@@ -536,37 +537,25 @@ def save_model(model: McCnnModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> McCnnModel:
-    blob = Path(path).read_bytes()
-    if blob[:4] != MODEL_MAGIC:
-        raise ValueError(f"bad model magic {blob[:4]!r}")
-    version, config_len = struct.unpack_from("<BI", blob, 4)
+    reader = ByteReader(Path(path).read_bytes())
+    reader.magic(MODEL_MAGIC, "model")
+    version, config_len = reader.take("<BI", "header")
     if version != MODEL_VERSION:
-        raise ValueError(f"unknown model version {version}")
-    pos = 9
-    echo = json.loads(blob[pos : pos + config_len].decode())
+        raise FormatError(f"unknown model version {version}", offset=4)
+    echo = json.loads(reader.raw(config_len, "config echo").decode())
     cfg = build(McCnnConfig, echo, "model config")
     if plain(cfg) != echo:
         raise ValueError("model config echo is incomplete or not canonical")
-    pos += config_len
-    (n_blocks,) = struct.unpack_from("<I", blob, pos)
-    pos += 4
+    (n_blocks,) = reader.take("<I", "block count")
     blocks: dict[str, np.ndarray] = {}
     for _ in range(n_blocks):
-        (name_len,) = struct.unpack_from("<H", blob, pos)
-        pos += 2
-        name = blob[pos : pos + name_len].decode()
-        pos += name_len
-        (ndim,) = struct.unpack_from("<B", blob, pos)
-        pos += 1
-        shape = struct.unpack_from(f"<{ndim}I", blob, pos)
-        pos += 4 * ndim
-        count = int(np.prod(shape)) if ndim else 1
-        blocks[name] = (
-            np.frombuffer(blob, dtype="<f4", count=count, offset=pos)
-            .reshape(shape)
-            .astype(np.float32)
-        )
-        pos += count * 4
+        (name_len,) = reader.take("<H", "block name length")
+        name = reader.raw(name_len, "block name").decode()
+        (ndim,) = reader.take("<B", "block rank")
+        shape = reader.take(f"<{ndim}I", "block shape")
+        count = math.prod(shape)
+        blocks[name] = reader.array("<f4", count, "block data").reshape(shape).astype(np.float32)
+    reader.end()
 
     model = build_model(cfg)
     named = model.named_blocks()

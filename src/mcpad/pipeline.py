@@ -202,13 +202,11 @@ def _extract_one(args) -> tuple[str, list[int], dict[str, np.ndarray]]:
     for ch in channels:
         stack = sample.channels[ch]
         if extractor == "lbp":
-            feats = [lbp_histogram(stack[i], cfg.features.lbp) for i in range(stack.shape[0])]
+            out[ch.label] = np.stack(
+                [lbp_histogram(stack[i], cfg.features.lbp) for i in range(stack.shape[0])]
+            )
         else:
-            feats = [
-                rdwt_haralick_features(stack[i].astype(np.float64), cfg.features.glcm)
-                for i in range(stack.shape[0])
-            ]
-        out[ch.label] = np.stack(feats)
+            out[ch.label] = rdwt_haralick_features(stack.astype(np.float64), cfg.features.glcm)
         frames = list(range(stack.shape[0]))
     return sample_path, frames, out
 

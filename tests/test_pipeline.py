@@ -173,3 +173,40 @@ class TestNonSignalChannels:
         accuracy = float(((np.asarray(lr_score(model, x_eval)) >= 0.5).astype(int) == y_eval).mean())
         sigma = 0.5 / np.sqrt(len(y_eval))
         assert abs(accuracy - 0.5) <= 3 * sigma + 1e-9
+
+
+class TestJobs:
+    @pytest.mark.parametrize("extractor, channels", [("lbp", 3), ("rdwt-haralick", 4)])
+    def test_jobs_do_not_change_outputs(self, small_run, extractor, channels):
+        """A worker pool writes the same feature tables and row sidecars, byte
+        for byte, as the serial loop."""
+        from mcpad.pipeline import cmd_extract, features_dir
+
+        _, config = small_run
+        cfg = load_config(config)
+        tables = features_dir(cfg)
+
+        def outputs():
+            return {p.name: p.read_bytes() for p in sorted(tables.glob(f"*_{extractor}.mcfv*"))}
+
+        cmd_extract(cfg, extractor, jobs=1)
+        serial = outputs()
+        assert len(serial) == 2 * 3 * channels  # (table, sidecar) x splits x channels
+        cmd_extract(cfg, extractor, jobs=2)
+        assert outputs() == serial
+
+
+class TestCorruptInputs:
+    def test_truncated_feature_table_exits_without_traceback(self, small_run, tmp_path, capsys):
+        import shutil
+
+        root, config = small_run
+        out = tmp_path / "out"
+        shutil.copytree(root / "out", out)
+        table = out / "features" / "grandtest" / "train_gray_rdwt-haralick.mcfv"
+        table.write_bytes(table.read_bytes()[:-3])
+        code = main(["train-baseline", "--pipeline", "rdwt-haralick-svm", "--config", str(config),
+                     "--set", f"paths.out_root={out}"])
+        err = capsys.readouterr().err
+        assert code in (1, 2)
+        assert "byte offset" in err and "Traceback" not in err

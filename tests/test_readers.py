@@ -1,0 +1,169 @@
+"""Every binary reader rejects a cut file and trailing bytes with a typed
+``FormatError`` carrying the byte offset; the score-file reader names the
+line of a malformed row; the CLI reports both without a traceback."""
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from mcpad import classical, mccnn
+from mcpad.classical import LrModel, ScoreNormalizer, Standardizer, POP_ALL
+from mcpad.cli import main
+from mcpad.dataset import ChannelId, FormatError, MultiChannelSample, read_sample, write_sample
+from mcpad.evaluation import load_scores
+from mcpad.features.io import read_feature_table, rows_sidecar, write_feature_table
+
+TINY_MCCNN = mccnn.McCnnConfig(
+    channels=(ChannelId.GRAY,), input_size=16, embedding_dim=4, base_width=2,
+    adapt=frozenset(), epochs=1, batch_size=8, seed=0,
+)
+
+
+def _rejects_every_cut(blob: bytes, path, load, cuts=None) -> None:
+    for cut in range(len(blob)) if cuts is None else cuts:
+        path.write_bytes(blob[:cut])
+        with pytest.raises(FormatError) as err:
+            load(path)
+        assert err.value.offset is not None and 0 <= err.value.offset <= cut
+
+
+def _rejects_trailing(blob: bytes, path, load) -> None:
+    for extra in (b"\x00", bytes(8)):
+        path.write_bytes(blob + extra)
+        with pytest.raises(FormatError) as err:
+            load(path)
+        assert err.value.offset == len(blob)
+
+
+class TestSampleContainer:
+    def test_every_cut_and_trailing_bytes(self, tmp_path):
+        path = tmp_path / "s.mcpd"
+        channels = {
+            ChannelId.COLOR: np.arange(2 * 2 * 3 * 3, dtype=np.uint8).reshape(2, 2, 3, 3),
+            ChannelId.THERMAL: np.arange(2 * 2 * 3, dtype=np.uint16).reshape(2, 2, 3) * 700,
+        }
+        write_sample(MultiChannelSample(None, channels), path)
+        blob = path.read_bytes()
+        _rejects_every_cut(blob, path, read_sample)
+        _rejects_trailing(blob, path, read_sample)
+
+
+@pytest.fixture
+def feature_table(tmp_path):
+    path = tmp_path / "t.mcfv"
+    table = np.arange(6, dtype=np.float64).reshape(3, 2)
+    write_feature_table(path, table, [("s0", 0), ("s0", 1), ("s1", 0)])
+    return path, table
+
+
+class TestFeatureTable:
+    def test_round_trip(self, feature_table):
+        path, table = feature_table
+        loaded, rows = read_feature_table(path)
+        assert np.array_equal(loaded, table) and rows == [("s0", 0), ("s0", 1), ("s1", 0)]
+
+    def test_short_header(self, tmp_path, feature_table):
+        path, _ = feature_table
+        path.write_bytes(b"MCFV\x01\x00")
+        with pytest.raises(FormatError) as err:
+            read_feature_table(path)
+        assert err.value.offset == 4
+
+    def test_every_cut_and_trailing_bytes(self, feature_table):
+        path, _ = feature_table
+        blob = path.read_bytes()
+        _rejects_every_cut(blob, path, read_feature_table)
+        _rejects_trailing(blob, path, read_feature_table)
+
+    def test_short_sidecar_row_names_line(self, feature_table):
+        path, _ = feature_table
+        sidecar = rows_sidecar(path)
+        sidecar.write_text("row,sample_id,frame_idx\n0,s0,0\n1,s0\n2,s1,0\n")
+        with pytest.raises(ValueError, match="line 3"):
+            read_feature_table(path)
+
+
+def _lr_model(dim=3):
+    std = Standardizer(mean=np.arange(dim, dtype=float), std=np.ones(dim), population=POP_ALL)
+    return LrModel(weights=np.linspace(-1, 1, dim), bias=0.25, standardizer=std, l2=1e-3)
+
+
+class TestClassicalModel:
+    @pytest.mark.parametrize("model", [_lr_model(), ScoreNormalizer(lo=-2.5, hi=7.5)],
+                             ids=["lr", "normalizer"])
+    def test_every_cut_and_trailing_bytes(self, tmp_path, model):
+        path = tmp_path / "m.mclm"
+        classical.save_model(model, path)
+        blob = path.read_bytes()
+        _rejects_every_cut(blob, path, classical.load_model)
+        _rejects_trailing(blob, path, classical.load_model)
+
+    def test_cut_inside_header(self, tmp_path):
+        path = tmp_path / "m.mclm"
+        path.write_bytes(b"MCLM\x01\x00")
+        with pytest.raises(FormatError) as err:
+            classical.load_model(path)
+        assert err.value.offset == 4
+
+    def test_unknown_kind(self, tmp_path):
+        path = tmp_path / "m.mclm"
+        classical.save_model(ScoreNormalizer(lo=0.0, hi=1.0), path)
+        blob = bytearray(path.read_bytes())
+        blob[5] = 9
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError) as err:
+            classical.load_model(path)
+        assert err.value.offset == 5
+
+
+class TestMccnnModel:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        path = tmp_path / "m.mcnn"
+        mccnn.save_model(mccnn.build_model(TINY_MCCNN), path)
+        return path, path.read_bytes()
+
+    def test_cut_inside_header(self, tmp_path):
+        path = tmp_path / "m.mcnn"
+        path.write_bytes(b"MCNN\x01\x00")
+        with pytest.raises(FormatError) as err:
+            mccnn.load_model(path)
+        assert err.value.offset == 4
+
+    def test_cuts_through_header_and_blocks(self, saved):
+        # every byte up to the first block's data, then every 16th byte (each
+        # cut past the config echo pays for parsing and checking the echo)
+        path, blob = saved
+        (config_len,) = np.frombuffer(blob, dtype="<u4", count=1, offset=5)
+        dense = 9 + int(config_len) + 64
+        cuts = [*range(dense), *range(dense, len(blob), 16), len(blob) - 1]
+        _rejects_every_cut(blob, path, mccnn.load_model, cuts)
+
+    @given(fraction=st.floats(0.0, 1.0, exclude_max=True))
+    def test_any_cut(self, saved, fraction):
+        path, blob = saved
+        _rejects_every_cut(blob, path, mccnn.load_model, [int(fraction * len(blob))])
+
+    def test_trailing_bytes(self, saved):
+        path, blob = saved
+        _rejects_trailing(blob, path, mccnn.load_model)
+
+
+class TestScoreFile:
+    def test_short_line_names_line_number(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("a,0,0.5,bonafide,none\nb,1,0.25,attack\n")
+        with pytest.raises(ValueError, match="line 2"):
+            load_scores(path)
+
+
+class TestCliReportsWithoutTraceback:
+    def test_eval_on_malformed_score_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad_dev.csv"
+        bad.write_text("a,0,0.5,bonafide\n")
+        code = main(["eval", "--set", f"paths.out_root={tmp_path / 'out'}",
+                     "--protocol", "grandtest", str(bad), str(bad)])
+        err = capsys.readouterr().err
+        assert code in (1, 2)
+        assert "line 1" in err and "Traceback" not in err
