@@ -266,14 +266,15 @@ def score_normalize_apply(norm: ScoreNormalizer, scores) -> np.ndarray | float:
     return float(out) if np.isscalar(scores) or out.ndim == 0 else out
 
 
-def fuse_mean(scores: Sequence[float]) -> float:
-    """Arithmetic mean of per-algorithm normalized scores."""
-    if len(scores) == 0:
-        raise ValueError("cannot fuse an empty score list")
+def fuse_mean(scores: np.ndarray | Sequence[float]) -> np.ndarray | float:
+    """Arithmetic mean of per-algorithm normalized scores over the last axis:
+    one fused score for a ``(C,)`` list, one per row for an ``(N, C)`` array."""
     arr = np.asarray(scores, dtype=np.float64)
+    if arr.size == 0:
+        raise ValueError("cannot fuse an empty score list")
     if arr.min() < 0.0 or arr.max() > 1.0:
         raise ValueError("fusion inputs must lie in [0, 1]")
-    return float(arr.mean())
+    return arr.mean(axis=-1)
 
 
 # --------------------------------------------------------------------------

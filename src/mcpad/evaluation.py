@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .dataset import ATTACK_CATEGORIES, LABEL_BONAFIDE, AttackType, Manifest
+from .dataset import ATTACK_CATEGORIES, LABEL_ATTACK, LABEL_BONAFIDE, AttackType, Manifest
 from .files import atomic_write
 
 SPLITS = ("train", "dev", "eval")
@@ -29,59 +29,82 @@ class MetricError(ValueError):
 
 
 # --------------------------------------------------------------------------
-# score sets
+# score tables
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScoreEntry:
-    score: float
-    label: str
-    attack_type: AttackType
-    sample_id: str
-    frame_idx: int
-    client_id: int | None = None
+#: Attack codes of a score table index this tuple; code 0 is bonafide.
+ATTACK_TYPES = tuple(AttackType)
+_ATTACK_CODES = {attack.value: code for code, attack in enumerate(ATTACK_TYPES)}
+
+
+@dataclass(frozen=True, eq=False)
+class Scores:
+    """Columnar score table, one row per scored frame. ``attack`` holds
+    codes into ``ATTACK_TYPES``; a row is bonafide iff its code is 0."""
+
+    sample_id: np.ndarray
+    frame_idx: np.ndarray
+    score: np.ndarray
+    attack: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("sample_id", str), ("frame_idx", np.int64),
+                            ("score", np.float64), ("attack", np.int64)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        if len({self.sample_id.shape, self.frame_idx.shape, self.score.shape, self.attack.shape}) != 1:
+            raise ValueError("score table columns differ in length")
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[tuple[str, int]], score, attack) -> "Scores":
+        """Table over ``(sample_id, frame_idx)`` rows."""
+        return cls([sid for sid, _ in rows], [fidx for _, fidx in rows], score, attack)
 
     @property
-    def is_bonafide(self) -> bool:
-        return self.label == LABEL_BONAFIDE
+    def bonafide(self) -> np.ndarray:
+        return self.attack == 0
 
 
-def save_scores(entries: Sequence[ScoreEntry], path: str | Path) -> None:
+def _label(code: int) -> str:
+    return LABEL_ATTACK if code else LABEL_BONAFIDE
+
+
+def save_scores(scores: Scores, path: str | Path) -> None:
     """Score file: one ``sample_id,frame_idx,score,label,attack_type`` line
-    per entry (no header)."""
+    per row (no header); the label is derived from the attack code."""
     lines = [
-        f"{e.sample_id},{e.frame_idx},{e.score!r},{e.label},{e.attack_type.value}"
-        for e in entries
+        f"{sid},{fidx},{score!r},{_label(code)},{ATTACK_TYPES[code].value}"
+        for sid, fidx, score, code in zip(
+            scores.sample_id.tolist(), scores.frame_idx.tolist(),
+            scores.score.tolist(), scores.attack.tolist(),
+        )
     ]
     atomic_write(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
-def load_scores(path: str | Path) -> list[ScoreEntry]:
-    entries = []
+def _score_row(fields: list[str]) -> tuple[str, int, float, int]:
+    if len(fields) != 5:
+        raise ValueError(f"expected 5 columns, found {len(fields)}")
+    sid, fidx, score, label, attack = fields
+    if attack not in _ATTACK_CODES:
+        raise ValueError(f"unknown attack type {attack!r}")
+    code = _ATTACK_CODES[attack]
+    if label != _label(code):
+        raise ValueError(f"label {label!r} does not match attack type {attack!r}")
+    return sid, int(fidx), float(score), code
+
+
+def load_scores(path: str | Path) -> Scores:
+    rows = []
     for number, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
         if not line:
             continue
-        fields = line.split(",")
-        if len(fields) != 5:
-            raise ValueError(f"{path}: line {number}: expected 5 columns, found {len(fields)}")
-        sid, fidx, score, label, attack = fields
-        entries.append(
-            ScoreEntry(
-                score=float(score),
-                label=label,
-                attack_type=AttackType.from_label(attack),
-                sample_id=sid,
-                frame_idx=int(fidx),
-            )
-        )
-    return entries
-
-
-def _as_arrays(entries: Sequence[ScoreEntry]) -> tuple[np.ndarray, np.ndarray]:
-    scores = np.array([e.score for e in entries], dtype=np.float64)
-    bona = np.array([e.is_bonafide for e in entries], dtype=bool)
-    return scores, bona
+        try:
+            rows.append(_score_row(line.split(",")))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {number}: {exc}") from None
+    sid, fidx, score, attack = zip(*rows) if rows else ((),) * 4
+    return Scores(sid, fidx, score, attack)
 
 
 # --------------------------------------------------------------------------
@@ -101,9 +124,6 @@ class ProtocolSpec:
 
     def split_of(self, sample_id: str) -> str:
         return self.assignment[sample_id]
-
-    def sample_ids(self, split: str) -> list[str]:
-        return sorted(sid for sid, s in self.assignment.items() if s == split)
 
 
 def largest_remainder(n: int, ratios: Sequence[float]) -> list[int]:
@@ -231,11 +251,8 @@ def threshold_from_bonafide(bonafide_scores: np.ndarray, target: float = 0.01) -
     return float(scores[min(k, n - 1)])
 
 
-def threshold_at_bpcer(dev_scores: Sequence[ScoreEntry], target: float = 0.01) -> float:
-    scores, bona = _as_arrays(dev_scores)
-    if not bona.any():
-        raise MetricError("no bonafide entries in the dev scores")
-    return threshold_from_bonafide(scores[bona], target)
+def threshold_at_bpcer(dev_scores: Scores, target: float = 0.01) -> float:
+    return threshold_from_bonafide(dev_scores.score[dev_scores.bonafide], target)
 
 
 @dataclass(frozen=True)
@@ -247,17 +264,6 @@ class SplitMetrics:
     per_pai_apcer: dict[str, float]
     per_pai_accuracy: dict[str, float]
     counts: dict[str, int]
-
-    def as_dict(self) -> dict:
-        return {
-            "apcer": self.apcer,
-            "bpcer": self.bpcer,
-            "acer": self.acer,
-            "apcer_max_pai": self.apcer_max_pai,
-            "per_pai_apcer": dict(sorted(self.per_pai_apcer.items())),
-            "per_pai_accuracy": dict(sorted(self.per_pai_accuracy.items())),
-            "counts": dict(sorted(self.counts.items())),
-        }
 
 
 def error_rates(scores: np.ndarray, bona: np.ndarray, tau: float) -> tuple[float, float]:
@@ -271,22 +277,22 @@ def error_rates(scores: np.ndarray, bona: np.ndarray, tau: float) -> tuple[float
     return apcer, bpcer
 
 
-def compute_metrics(entries: Sequence[ScoreEntry], tau: float) -> SplitMetrics:
+def compute_metrics(scores: Scores, tau: float) -> SplitMetrics:
     """Percent rates at a fixed threshold: APCER aggregates over all attack
     entries (paper-table convention); the stricter ISO worst-PAI rate is
     reported as ``apcer_max_pai``."""
-    if not entries:
+    if not scores.score.size:
         raise MetricError("empty score set")
-    scores, bona = _as_arrays(entries)
-    apcer, bpcer = error_rates(scores, bona, tau)
-    accepted = scores >= tau
+    accepted = scores.score >= tau
+    apcer, bpcer = error_rates(scores.score, scores.bonafide, tau)
+    total = np.bincount(scores.attack, minlength=len(ATTACK_TYPES)).tolist()
+    hits = np.bincount(scores.attack[accepted], minlength=len(ATTACK_TYPES)).tolist()
 
-    per_pai_apcer: dict[str, float] = {}
-    for cat in ATTACK_CATEGORIES:
-        mask = np.array([e.attack_type is cat for e in entries], dtype=bool)
-        total = int(mask.sum())
-        if total:
-            per_pai_apcer[cat.value] = 100.0 * int((mask & accepted).sum()) / total
+    per_pai_apcer = {
+        ATTACK_TYPES[code].value: 100.0 * hits[code] / total[code]
+        for code in range(1, len(ATTACK_TYPES))
+        if total[code]
+    }
     apcer_max = max(per_pai_apcer.values()) if per_pai_apcer else 0.0
     per_pai_acc = {name: 100.0 - value for name, value in per_pai_apcer.items()}
 
@@ -298,49 +304,31 @@ def compute_metrics(entries: Sequence[ScoreEntry], tau: float) -> SplitMetrics:
         per_pai_apcer=per_pai_apcer,
         per_pai_accuracy=per_pai_acc,
         counts={
-            "bonafide": int(bona.sum()),
-            "attack": int((~bona).sum()),
-            "attack_accepted": int((~bona & accepted).sum()),
-            "bonafide_rejected": int((bona & ~accepted).sum()),
+            "bonafide": total[0],
+            "attack": sum(total[1:]),
+            "attack_accepted": sum(hits[1:]),
+            "bonafide_rejected": total[0] - hits[0],
         },
     )
 
 
-def per_pai_accuracy(entries: Sequence[ScoreEntry], tau: float) -> dict[str, float]:
-    """Percent of each attack category correctly rejected (score < tau);
-    absent categories are omitted."""
-    return compute_metrics(entries, tau).per_pai_accuracy if entries else {}
-
-
-@dataclass(frozen=True)
-class RocPoint:
-    threshold: float
-    apcer: float
-    bpcer: float
-
-
-def roc(entries: Sequence[ScoreEntry]) -> list[RocPoint]:
-    """One point per distinct score plus -inf/+inf sentinels, ascending in
-    threshold (APCER non-increasing, BPCER non-decreasing along the list)."""
-    scores, bona = _as_arrays(entries)
+def roc(scores: Scores) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(thresholds, APCER, BPCER) columns: one point per distinct score plus
+    -inf/+inf sentinels, ascending in threshold (APCER non-increasing, BPCER
+    non-decreasing)."""
+    bona = scores.bonafide
     if not bona.any() or bona.all():
         raise MetricError("ROC needs both classes")
-    att_sorted = np.sort(scores[~bona])
-    bona_sorted = np.sort(scores[bona])
-    n_att, n_bona = att_sorted.size, bona_sorted.size
-    thresholds = np.concatenate([[-np.inf], np.unique(scores), [np.inf]])
-    points = []
-    for tau in thresholds:
-        att_accepted = n_att - np.searchsorted(att_sorted, tau, side="left")
-        bona_rejected = np.searchsorted(bona_sorted, tau, side="left")
-        points.append(
-            RocPoint(
-                threshold=float(tau),
-                apcer=100.0 * att_accepted / n_att,
-                bpcer=100.0 * bona_rejected / n_bona,
-            )
-        )
-    return points
+    att_sorted = np.sort(scores.score[~bona])
+    bona_sorted = np.sort(scores.score[bona])
+    thresholds = np.concatenate([[-np.inf], np.unique(scores.score), [np.inf]])
+    att_accepted = att_sorted.size - np.searchsorted(att_sorted, thresholds, side="left")
+    bona_rejected = np.searchsorted(bona_sorted, thresholds, side="left")
+    return (
+        thresholds,
+        100.0 * att_accepted / att_sorted.size,
+        100.0 * bona_rejected / bona_sorted.size,
+    )
 
 
 @dataclass(frozen=True)
@@ -351,19 +339,10 @@ class MetricsReport:
     dev: SplitMetrics
     eval: SplitMetrics
 
-    def as_dict(self) -> dict:
-        return {
-            "protocol": self.protocol,
-            "bpcer_target": self.bpcer_target,
-            "threshold": self.threshold,
-            "dev": self.dev.as_dict(),
-            "eval": self.eval.as_dict(),
-        }
-
 
 def build_report(
-    dev_scores: Sequence[ScoreEntry],
-    eval_scores: Sequence[ScoreEntry],
+    dev_scores: Scores,
+    eval_scores: Scores,
     bpcer_target: float = 0.01,
     protocol: str = "grandtest",
 ) -> MetricsReport:
@@ -382,7 +361,7 @@ def build_report(
 # --------------------------------------------------------------------------
 
 def write_report_json(report: MetricsReport, path: str | Path) -> None:
-    atomic_write(path, json.dumps(report.as_dict(), indent=1, sort_keys=True) + "\n")
+    atomic_write(path, json.dumps(asdict(report), indent=1, sort_keys=True) + "\n")
 
 
 def write_metrics_csv(report: MetricsReport, path: str | Path) -> None:
@@ -404,8 +383,7 @@ def write_per_pai_csv(report: MetricsReport, path: str | Path) -> None:
     atomic_write(path, "\n".join(lines) + "\n")
 
 
-def write_roc_csv(points: Iterable[RocPoint], path: str | Path) -> None:
+def write_roc_csv(curve: tuple[np.ndarray, np.ndarray, np.ndarray], path: str | Path) -> None:
     lines = ["threshold,apcer,bpcer"]
-    for pt in points:
-        lines.append(f"{pt.threshold!r},{pt.apcer!r},{pt.bpcer!r}")
+    lines.extend(f"{t!r},{a!r},{b!r}" for t, a, b in zip(*(column.tolist() for column in curve)))
     atomic_write(path, "\n".join(lines) + "\n")

@@ -28,8 +28,9 @@ from .dataset import (
     write_sample,
 )
 from .evaluation import (
+    ATTACK_TYPES,
     ProtocolSpec,
-    ScoreEntry,
+    Scores,
     build_report,
     load_scores,
     make_grandtest,
@@ -256,24 +257,11 @@ def cmd_extract(cfg: RunConfig, extractor: str, jobs: int = 1) -> None:
 # baselines
 # --------------------------------------------------------------------------
 
-def _labels_for_rows(manifest: Manifest, rows: list[tuple[str, int]]) -> np.ndarray:
-    lookup = {e.sample_id: (1 if e.meta.is_bonafide else 0) for e in manifest}
-    return np.array([lookup[sid] for sid, _ in rows], dtype=np.int64)
-
-
-def _entries_for_rows(manifest: Manifest, rows, scores) -> list[ScoreEntry]:
-    lookup = {e.sample_id: e.meta for e in manifest}
-    return [
-        ScoreEntry(
-            score=float(s),
-            label=lookup[sid].label,
-            attack_type=lookup[sid].attack_type,
-            sample_id=sid,
-            frame_idx=fidx,
-            client_id=lookup[sid].client_id,
-        )
-        for (sid, fidx), s in zip(rows, scores)
-    ]
+def _attack_codes(manifest: Manifest, rows: list[tuple[str, int]]) -> np.ndarray:
+    """Attack code (index into ``ATTACK_TYPES``, 0 = bonafide) of each
+    ``(sample_id, frame_idx)`` row."""
+    code = {e.sample_id: ATTACK_TYPES.index(e.meta.attack_type) for e in manifest}
+    return np.array([code[sid] for sid, _ in rows], dtype=np.int64)
 
 
 def cmd_train_baseline(cfg: RunConfig, pipeline: str) -> Path:
@@ -287,7 +275,7 @@ def cmd_train_baseline(cfg: RunConfig, pipeline: str) -> Path:
     scores_dir.mkdir(parents=True, exist_ok=True)
     models_dir.mkdir(parents=True, exist_ok=True)
 
-    fused: dict[str, dict[tuple[str, int], list[float]]] = {"dev": {}, "eval": {}}
+    columns: dict[str, list[np.ndarray]] = {"dev": [], "eval": []}
     row_order: dict[str, list[tuple[str, int]]] = {}
     normalizer_info = {}
     for channel, extractor in layout["channels"]:
@@ -296,7 +284,8 @@ def cmd_train_baseline(cfg: RunConfig, pipeline: str) -> Path:
         for split in ("train", "dev", "eval"):
             path = _require(feature_table_path(cfg, split, channel, extractor), "feature table")
             tables[split], rows[split] = read_feature_table(path)
-        y_train = _labels_for_rows(manifest, rows["train"])
+        attack = {split: _attack_codes(manifest, rows[split]) for split in rows}
+        y_train = (attack["train"] == 0).astype(np.int64)
 
         # Histogram features can carry dimensions the fit population never
         # touches; scale those by 1 instead of the floor (see standardize_fit).
@@ -333,19 +322,18 @@ def cmd_train_baseline(cfg: RunConfig, pipeline: str) -> Path:
 
         for split in ("dev", "eval"):
             normalized = classical.score_normalize_apply(normalizer, raw_scores[split])
-            entries = _entries_for_rows(manifest, rows[split], normalized)
-            save_scores(entries, scores_dir / f"{channel.label}_{split}.csv")
+            table = Scores.from_rows(rows[split], normalized, attack[split])
+            save_scores(table, scores_dir / f"{channel.label}_{split}.csv")
             row_order.setdefault(split, rows[split])
             if rows[split] != row_order[split]:
                 raise ValidationError("feature tables disagree on row order across channels")
-            for key, score in zip(rows[split], normalized):
-                fused[split].setdefault(key, []).append(float(score))
+            columns[split].append(normalized)
 
     for split in ("dev", "eval"):
+        fused = classical.fuse_mean(np.stack(columns[split], axis=1))
         keys = row_order[split]
-        fused_scores = [classical.fuse_mean(fused[split][key]) for key in keys]
-        entries = _entries_for_rows(manifest, keys, fused_scores)
-        save_scores(entries, scores_dir / f"fused_{split}.csv")
+        table = Scores.from_rows(keys, fused, _attack_codes(manifest, keys))
+        save_scores(table, scores_dir / f"fused_{split}.csv")
 
     info = {
         "pipeline": pipeline,
@@ -366,15 +354,18 @@ def cmd_train_baseline(cfg: RunConfig, pipeline: str) -> Path:
 @dataclass
 class _SplitArrays:
     frames: dict[ChannelId, np.ndarray]
-    labels: np.ndarray
     rows: list[tuple[str, int]]
+    attack: np.ndarray
+
+    @property
+    def labels(self) -> np.ndarray:
+        return (self.attack == 0).astype(np.int64)
 
 
 def _split_arrays(
     cfg: RunConfig, manifest: Manifest, protocol: ProtocolSpec, channels, split: str
 ) -> _SplitArrays:
     stacks: dict[ChannelId, list[np.ndarray]] = {ch: [] for ch in channels}
-    labels = []
     rows = []
     for entry in manifest:
         if protocol.split_of(entry.sample_id) != split:
@@ -383,14 +374,13 @@ def _split_arrays(
         count = sample.frame_count(channels[0])
         for ch in channels:
             stacks[ch].append(mccnn.frames_to_input(sample.channels[ch]))
-        labels.extend([1 if entry.meta.is_bonafide else 0] * count)
         rows.extend((entry.sample_id, i) for i in range(count))
     if not rows:
         raise ValidationError(f"split {split!r} is empty")
     return _SplitArrays(
         frames={ch: np.concatenate(stacks[ch]) for ch in channels},
-        labels=np.array(labels, dtype=np.int64),
         rows=rows,
+        attack=_attack_codes(manifest, rows),
     )
 
 
@@ -440,7 +430,7 @@ def cmd_train_mccnn(cfg: RunConfig) -> Path:
 
     for split, data in (("dev", dev_data), ("eval", eval_data)):
         scores = mccnn.predict(result.model, {ch: data.frames[ch] for ch in net_cfg.channels})
-        save_scores(_entries_for_rows(manifest, data.rows, scores), out / f"scores_{split}.csv")
+        save_scores(Scores.from_rows(data.rows, scores, data.attack), out / f"scores_{split}.csv")
 
     history_lines = ["epoch,train_loss,dev_acer,dev_tau"]
     for i, loss in enumerate(pretrain_losses):
@@ -465,16 +455,16 @@ def cmd_eval(
     eval_scores_path: str | Path,
     name: str | None = None,
 ) -> Path:
-    dev_entries = load_scores(_require(Path(dev_scores_path), "dev score file"))
-    eval_entries = load_scores(_require(Path(eval_scores_path), "eval score file"))
-    report = build_report(dev_entries, eval_entries, cfg.protocol.bpcer_target, protocol_name)
+    dev_scores = load_scores(_require(Path(dev_scores_path), "dev score file"))
+    eval_scores = load_scores(_require(Path(eval_scores_path), "eval score file"))
+    report = build_report(dev_scores, eval_scores, cfg.protocol.bpcer_target, protocol_name)
     label = name or Path(dev_scores_path).stem.replace("_dev", "")
     out = out_root(cfg) / "eval" / f"{protocol_name}_{label}"
     out.mkdir(parents=True, exist_ok=True)
     write_report_json(report, out / "report.json")
     write_metrics_csv(report, out / "metrics.csv")
     write_per_pai_csv(report, out / "per_pai.csv")
-    write_roc_csv(roc(eval_entries), out / "roc.csv")
+    write_roc_csv(roc(eval_scores), out / "roc.csv")
     write_lock(out, cfg, f"eval:{protocol_name}:{label}")
     return out
 

@@ -225,18 +225,6 @@ def load_landmarks(path: str | Path) -> dict[int, Landmarks]:
     return table
 
 
-def save_landmarks(table: Mapping[int, Landmarks], path: str | Path) -> None:
-    lines = []
-    for idx in sorted(table):
-        lm = table[idx]
-        lines.append(
-            f"{idx},{lm.left_eye[0]:.3f},{lm.left_eye[1]:.3f},"
-            f"{lm.right_eye[0]:.3f},{lm.right_eye[1]:.3f},"
-            f"{lm.mouth[0]:.3f},{lm.mouth[1]:.3f}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 # --------------------------------------------------------------------------
 # whole-sample preprocessing
 # --------------------------------------------------------------------------

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from mcpad.dataset import ATTACK_CATEGORIES, AttackType, Manifest, ManifestEntry, SampleMeta
 from mcpad.evaluation import (
+    ATTACK_TYPES,
     MetricError,
     ProtocolError,
-    ScoreEntry,
+    Scores,
     build_report,
     compute_metrics,
     largest_remainder,
@@ -17,7 +18,6 @@ from mcpad.evaluation import (
     loo_protocol_name,
     make_grandtest,
     make_loo,
-    per_pai_accuracy,
     roc,
     save_scores,
     threshold_at_bpcer,
@@ -29,18 +29,24 @@ from mcpad.evaluation import (
 )
 
 
-def entry(score, label, attack="none", sid="s", fidx=0):
-    return ScoreEntry(score, label, AttackType.from_label(attack), sid, fidx)
+def entry(score, attack="none", sid="s", fidx=0):
+    """One score row; attack type "none" is bonafide."""
+    return sid, fidx, score, ATTACK_TYPES.index(AttackType.from_label(attack))
+
+
+def table(*rows):
+    sid, fidx, score, attack = zip(*rows)
+    return Scores(sid, fidx, score, attack)
 
 
 def toy_scores():
-    return [
-        entry(0.1, "attack", "print"),
-        entry(0.6, "attack", "print"),
-        entry(0.3, "attack", "replay"),
-        entry(0.9, "bonafide"),
-        entry(0.8, "bonafide"),
-    ]
+    return table(
+        entry(0.1, "print"),
+        entry(0.6, "print"),
+        entry(0.3, "replay"),
+        entry(0.9),
+        entry(0.8),
+    )
 
 
 def toy_manifest(bonafide=9, per_category=None):
@@ -170,25 +176,25 @@ class TestLoo:
 
 class TestThreshold:
     def test_hundred_scores(self):
-        dev = [entry(v / 100, "bonafide") for v in range(1, 101)]
+        dev = table(*[entry(v / 100) for v in range(1, 101)])
         tau = threshold_at_bpcer(dev, 0.01)
         assert tau == pytest.approx(0.02)
-        below = sum(1 for e in dev if e.score < tau)
-        assert below / len(dev) == pytest.approx(0.01)
+        below = sum(1 for s in dev.score if s < tau)
+        assert below / dev.score.size == pytest.approx(0.01)
 
     def test_target_zero(self):
-        dev = [entry(v / 10, "bonafide") for v in range(1, 11)]
+        dev = table(*[entry(v / 10) for v in range(1, 11)])
         assert threshold_at_bpcer(dev, 0.0) == pytest.approx(0.1)
 
     def test_all_equal(self):
-        dev = [entry(0.7, "bonafide")] * 5
+        dev = table(*[entry(0.7)] * 5)
         tau = threshold_at_bpcer(dev, 0.01)
         assert tau == 0.7
-        assert sum(1 for e in dev if e.score < tau) == 0
+        assert sum(1 for s in dev.score if s < tau) == 0
 
     def test_no_bonafide(self):
         with pytest.raises(MetricError):
-            threshold_at_bpcer([entry(0.5, "attack", "print")])
+            threshold_at_bpcer(table(entry(0.5, "print")))
 
     @given(data=st.data())
     def test_bpcer_never_exceeds_target(self, data):
@@ -210,8 +216,7 @@ class TestMetrics:
         }
 
     def test_perfect_separation(self):
-        entries = [entry(0.1, "attack", "print"), entry(0.9, "bonafide")]
-        assert compute_metrics(entries, 0.5).acer == 0.0
+        assert compute_metrics(table(entry(0.1, "print"), entry(0.9)), 0.5).acer == 0.0
 
     def test_threshold_below_everything(self):
         metrics = compute_metrics(toy_scores(), -1.0)
@@ -222,12 +227,8 @@ class TestMetrics:
         assert metrics.acer == (metrics.apcer + metrics.bpcer) / 2
 
     def test_per_pai(self):
-        scores = [
-            entry(0.6, "attack", "print"),
-            entry(0.4, "attack", "print"),
-            entry(0.1, "attack", "replay"),
-        ]
-        acc = per_pai_accuracy(scores, 0.5)
+        scores = table(entry(0.6, "print"), entry(0.4, "print"), entry(0.1, "replay"))
+        acc = compute_metrics(scores, 0.5).per_pai_accuracy
         assert acc == {"print": 50.0, "replay": 100.0}
         assert "rigidmask" not in acc
 
@@ -238,81 +239,119 @@ class TestMetrics:
     def test_monotone_transform_invariance(self):
         tau = 0.5
         base = compute_metrics(toy_scores(), tau)
-        warped = [
-            ScoreEntry(np.exp(3 * e.score), e.label, e.attack_type, e.sample_id, e.frame_idx)
-            for e in toy_scores()
-        ]
+        s = toy_scores()
+        warped = Scores(s.sample_id, s.frame_idx, np.exp(3 * s.score), s.attack)
         after = compute_metrics(warped, float(np.exp(3 * tau)))
         assert after.counts == base.counts
+
+    @given(data=st.data())
+    def test_against_brute_force(self, data):
+        # Codes drawn from all eight (every attack type plus bonafide) or
+        # from at most two (single-PAI splits); scores on a coarse grid tie.
+        codes = data.draw(st.one_of(
+            st.just(list(range(len(ATTACK_TYPES)))),
+            st.lists(st.integers(0, len(ATTACK_TYPES) - 1), min_size=1, max_size=2, unique=True),
+        ))
+        rows = data.draw(st.lists(
+            st.tuples(st.integers(0, 10).map(lambda k: k / 10), st.sampled_from(codes)),
+            min_size=1, max_size=60,
+        ))
+        tau = data.draw(st.sampled_from([-1.0, 2.0, *(score for score, _ in rows)]))
+        scores = Scores(
+            [f"s{i}" for i in range(len(rows))], list(range(len(rows))),
+            [score for score, _ in rows], [code for _, code in rows],
+        )
+        metrics = compute_metrics(scores, tau)
+
+        bona = [score for score, code in rows if code == 0]
+        att = [(score, code) for score, code in rows if code != 0]
+        accepted = sum(1 for score, _ in att if score >= tau)
+        rejected = sum(1 for score in bona if score < tau)
+        assert metrics.counts == {
+            "bonafide": len(bona), "attack": len(att),
+            "attack_accepted": accepted, "bonafide_rejected": rejected,
+        }
+        apcer = 100.0 * accepted / len(att) if att else 0.0
+        bpcer = 100.0 * rejected / len(bona) if bona else 0.0
+        assert (metrics.apcer, metrics.bpcer, metrics.acer) == (apcer, bpcer, (apcer + bpcer) / 2)
+        per_pai = {}
+        for code in sorted({code for _, code in att}):
+            pai = [score for score, c in att if c == code]
+            per_pai[ATTACK_TYPES[code].value] = 100.0 * sum(1 for s in pai if s >= tau) / len(pai)
+        assert metrics.per_pai_apcer == per_pai
+        assert metrics.per_pai_accuracy == {name: 100.0 - v for name, v in per_pai.items()}
+        assert metrics.apcer_max_pai == (max(per_pai.values()) if per_pai else 0.0)
 
 
 class TestRoc:
     def test_perfect_curve_contains_corner(self):
-        entries = [entry(0.1, "attack", "print"), entry(0.9, "bonafide")]
-        points = roc(entries)
-        assert any(p.apcer == 0.0 and p.bpcer == 0.0 for p in points)
+        _, apcer, bpcer = roc(table(entry(0.1, "print"), entry(0.9)))
+        assert any(a == 0.0 and b == 0.0 for a, b in zip(apcer, bpcer))
 
     def test_sentinels(self):
-        points = roc(toy_scores())
-        assert points[0].threshold == -np.inf and points[0].apcer == 100.0 and points[0].bpcer == 0.0
-        assert points[-1].threshold == np.inf and points[-1].apcer == 0.0 and points[-1].bpcer == 100.0
+        thresholds, apcer, bpcer = roc(toy_scores())
+        assert thresholds[0] == -np.inf and apcer[0] == 100.0 and bpcer[0] == 0.0
+        assert thresholds[-1] == np.inf and apcer[-1] == 0.0 and bpcer[-1] == 100.0
 
     def test_monotone_along_thresholds(self):
-        points = roc(toy_scores())
-        apcers = [p.apcer for p in points]
-        bpcers = [p.bpcer for p in points]
+        _, apcer, bpcer = roc(toy_scores())
+        apcers = apcer.tolist()
+        bpcers = bpcer.tolist()
         assert all(a >= b for a, b in zip(apcers, apcers[1:]))
         assert all(a <= b for a, b in zip(bpcers, bpcers[1:]))
 
     def test_against_brute_force(self, rng):
-        entries = [
-            entry(float(s), "bonafide" if b else "attack", "none" if b else "print")
+        scores = table(*[
+            entry(float(s), "none" if b else "print")
             for s, b in zip(rng.random(300), rng.integers(0, 2, 300))
-        ]
-        points = roc(entries)
-        att = [e.score for e in entries if not e.is_bonafide]
-        bona = [e.score for e in entries if e.is_bonafide]
-        for p in points:
-            apcer = 100.0 * sum(1 for s in att if s >= p.threshold) / len(att)
-            bpcer = 100.0 * sum(1 for s in bona if s < p.threshold) / len(bona)
-            assert apcer == p.apcer and bpcer == p.bpcer
+        ])
+        att = scores.score[~scores.bonafide].tolist()
+        bona = scores.score[scores.bonafide].tolist()
+        for tau, apcer, bpcer in zip(*roc(scores)):
+            assert apcer == 100.0 * sum(1 for s in att if s >= tau) / len(att)
+            assert bpcer == 100.0 * sum(1 for s in bona if s < tau) / len(bona)
 
     def test_polarity_reflection(self):
         # At thresholds strictly between score values (no tie ambiguity),
         # negating all scores reflects both error rates.
-        entries = toy_scores()
-        flipped = [
-            ScoreEntry(-e.score, e.label, e.attack_type, e.sample_id, e.frame_idx) for e in entries
-        ]
-        values = sorted({e.score for e in entries})
+        scores = toy_scores()
+        flipped = Scores(scores.sample_id, scores.frame_idx, -scores.score, scores.attack)
+        values = sorted(set(scores.score.tolist()))
         midpoints = [(a + b) / 2 for a, b in zip(values, values[1:])]
         for mid in midpoints:
-            base = compute_metrics(entries, mid)
+            base = compute_metrics(scores, mid)
             refl = compute_metrics(flipped, -mid)
             assert refl.apcer == pytest.approx(100.0 - base.apcer)
             assert refl.bpcer == pytest.approx(100.0 - base.bpcer)
 
     def test_single_class_rejected(self):
         with pytest.raises(MetricError):
-            roc([entry(0.5, "bonafide")])
+            roc(table(entry(0.5)))
 
 
 class TestScoreFiles:
     def test_round_trip(self, tmp_path):
-        entries = [entry(0.25, "attack", "print", "x", 3), entry(0.75, "bonafide", "none", "y", 4)]
-        save_scores(entries, tmp_path / "s.csv")
-        assert load_scores(tmp_path / "s.csv") == entries
+        scores = table(entry(0.25, "print", "x", 3), entry(0.75, "none", "y", 4))
+        save_scores(scores, tmp_path / "s.csv")
+        loaded = load_scores(tmp_path / "s.csv")
+        for column in ("sample_id", "frame_idx", "score", "attack"):
+            assert getattr(loaded, column).tolist() == getattr(scores, column).tolist()
 
     def test_format_is_line_per_entry(self, tmp_path):
-        save_scores([entry(0.5, "attack", "replay", "sid7", 9)], tmp_path / "s.csv")
+        save_scores(table(entry(0.5, "replay", "sid7", 9)), tmp_path / "s.csv")
         assert (tmp_path / "s.csv").read_text() == "sid7,9,0.5,attack,replay\n"
+
+    def test_columns_must_have_equal_lengths(self):
+        with pytest.raises(ValueError, match="length"):
+            Scores(["a", "b"], [0, 1], [0.5], [0, 0])
 
 
 class TestReports:
     def test_build_and_write(self, tmp_path):
-        dev = [entry(v / 100, "bonafide") for v in range(1, 51)] + [
-            entry(v / 1000, "attack", "print") for v in range(1, 51)
-        ]
+        dev = table(
+            *[entry(v / 100) for v in range(1, 51)],
+            *[entry(v / 1000, "print") for v in range(1, 51)],
+        )
         ev = toy_scores()
         report = build_report(dev, ev, 0.01, protocol="grandtest")
         assert report.threshold == pytest.approx(0.01)
@@ -324,3 +363,11 @@ class TestReports:
         assert lines[0] == "split,apcer,bpcer,acer,threshold"
         assert len(lines) == 3
         assert "per_pai" in (tmp_path / "report.json").read_text()
+
+    def test_roc_csv_fields_are_plain_floats(self, tmp_path):
+        curve = roc(toy_scores())
+        write_roc_csv(curve, tmp_path / "roc.csv")
+        header, *lines = (tmp_path / "roc.csv").read_text().splitlines()
+        assert header == "threshold,apcer,bpcer"
+        parsed = [[float(field) for field in line.split(",")] for line in lines]
+        assert parsed == np.column_stack(curve).tolist()

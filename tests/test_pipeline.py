@@ -82,14 +82,13 @@ class TestChain:
     def test_fused_scores_are_channel_means(self, small_run):
         root, _ = small_run
         scores_dir = root / "out" / "baselines" / "iqm-lbp-lr" / "scores"
-        per_channel = [
-            {(e.sample_id, e.frame_idx): e.score for e in load_scores(scores_dir / f"{ch}_dev.csv")}
-            for ch in ("color", "depth", "infrared", "thermal")
-        ]
+        per_channel = []
+        for ch in ("color", "depth", "infrared", "thermal"):
+            s = load_scores(scores_dir / f"{ch}_dev.csv")
+            per_channel.append(dict(zip(zip(s.sample_id.tolist(), s.frame_idx.tolist()), s.score)))
         fused = load_scores(scores_dir / "fused_dev.csv")
-        for e in fused:
-            key = (e.sample_id, e.frame_idx)
-            assert e.score == pytest.approx(np.mean([c[key] for c in per_channel]))
+        for key, score in zip(zip(fused.sample_id.tolist(), fused.frame_idx.tolist()), fused.score):
+            assert score == pytest.approx(np.mean([c[key] for c in per_channel]))
 
     def test_eval_and_report(self, small_run):
         root, config = small_run

@@ -17,7 +17,6 @@ from mcpad.preprocess import (
     mad_fit,
     mad_normalize,
     preprocess_sample,
-    save_landmarks,
     to_gray,
     warp,
 )
@@ -216,15 +215,15 @@ class TestPreprocessSample:
 
 class TestLandmarkFiles:
     def test_round_trip(self, tmp_path):
-        table = {
-            0: Landmarks((1.5, 2.0), (3.0, 2.0), (2.25, 4.0)),
-            2: Landmarks((1.0, 2.0), (3.5, 2.5), (2.0, 4.5)),
-        }
         path = tmp_path / "a.landmarks"
-        save_landmarks(table, path)
+        path.write_text(
+            "0,1.500,2.000,3.000,2.000,2.250,4.000\n"
+            "2,1.000,2.000,3.500,2.500,2.000,4.500\n"
+        )
         loaded = load_landmarks(path)
         assert set(loaded) == {0, 2}
         assert loaded[0].left_eye == (1.5, 2.0)
+        assert loaded[2] == Landmarks((1.0, 2.0), (3.5, 2.5), (2.0, 4.5))
 
     def test_path_convention(self):
         assert landmarks_path("/x/sample_01.mcpd").name == "sample_01.landmarks"

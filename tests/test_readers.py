@@ -157,6 +157,20 @@ class TestScoreFile:
         with pytest.raises(ValueError, match="line 2"):
             load_scores(path)
 
+    @pytest.mark.parametrize("line, reason", [
+        ("b,1,0.25,attakc,print", "label 'attakc'"),
+        ("b,1,0.25,bonafide,print", "label 'bonafide' does not match attack type 'print'"),
+        ("b,1,0.25,attack,none", "label 'attack' does not match attack type 'none'"),
+        ("b,1,0.25,attack,cardboard", "unknown attack type 'cardboard'"),
+        ("b,1.5,0.25,attack,print", "invalid literal for int"),
+        ("b,1,high,attack,print", "could not convert string to float"),
+    ])
+    def test_inconsistent_row_names_line_number(self, tmp_path, line, reason):
+        path = tmp_path / "s.csv"
+        path.write_text(f"a,0,0.5,bonafide,none\n{line}\n")
+        with pytest.raises(ValueError, match=f"line 2: {reason}"):
+            load_scores(path)
+
 
 class TestCliReportsWithoutTraceback:
     def test_eval_on_malformed_score_file(self, tmp_path, capsys):
