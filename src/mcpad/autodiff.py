@@ -1,14 +1,35 @@
-"""Minimal fixed-op reverse-mode differentiation core (float64, numpy).
+"""Minimal fixed-op reverse-mode differentiation core (numpy).
+
+Tensors hold float32 or float64 arrays: training runs float32, finite-
+difference checks float64, and every op keeps its input's precision.
 
 Ops: conv2d (zero padding, stride 1 or 2), 2x2/stride-2 max pooling, linear,
 sigmoid (input clamped to [-40, 40]), channel concatenation, max-feature-map,
-flatten, and two losses (weighted BCE, MSE). Deterministic tie rules: MFM
-routes gradients to the first operand, max pooling to the first maximum.
+reshape/flatten, and a weighted BCE loss.
+
+Tie rules: MFM routes the gradient to the first half when the halves are
+equal; max pooling routes it to the first tap, in window scan order, that
+equals the window maximum. Forward values come from ``np.maximum``, so a
+(-0.0, +0.0) tie yields its second operand and a NaN operand yields NaN; a
+pooling window whose maximum is NaN routes its gradient to its last tap.
+
+No graph where no gradient flows: an op whose inputs all have
+``requires_grad`` false returns a bare tensor with no parents and no
+backward closure, so a frozen forward pass frees each intermediate as soon
+as the next op has read it. Otherwise the closure keeps only what its
+backward reads:
+  conv2d    the im2col columns, and only when the weight needs a gradient;
+  maxpool2d nothing beyond its input and output (hit masks are rebuilt);
+  mfm       nothing beyond its input (the comparison is recomputed);
+  sigmoid   its output and the inside-the-clamp mask;
+  weighted_bce  the clamped probabilities, targets and clamp mask.
+``Tensor.accumulate`` adopts the first gradient it receives instead of
+copying it, so every backward hands over an array that it owns.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,8 +58,11 @@ class Tensor:
         return self.data.shape
 
     def accumulate(self, grad: np.ndarray) -> None:
+        """Add ``grad``. The first gradient is adopted without a copy (cast
+        only if its dtype differs): callers pass an array nothing else
+        holds."""
         if self.grad is None:
-            self.grad = np.array(grad, dtype=self.data.dtype)
+            self.grad = np.asarray(grad, dtype=self.data.dtype)
         else:
             self.grad += grad
 
@@ -73,13 +97,9 @@ def parameter(data) -> Tensor:
 
 
 def _wrap(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
-    requires = any(p.requires_grad for p in parents)
-    return Tensor(data, requires_grad=requires,
-                  _parents=tuple(parents), _backward=backward if requires else None)
-
-
-def _needs(t: Tensor) -> bool:
-    return t.requires_grad
+    if any(p.requires_grad for p in parents):
+        return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward)
+    return Tensor(data)
 
 
 # --------------------------------------------------------------------------
@@ -106,17 +126,21 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
             cols[:, :, i, j] = xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
     cols2 = cols.reshape(n, c * kh * kw, oh * ow)
     w2 = weight.data.reshape(f, c * kh * kw)
-    out = np.matmul(w2[None], cols2) + bias.data[None, :, None]
+    out = np.matmul(w2[None], cols2)
+    out += bias.data[None, :, None]
+    if not weight.requires_grad:
+        cols2 = None  # the weight gradient is the only reader of the columns
+    padded_shape = xp.shape
 
     def backward(grad):
         g = grad.reshape(n, f, oh * ow)
-        if _needs(weight):
+        if weight.requires_grad:
             weight.accumulate(np.matmul(g, cols2.transpose(0, 2, 1)).sum(axis=0).reshape(weight.data.shape))
-        if _needs(bias):
+        if bias.requires_grad:
             bias.accumulate(g.sum(axis=(0, 2)))
-        if _needs(x) or x._parents:
+        if x.requires_grad:
             dcols = np.matmul(w2.T[None], g).reshape(n, c, kh, kw, oh, ow)
-            dxp = np.zeros_like(xp)
+            dxp = np.zeros(padded_shape, dtype=x.data.dtype)
             for i in range(kh):
                 for j in range(kw):
                     dxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += dcols[:, :, i, j]
@@ -126,30 +150,45 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     return _wrap(out.reshape(n, f, oh, ow), (x, weight, bias), backward)
 
 
+#: The taps of a 2x2 pooling window, in scan order.
+_POOL_TAPS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _select_into(dst: np.ndarray, src: np.ndarray, mask: np.ndarray) -> None:
+    """``dst = src`` where ``mask``, +0.0 elsewhere, as an AND of the float
+    bit patterns with an all-ones/all-zeros integer mask (``np.copyto``
+    with ``where=`` is several times slower into strided views)."""
+    bits = np.dtype(f"i{src.dtype.itemsize}")
+    np.bitwise_and(src.view(bits), np.negative(mask, dtype=bits), out=dst.view(bits))
+
+
 def maxpool2d(x: Tensor) -> Tensor:
     """2x2 max pooling with stride 2; odd trailing rows/cols are dropped.
     Gradient goes to the first maximum in window scan order."""
-    n, c, h, w = x.data.shape
-    h2, w2 = h // 2, w // 2
+    h2, w2 = x.data.shape[2] // 2, x.data.shape[3] // 2
     if h2 < 1 or w2 < 1:
         raise ValueError("maxpool2d input too small")
-    win = (
-        x.data[:, :, : 2 * h2, : 2 * w2]
-        .reshape(n, c, h2, 2, w2, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(n, c, h2, w2, 4)
-    )
-    idx = np.argmax(win, axis=-1)
-    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+
+    def tap(arr: np.ndarray, i: int, j: int) -> np.ndarray:
+        return arr[:, :, i : 2 * h2 : 2, j : 2 * w2 : 2]
+
+    out = np.maximum(tap(x.data, 0, 0), tap(x.data, 0, 1))
+    np.maximum(out, tap(x.data, 1, 0), out=out)
+    np.maximum(out, tap(x.data, 1, 1), out=out)
 
     def backward(grad):
-        if _needs(x) or x._parents:
-            dwin = np.zeros_like(win)
-            np.put_along_axis(dwin, idx[..., None], grad[..., None], axis=-1)
+        if x.requires_grad:
             dx = np.zeros_like(x.data)
-            dx[:, :, : 2 * h2, : 2 * w2] = (
-                dwin.reshape(n, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, 2 * h2, 2 * w2)
-            )
+            taken = None
+            for i, j in _POOL_TAPS[:-1]:
+                hit = tap(x.data, i, j) == out
+                if taken is None:
+                    taken = hit
+                else:
+                    np.greater(hit, taken, out=hit)  # equal here and at no earlier tap
+                    taken |= hit
+                _select_into(tap(dx, i, j), grad, hit)
+            _select_into(tap(dx, *_POOL_TAPS[-1]), grad, ~taken)
             x.accumulate(dx)
 
     return _wrap(out, (x,), backward)
@@ -162,11 +201,11 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     out = x.data @ weight.data.T + bias.data
 
     def backward(grad):
-        if _needs(weight):
+        if weight.requires_grad:
             weight.accumulate(grad.T @ x.data)
-        if _needs(bias):
+        if bias.requires_grad:
             bias.accumulate(grad.sum(axis=0))
-        if _needs(x) or x._parents:
+        if x.requires_grad:
             x.accumulate(grad @ weight.data)
 
     return _wrap(out, (x, weight, bias), backward)
@@ -178,7 +217,7 @@ def sigmoid(x: Tensor) -> Tensor:
     inside = (x.data > -SIGMOID_CLAMP) & (x.data < SIGMOID_CLAMP)
 
     def backward(grad):
-        if _needs(x) or x._parents:
+        if x.requires_grad:
             x.accumulate(grad * out * (1.0 - out) * inside)
 
     return _wrap(out, (x,), backward)
@@ -191,16 +230,14 @@ def mfm(x: Tensor) -> Tensor:
     if channels % 2 != 0:
         raise ValueError("MFM needs an even channel count")
     k = channels // 2
-    first = x.data[:, :k]
-    second = x.data[:, k:]
-    take_first = first >= second
-    out = np.where(take_first, first, second)
+    out = np.maximum(x.data[:, :k], x.data[:, k:])
 
     def backward(grad):
-        if _needs(x) or x._parents:
-            dx = np.zeros_like(x.data)
-            dx[:, :k] = grad * take_first
-            dx[:, k:] = grad * ~take_first
+        if x.requires_grad:
+            take_first = x.data[:, :k] >= x.data[:, k:]
+            dx = np.empty_like(x.data)
+            np.multiply(grad, take_first, out=dx[:, :k])
+            np.multiply(grad, ~take_first, out=dx[:, k:])
             x.accumulate(dx)
 
     return _wrap(out, (x,), backward)
@@ -213,7 +250,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
 
     def backward(grad):
         for t, lo, hi in zip(tensors, bounds[:-1], bounds[1:]):
-            if _needs(t) or t._parents:
+            if t.requires_grad:
                 t.accumulate(np.take(grad, range(lo, hi), axis=axis))
 
     return _wrap(out, tuple(tensors), backward)
@@ -225,8 +262,8 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = x.data.reshape(shape)
 
     def backward(grad):
-        if _needs(x) or x._parents:
-            x.accumulate(grad.reshape(x.data.shape))
+        if x.requires_grad:
+            x.accumulate(grad.reshape(x.data.shape).copy())  # a view would share this op's gradient
 
     return _wrap(out, (x,), backward)
 
@@ -250,55 +287,8 @@ def weighted_bce(p: Tensor, targets: np.ndarray, w_bonafide: float = 1.0, w_atta
     loss = -np.sum(w_bonafide * y * np.log(pc) + w_attack * (1.0 - y) * np.log(1.0 - pc)) / n
 
     def backward(grad):
-        if _needs(p) or p._parents:
+        if p.requires_grad:
             dp = -(w_bonafide * y / pc - w_attack * (1.0 - y) / (1.0 - pc)) / n
             p.accumulate(grad * dp * inside)
 
     return _wrap(np.asarray(loss), (p,), backward)
-
-
-def mse_loss(pred: Tensor, targets: np.ndarray) -> Tensor:
-    t = np.asarray(targets, dtype=pred.data.dtype).reshape(pred.data.shape)
-    diff = pred.data - t
-    loss = np.mean(diff**2)
-
-    def backward(grad):
-        if _needs(pred) or pred._parents:
-            pred.accumulate(grad * 2.0 * diff / diff.size)
-
-    return _wrap(np.asarray(loss), (pred,), backward)
-
-
-# --------------------------------------------------------------------------
-# finite-difference checking
-# --------------------------------------------------------------------------
-
-def check_gradients(
-    loss_fn: Callable[[], Tensor],
-    params: Sequence[Tensor],
-    eps: float = 1e-4,
-) -> float:
-    """Max relative error |analytic - numeric| / max(1, |a|, |n|) over every
-    element of ``params``, numeric gradients by central differences.
-    ``loss_fn`` must rebuild the graph on each call."""
-    loss = loss_fn()
-    for p in params:
-        p.zero_grad()
-    loss.backward()
-    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
-
-    worst = 0.0
-    for p, ga in zip(params, analytic):
-        flat = p.data.ravel()
-        gflat = ga.ravel()
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + eps
-            up = float(loss_fn().data)
-            flat[i] = keep - eps
-            down = float(loss_fn().data)
-            flat[i] = keep
-            numeric = (up - down) / (2.0 * eps)
-            err = abs(gflat[i] - numeric) / max(1.0, abs(gflat[i]), abs(numeric))
-            worst = max(worst, err)
-    return worst

@@ -90,7 +90,10 @@ def _score_row(fields: list[str]) -> tuple[str, int, float, int]:
     code = _ATTACK_CODES[attack]
     if label != _label(code):
         raise ValueError(f"label {label!r} does not match attack type {attack!r}")
-    return sid, int(fidx), float(score), code
+    value = float(score)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite score {score!r}")
+    return sid, int(fidx), value, code
 
 
 def load_scores(path: str | Path) -> Scores:
@@ -217,11 +220,7 @@ def make_loo(
             continue
         rng = np.random.default_rng(np.random.SeedSequence((seed, 59, cat_index)))
         n_train, n_dev = largest_remainder(len(clients), (0.5, 0.5))
-        perm = [clients[i] for i in rng.permutation(len(clients))]
-        for client in perm[:n_train]:
-            client_split[client] = "train"
-        for client in perm[n_train:]:
-            client_split[client] = "dev"
+        client_split.update(_split_clients(clients, (n_train, n_dev, 0), rng))
     assignment = {e.sample_id: client_split[e.meta.client_id] for e in manifest}
     return ProtocolSpec(name=loo_protocol_name(attack), assignment=assignment, left_out=attack)
 

@@ -492,33 +492,8 @@ def pretrain_reference(
 
 
 # --------------------------------------------------------------------------
-# gradient checking
-# --------------------------------------------------------------------------
-
-def grad_check(
-    model: McCnnModel,
-    frames: Mapping[ChannelId, np.ndarray],
-    labels: np.ndarray,
-    eps: float = 1e-4,
-) -> float:
-    """Central finite differences vs analytic gradients through forward +
-    weighted BCE, over every trainable parameter."""
-    w_bona, w_att = batch_class_weights(labels)
-
-    def loss_fn():
-        return ad.weighted_bce(forward(model, frames), labels, w_bona, w_att)
-
-    return ad.check_gradients(loss_fn, [t for _, t in model.trainable()], eps=eps)
-
-
-# --------------------------------------------------------------------------
 # serialization
 # --------------------------------------------------------------------------
-
-def block_bytes(model: McCnnModel) -> dict[str, bytes]:
-    """Serialized (float32) bytes of every named parameter block."""
-    return {name: np.asarray(arr, dtype="<f4").tobytes() for name, arr in model.named_blocks().items()}
-
 
 def save_model(model: McCnnModel, path: str | Path) -> None:
     config_blob = json.dumps(plain(model.config), sort_keys=True).encode()

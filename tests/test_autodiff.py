@@ -1,8 +1,68 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import mcpad.autodiff as ad
 from mcpad.autodiff import Tensor
+
+from oracles import check_gradients, mse_loss
+
+
+def _reference_maxpool2d(x: np.ndarray):
+    """Window copy, argmax and take_along_axis: (output, backward(grad) -> dx)."""
+    n, c, h, w = x.shape
+    h2, w2 = h // 2, w // 2
+    win = (
+        x[:, :, : 2 * h2, : 2 * w2]
+        .reshape(n, c, h2, 2, w2, 2)
+        .transpose(0, 1, 2, 4, 3, 5)
+        .reshape(n, c, h2, w2, 4)
+    )
+    idx = np.argmax(win, axis=-1)
+    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+
+    def backward(grad):
+        dwin = np.zeros_like(win)
+        np.put_along_axis(dwin, idx[..., None], grad[..., None], axis=-1)
+        dx = np.zeros_like(x)
+        dx[:, :, : 2 * h2, : 2 * w2] = (
+            dwin.reshape(n, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, 2 * h2, 2 * w2)
+        )
+        return dx
+
+    return out, backward
+
+
+def _reference_mfm(x: np.ndarray):
+    """``np.where`` over the channel halves: (output, backward(grad) -> dx)."""
+    k = x.shape[1] // 2
+    first, second = x[:, :k], x[:, k:]
+    take_first = first >= second
+    out = np.where(take_first, first, second)
+
+    def backward(grad):
+        dx = np.zeros_like(x)
+        dx[:, :k] = grad * take_first
+        dx[:, k:] = grad * ~take_first
+        return dx
+
+    return out, backward
+
+
+def _small_ints(lo: int, hi: int):
+    return st.integers(lo, hi).map(float)
+
+
+@st.composite
+def _tie_heavy_stacks(draw, channel_step: int = 1):
+    """(N, C, H, W) float32 or float64 stacks of a few integer values, odd
+    and even H and W."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    shape = (draw(st.integers(1, 3)), channel_step * draw(st.integers(1, 3)),
+             draw(st.integers(2, 9)), draw(st.integers(2, 9)))
+    return draw(arrays(dtype, shape, elements=_small_ints(-2, 2)))
 
 
 class TestMfm:
@@ -13,7 +73,7 @@ class TestMfm:
 
     def test_tie_routes_to_first_half(self):
         x = ad.parameter(np.array([[2.0, 5.0, 2.0, 5.0]]).reshape(1, 4, 1, 1))
-        loss = ad.mse_loss(ad.flatten(ad.mfm(x)), np.zeros((1, 2)))
+        loss = mse_loss(ad.flatten(ad.mfm(x)), np.zeros((1, 2)))
         loss.backward()
         grads = x.grad.reshape(-1)
         assert grads[0] != 0 and grads[1] != 0
@@ -34,8 +94,51 @@ class TestMfm:
     def test_finite_difference(self, rng):
         x = ad.parameter(rng.normal(size=(2, 4, 3, 3)))
         target = rng.normal(size=(2, 18))
-        err = ad.check_gradients(lambda: ad.mse_loss(ad.flatten(ad.mfm(x)), target), [x])
+        err = check_gradients(lambda: mse_loss(ad.flatten(ad.mfm(x)), target), [x])
         assert err < 1e-5
+
+
+class TestKernelsMatchReference:
+    """Pooling and MFM against the window-copy and ``np.where`` kernels:
+    equal forward values, byte-equal gradients (ties are the common case)."""
+
+    @given(data=st.data())
+    def test_maxpool2d(self, data):
+        x = data.draw(_tie_heavy_stacks())
+        ref_out, ref_backward = _reference_maxpool2d(x)
+        t = ad.parameter(x)
+        out = ad.maxpool2d(t)
+        assert out.data.dtype == x.dtype
+        assert np.array_equal(out.data, ref_out)
+        grad = data.draw(arrays(x.dtype, ref_out.shape, elements=_small_ints(-3, 3)))
+        out._backward(grad)
+        expected = ref_backward(grad)
+        assert t.grad.dtype == expected.dtype
+        assert t.grad.tobytes() == expected.tobytes()
+
+    @given(data=st.data())
+    def test_mfm(self, data):
+        x = data.draw(_tie_heavy_stacks(channel_step=2))
+        ref_out, ref_backward = _reference_mfm(x)
+        t = ad.parameter(x)
+        out = ad.mfm(t)
+        assert out.data.dtype == x.dtype
+        assert np.array_equal(out.data, ref_out)
+        grad = data.draw(arrays(x.dtype, ref_out.shape, elements=_small_ints(-3, 3)))
+        out._backward(grad)
+        expected = ref_backward(grad)
+        assert t.grad.dtype == expected.dtype
+        assert t.grad.tobytes() == expected.tobytes()
+
+    def test_mfm_on_embeddings(self, rng):
+        x = rng.integers(-2, 3, size=(5, 8)).astype(np.float32)
+        ref_out, ref_backward = _reference_mfm(x)
+        t = ad.parameter(x)
+        out = ad.mfm(t)
+        grad = rng.normal(size=ref_out.shape).astype(np.float32)
+        out._backward(grad)
+        assert np.array_equal(out.data, ref_out)
+        assert t.grad.tobytes() == ref_backward(grad).tobytes()
 
 
 class TestConv:
@@ -69,9 +172,9 @@ class TestConv:
         target = rng.normal(size=(2, 3 * 9))
 
         def loss():
-            return ad.mse_loss(ad.flatten(ad.conv2d(x, w, b, stride=2, padding=1)), target)
+            return mse_loss(ad.flatten(ad.conv2d(x, w, b, stride=2, padding=1)), target)
 
-        assert ad.check_gradients(loss, [x, w, b]) < 1e-6
+        assert check_gradients(loss, [x, w, b]) < 1e-6
 
 
 class TestPoolLinearSigmoid:
@@ -82,7 +185,7 @@ class TestPoolLinearSigmoid:
 
     def test_maxpool_tie_first(self):
         x = ad.parameter(np.full((1, 1, 2, 2), 7.0))
-        loss = ad.mse_loss(ad.flatten(ad.maxpool2d(x)), np.zeros((1, 1)))
+        loss = mse_loss(ad.flatten(ad.maxpool2d(x)), np.zeros((1, 1)))
         loss.backward()
         grads = x.grad.reshape(-1)
         assert grads[0] != 0 and np.all(grads[1:] == 0)
@@ -90,7 +193,7 @@ class TestPoolLinearSigmoid:
     def test_maxpool_finite_difference(self, rng):
         x = ad.parameter(rng.normal(size=(2, 2, 6, 6)))
         target = rng.normal(size=(2, 2 * 9))
-        err = ad.check_gradients(lambda: ad.mse_loss(ad.flatten(ad.maxpool2d(x)), target), [x])
+        err = check_gradients(lambda: mse_loss(ad.flatten(ad.maxpool2d(x)), target), [x])
         assert err < 1e-5
 
     def test_reshape_finite_difference(self, rng):
@@ -104,7 +207,7 @@ class TestPoolLinearSigmoid:
             return ad.reshape(ad.sigmoid(ad.linear(x, w, b)), (-1,))
 
         assert scores().data.shape == (6,)
-        assert ad.check_gradients(lambda: ad.mse_loss(scores(), target), [x, w, b]) < 1e-5
+        assert check_gradients(lambda: mse_loss(scores(), target), [x, w, b]) < 1e-5
         assert ad.flatten(Tensor(np.zeros((2, 3, 4, 5)))).data.shape == (2, 60)
 
     def test_linear_finite_difference_exact(self, rng):
@@ -112,7 +215,7 @@ class TestPoolLinearSigmoid:
         b = ad.parameter(rng.normal(size=3))
         x = Tensor(rng.normal(size=(4, 5)))
         target = rng.normal(size=(4, 3))
-        err = ad.check_gradients(lambda: ad.mse_loss(ad.linear(x, w, b), target), [w, b])
+        err = check_gradients(lambda: mse_loss(ad.linear(x, w, b), target), [w, b])
         assert err < 1e-7  # quadratic objective: central differences are exact
 
     def test_sigmoid_range_and_clamp(self):
@@ -124,7 +227,7 @@ class TestPoolLinearSigmoid:
         assert out[0, 2] == 1 / (1 + np.exp(-40.0))
         # and the gradient beyond the clamp is exactly zero
         xp = ad.parameter(np.array([[100.0]]))
-        loss = ad.mse_loss(ad.sigmoid(xp), np.zeros((1, 1)))
+        loss = mse_loss(ad.sigmoid(xp), np.zeros((1, 1)))
         loss.backward()
         assert xp.grad[0, 0] == 0.0
 
@@ -133,14 +236,14 @@ class TestPoolLinearSigmoid:
         b = ad.parameter(np.zeros(2))
         x = Tensor(rng.normal(size=(4, 3)))
         target = rng.uniform(0.2, 0.8, size=(4, 2))
-        err = ad.check_gradients(lambda: ad.mse_loss(ad.sigmoid(ad.linear(x, w, b)), target), [w, b])
+        err = check_gradients(lambda: mse_loss(ad.sigmoid(ad.linear(x, w, b)), target), [w, b])
         assert err < 1e-6
 
     def test_concat_split_gradients(self, rng):
         a = ad.parameter(rng.normal(size=(2, 3)))
         b = ad.parameter(rng.normal(size=(2, 4)))
         target = rng.normal(size=(2, 7))
-        err = ad.check_gradients(lambda: ad.mse_loss(ad.concat([a, b], axis=1), target), [a, b])
+        err = check_gradients(lambda: mse_loss(ad.concat([a, b], axis=1), target), [a, b])
         assert err < 1e-7
 
 
@@ -174,7 +277,7 @@ class TestLosses:
             p = ad.flatten(ad.sigmoid(ad.linear(x, w, b)))
             return ad.weighted_bce(p, y, 1.7, 0.6)
 
-        assert ad.check_gradients(loss, [w, b]) < 1e-6
+        assert check_gradients(loss, [w, b]) < 1e-6
 
 
 class TestEngine:
@@ -184,17 +287,24 @@ class TestEngine:
         b = ad.parameter(np.zeros(2, dtype=np.float32))
         out = ad.maxpool2d(ad.mfm(ad.conv2d(x, w, b, padding=1)))
         assert out.data.dtype == np.float32
-        loss = ad.mse_loss(ad.flatten(out), np.zeros((2, 4), dtype=np.float32))
+        loss = mse_loss(ad.flatten(out), np.zeros((2, 4), dtype=np.float32))
         loss.backward()
         assert w.grad.dtype == np.float32
 
     def test_grad_accumulates_across_uses(self, rng):
         x = ad.parameter(np.array([[1.0, 2.0]]))
         out = ad.concat([x, x], axis=1)
-        loss = ad.mse_loss(out, np.zeros((1, 4)))
+        loss = mse_loss(out, np.zeros((1, 4)))
         loss.backward()
         expected = 2.0 * np.array([[1.0, 2.0], [1.0, 2.0]]).reshape(1, 4) / 4
         assert np.allclose(x.grad, expected[:, :2] + expected[:, 2:])
+
+    def test_no_graph_without_gradient(self, rng):
+        x = Tensor(rng.normal(size=(2, 1, 6, 6)))
+        w = Tensor(rng.normal(size=(4, 1, 3, 3)))
+        b = Tensor(np.zeros(4))
+        out = ad.flatten(ad.maxpool2d(ad.mfm(ad.conv2d(x, w, b, padding=1))))
+        assert out._parents == () and out._backward is None and not out.requires_grad
 
     def test_zero_input_gradients_defined(self):
         w = ad.parameter(np.zeros((1, 3)))

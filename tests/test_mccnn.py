@@ -1,9 +1,11 @@
 import json
 import struct
+import weakref
 
 import numpy as np
 import pytest
 
+import mcpad.autodiff as ad
 from mcpad.classical import FitError
 from mcpad.dataset import AttackType, ChannelId, SynthConfig, synth_generate, read_sample
 from mcpad.evaluation import threshold_from_bonafide
@@ -12,13 +14,11 @@ from mcpad.mccnn import (
     McCnnConfig,
     TrainData,
     batch_class_weights,
-    block_bytes,
     branch_forward,
     build_model,
     flip_decision,
     forward,
     frames_to_input,
-    grad_check,
     init_backbone,
     load_model,
     predict,
@@ -26,6 +26,8 @@ from mcpad.mccnn import (
     save_model,
     train,
 )
+
+from oracles import block_bytes, grad_check
 
 GRAY = ChannelId.GRAY
 DEPTH = ChannelId.DEPTH
@@ -114,6 +116,27 @@ class TestForward:
         gray = branch_forward(result.model, GRAY, frame).data
         depth = branch_forward(result.model, DEPTH, frame).data
         assert not np.array_equal(gray, depth)
+
+    def test_frozen_forward_keeps_no_graph(self, rng, monkeypatch):
+        model = build_model(mini_config())
+        activations = []
+        mfm = ad.mfm
+
+        def recording_mfm(x):
+            out = mfm(x)
+            activations.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(ad, "mfm", recording_mfm)
+        frames = rng.normal(size=(2, 16, 16))
+        gray = branch_forward(model, GRAY, frames)  # shared, frozen blocks
+        assert gray._parents == () and not gray.requires_grad
+        assert len(activations) == 4
+        assert all(ref() is None for ref in activations[:3])  # C1, B1, G1
+        assert activations[3]() is gray.data
+        depth = branch_forward(model, DEPTH, frames)  # trainable DSU copies
+        assert depth._parents and depth.requires_grad
+        assert all(ref() is not None for ref in activations[4:])
 
     def test_missing_channel_rejected(self, rng):
         model = build_model(mini_config())

@@ -171,6 +171,13 @@ class TestScoreFile:
         with pytest.raises(ValueError, match=f"line 2: {reason}"):
             load_scores(path)
 
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_score_names_line_number(self, tmp_path, score):
+        path = tmp_path / "s.csv"
+        path.write_text(f"a,0,0.5,bonafide,none\nb,1,{score},attack,print\n")
+        with pytest.raises(ValueError, match=f"line 2: non-finite score '{score}'"):
+            load_scores(path)
+
 
 class TestCliReportsWithoutTraceback:
     def test_eval_on_malformed_score_file(self, tmp_path, capsys):
