@@ -13,6 +13,10 @@ The training step is one forward, weighted BCE and backward of the
 4-channel network (gray through the frozen shared blocks, the others through
 trainable DSU copies). Its ``extra_info`` records the minor page faults of
 each step (``ru_minflt``), which count the fresh memory the step touches.
+
+The predict case scores 30 frames of each of the 4 channels through the
+default model's frozen view, as per-epoch dev scoring and the pipeline's
+dev/eval scoring do.
 """
 
 import resource
@@ -22,7 +26,7 @@ import pytest
 
 import mcpad.autodiff as ad
 from mcpad.autodiff import Tensor
-from mcpad.mccnn import McCnnConfig, build_model, forward
+from mcpad.mccnn import McCnnConfig, build_model, forward, predict
 
 BATCH = 32
 # group: (input shape, weight shape, padding, input needs grad, weight needs grad)
@@ -127,3 +131,13 @@ def test_training_step_4ch(benchmark):
     benchmark.extra_info["minflt_per_step"] = faults
     benchmark.extra_info["minflt_median"] = float(np.median(faults))
     assert all(p.grad is not None for p in params)
+
+
+def test_predict_4ch(benchmark):
+    cfg = McCnnConfig()
+    model = build_model(cfg)
+    rng = np.random.default_rng(4)
+    frames = {ch: rng.uniform(-1, 1, (30, cfg.input_size, cfg.input_size)).astype(np.float32)
+              for ch in cfg.channels}
+    scores = benchmark(predict, model, frames)
+    assert scores.shape == (30,) and np.all((scores > 0) & (scores < 1))

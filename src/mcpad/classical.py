@@ -172,26 +172,6 @@ def lr_score(model: LrModel, x: np.ndarray) -> np.ndarray | float:
     return float(scores[0]) if single else scores
 
 
-def lr_loss(model_w: np.ndarray, model_b: float, xs: np.ndarray, y: np.ndarray, l2: float) -> float:
-    """Objective value on pre-standardized features (for monotonicity checks)."""
-    p = np.clip(_sigmoid(xs @ model_w + model_b), 1e-12, 1 - 1e-12)
-    bce = -np.mean(y * np.log(p) + (1 - y) * np.log(1 - p))
-    return float(bce + l2 * np.sum(model_w**2))
-
-
-def lr_training_losses(
-    features: np.ndarray,
-    labels: np.ndarray,
-    l2: float = LrConfig.l2,
-    epochs: int = LrConfig.epochs,
-    lr: float = LrConfig.learning_rate,
-    standardizer: Standardizer | None = None,
-) -> np.ndarray:
-    """Objective at init and after each epoch of :func:`lr_train`'s descent."""
-    xs, y, _ = _lr_inputs(features, labels, standardizer)
-    return np.array([lr_loss(w, b, xs, y, l2) for w, b in _lr_descent(xs, y, l2, epochs, lr)])
-
-
 @dataclass
 class SvmModel:
     weights: np.ndarray

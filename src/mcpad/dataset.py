@@ -257,11 +257,16 @@ def load_manifest(path: str | Path, check_paths: bool = True) -> Manifest:
         for row in reader:
             if not row:
                 continue
-            sid, rel, client, label, attack, session = row
+            try:
+                if len(row) != len(MANIFEST_HEADER):
+                    raise ValueError(f"expected {len(MANIFEST_HEADER)} columns, found {len(row)}")
+                sid, rel, client, label, attack, session = row
+                meta = SampleMeta(sid, int(client), label, AttackType.from_label(attack), int(session))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
             sample_path = (path.parent / rel).resolve()
             if check_paths and not sample_path.exists():
                 raise FileNotFoundError(f"manifest path not resolvable: {sample_path}")
-            meta = SampleMeta(sid, int(client), label, AttackType.from_label(attack), int(session))
             entries.append(ManifestEntry(sid, sample_path, meta))
     return Manifest(entries)
 

@@ -4,7 +4,7 @@ Haralick statistics over redundant Haar subbands."""
 from .haralick import GlcmConfig, glcm, haralick13, rdwt_haralick_features
 from .io import read_feature_table, write_feature_table
 from .iqm import IQM_NAMES, iqm_features
-from .lbp import LbpConfig, lbp_code, lbp_code_map, lbp_histogram, uniform_table
+from .lbp import LbpConfig, lbp_code_map, lbp_histogram, uniform_table
 from .wavelet import rdwt_haar
 
 __all__ = [
@@ -14,7 +14,6 @@ __all__ = [
     "glcm",
     "haralick13",
     "iqm_features",
-    "lbp_code",
     "lbp_code_map",
     "lbp_histogram",
     "rdwt_haar",

@@ -71,32 +71,6 @@ def uniform_table(p: int) -> np.ndarray:
     return table
 
 
-def lbp_code(image: np.ndarray, x: int, y: int, cfg: LbpConfig) -> int:
-    """LBP code at pixel (x=column, y=row); bit k set iff the bilinear
-    neighbor sample at angle 2*pi*k/P is >= the center value."""
-    img = np.asarray(image, dtype=np.float64)
-    h, w = img.shape
-    margin = math.ceil(cfg.r)
-    if not (margin <= x < w - margin and margin <= y < h - margin):
-        raise ValueError("pixel closer than R to the border")
-    center = img[y, x]
-    code = 0
-    for k, (dx, dy) in enumerate(neighbor_offsets(cfg.p, cfg.r)):
-        sx, sy = x + dx, y + dy
-        x0, y0 = int(math.floor(sx)), int(math.floor(sy))
-        fx, fy = sx - x0, sy - y0
-        val = (1 - fx) * (1 - fy) * img[y0, x0]
-        if fx:
-            val += fx * (1 - fy) * img[y0, x0 + 1]
-        if fy:
-            val += (1 - fx) * fy * img[y0 + 1, x0]
-        if fx and fy:
-            val += fx * fy * img[y0 + 1, x0 + 1]
-        if val >= center:
-            code |= 1 << k
-    return code
-
-
 def lbp_code_map(image: np.ndarray, cfg: LbpConfig) -> np.ndarray:
     """Vectorized code image over all pixels at least ceil(R) from the
     border; shape (H-2m, W-2m)."""

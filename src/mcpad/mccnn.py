@@ -12,6 +12,11 @@ Layer groups (base width b, default 16):
 
 The gray branch always uses the shared (frozen) backbone; channels in the
 adapt set get their own trainable copies of those groups; FFC always trains.
+``McCnnModel.params`` is keyed by the model file's block names
+(``shared.C1.conv_w``, ``dsu.depth.C1.conv_w``, ``head.fc1_w``), so saving,
+loading and the trainable list walk one dict. Scoring (``predict``, also the
+per-epoch dev scores) runs through a frozen view of the same arrays and
+builds no autodiff graph.
 
 Model files: magic "MCNN", version u8, u32 config-JSON length, JSON config
 echo, u32 block count, then per block u16 name length + name, u8 ndim,
@@ -41,10 +46,15 @@ MODEL_MAGIC = b"MCNN"
 MODEL_VERSION = 1
 
 GROUPS = ("C1", "B1", "G1", "EMB")
-HEAD_GROUP = "FFC"
 
 INPUT_SCALE = 128.0
 INPUT_SHIFT = 127.5
+
+# Rows per forward pass when scoring (PREDICT_BATCH) and when precomputing
+# frozen-branch embeddings (EMBED_CHUNK). Each sets the row count of the EMB
+# and FFC matmuls, so changing one can change the output bytes.
+PREDICT_BATCH = 64
+EMBED_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -150,39 +160,31 @@ def _init_head(cfg: McCnnConfig) -> dict[str, np.ndarray]:
 
 @dataclass
 class McCnnModel:
+    """Parameters keyed by their ``.mcnn`` block names: ``shared.<group>.<name>``
+    (frozen backbone), ``dsu.<channel>.<group>.<name>`` (adapted copies) and
+    ``head.<name>``."""
+
     config: McCnnConfig
-    shared: dict[str, dict[str, Tensor]]
-    dsu: dict[tuple[ChannelId, str], dict[str, Tensor]]
-    head: dict[str, Tensor]
+    params: dict[str, Tensor]
 
     @property
     def dtype(self):
-        return self.shared["C1"]["conv_w"].data.dtype
+        return self.params["shared.C1.conv_w"].data.dtype
 
     def block(self, channel: ChannelId, group: str) -> dict[str, Tensor]:
         """DSU copy when the group is adapted for a non-gray channel, else
         the shared (frozen) block."""
-        key = (channel, group)
-        return self.dsu.get(key, self.shared[group])
+        adapted = channel is not ChannelId.GRAY and group in self.config.adapt
+        prefix = f"dsu.{channel.label}.{group}." if adapted else f"shared.{group}."
+        return {key[len(prefix):]: t for key, t in self.params.items() if key.startswith(prefix)}
 
     def trainable(self) -> list[tuple[str, Tensor]]:
-        named = []
-        for (channel, group), block in sorted(self.dsu.items(), key=lambda kv: (kv[0][0].value, kv[0][1])):
-            named.extend((f"dsu.{channel.label}.{group}.{n}", t) for n, t in sorted(block.items()))
-        named.extend((f"head.{n}", t) for n, t in sorted(self.head.items()))
-        return named
+        return [(key, t) for key, t in sorted(self.params.items()) if t.requires_grad]
 
-    def named_blocks(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for group, block in self.shared.items():
-            for name, tensor in block.items():
-                out[f"shared.{group}.{name}"] = tensor.data
-        for (channel, group), block in self.dsu.items():
-            for name, tensor in block.items():
-                out[f"dsu.{channel.label}.{group}.{name}"] = tensor.data
-        for name, tensor in self.head.items():
-            out[f"head.{name}"] = tensor.data
-        return out
+    def frozen(self) -> McCnnModel:
+        """The same arrays in tensors that need no gradient: a forward pass
+        through this view builds no graph."""
+        return McCnnModel(self.config, {key: Tensor(t.data) for key, t in self.params.items()})
 
 
 def build_model(
@@ -201,22 +203,19 @@ def build_model(
             got = np.asarray(backbone[group][name]).shape
             if got != shape:
                 raise ValueError(f"backbone block {group}.{name}: shape {got}, expected {shape}")
-    shared = {
-        group: {name: Tensor(np.array(backbone[group][name], dtype=dtype), requires_grad=False)
-                for name in shapes[group]}
-        for group in GROUPS
+    params = {
+        f"shared.{group}.{name}": Tensor(np.array(backbone[group][name], dtype=dtype))
+        for group in GROUPS for name in shapes[group]
     }
-    dsu: dict[tuple[ChannelId, str], dict[str, Tensor]] = {}
     for channel in cfg.channels:
-        if channel is ChannelId.GRAY:
-            continue
-        for group in sorted(cfg.adapt):
-            dsu[(channel, group)] = {
-                name: ad.parameter(np.array(backbone[group][name], dtype=dtype))
-                for name in shapes[group]
-            }
-    head = {name: ad.parameter(np.asarray(value, dtype=dtype)) for name, value in _init_head(cfg).items()}
-    return McCnnModel(config=cfg, shared=shared, dsu=dsu, head=head)
+        if channel is not ChannelId.GRAY:
+            for group in sorted(cfg.adapt):
+                for name in shapes[group]:
+                    params[f"dsu.{channel.label}.{group}.{name}"] = ad.parameter(
+                        np.array(backbone[group][name], dtype=dtype))
+    for name, value in _init_head(cfg).items():
+        params[f"head.{name}"] = ad.parameter(np.asarray(value, dtype=dtype))
+    return McCnnModel(config=cfg, params=params)
 
 
 # --------------------------------------------------------------------------
@@ -246,31 +245,44 @@ def branch_forward(model: McCnnModel, channel: ChannelId, frames: np.ndarray | T
 
 
 def _head(model: McCnnModel, embeddings: Sequence[Tensor]) -> Tensor:
-    h = concat_embeddings(embeddings)
-    h = ad.sigmoid(ad.linear(h, model.head["fc1_w"], model.head["fc1_b"]))
-    p = ad.sigmoid(ad.linear(h, model.head["fc2_w"], model.head["fc2_b"]))
+    h = embeddings[0] if len(embeddings) == 1 else ad.concat(embeddings, axis=1)
+    h = ad.sigmoid(ad.linear(h, model.params["head.fc1_w"], model.params["head.fc1_b"]))
+    p = ad.sigmoid(ad.linear(h, model.params["head.fc2_w"], model.params["head.fc2_b"]))
     return ad.reshape(p, (-1,))
+
+
+def _check_channels(model: McCnnModel, frames: Mapping[ChannelId, np.ndarray]) -> None:
+    missing = [ch.label for ch in model.config.channels if ch not in frames]
+    if missing:
+        raise ValueError(f"missing channels: {missing}")
 
 
 def forward(model: McCnnModel, frames: Mapping[ChannelId, np.ndarray]) -> Tensor:
     """Probability of bonafide, shape (N,)."""
-    missing = [ch.label for ch in model.config.channels if ch not in frames]
-    if missing:
-        raise ValueError(f"missing channels: {missing}")
+    _check_channels(model, frames)
     return _head(model, [branch_forward(model, ch, frames[ch]) for ch in model.config.channels])
 
 
-def concat_embeddings(embeddings: Sequence[Tensor]) -> Tensor:
-    return embeddings[0] if len(embeddings) == 1 else ad.concat(embeddings, axis=1)
-
-
-def predict(model: McCnnModel, frames: Mapping[ChannelId, np.ndarray], batch_size: int = 64) -> np.ndarray:
+def predict(
+    model: McCnnModel,
+    frames: Mapping[ChannelId, np.ndarray],
+    embeddings: Mapping[ChannelId, np.ndarray] | None = None,
+) -> np.ndarray:
+    """Probability of bonafide per frame, computed through ``model.frozen()``
+    so no op builds a graph. ``embeddings`` may hold precomputed (N, E)
+    branch outputs for some channels; their frames are then not read."""
+    _check_channels(model, frames)
+    embeddings = embeddings or {}
+    view = model.frozen()
     n = next(iter(frames.values())).shape[0]
     scores = np.empty(n, dtype=np.float64)
-    for lo in range(0, n, batch_size):
-        hi = min(lo + batch_size, n)
-        batch = {ch: frames[ch][lo:hi] for ch in model.config.channels}
-        scores[lo:hi] = forward(model, batch).data.reshape(-1)
+    for lo in range(0, n, PREDICT_BATCH):
+        rows = slice(lo, lo + PREDICT_BATCH)
+        parts = [
+            Tensor(embeddings[ch][rows]) if ch in embeddings else branch_forward(view, ch, frames[ch][rows])
+            for ch in model.config.channels
+        ]
+        scores[rows] = _head(view, parts).data
     return scores
 
 
@@ -367,11 +379,11 @@ def _adam_epochs(
         yield epoch, total / max(batches, 1)
 
 
-def _embed_frozen(model: McCnnModel, channel: ChannelId, frames: np.ndarray, chunk: int = 128) -> np.ndarray:
+def _embed_frozen(model: McCnnModel, channel: ChannelId, frames: np.ndarray) -> np.ndarray:
     n = frames.shape[0]
     out = np.empty((n, model.config.embedding_dim), dtype=model.dtype)
-    for lo in range(0, n, chunk):
-        out[lo : lo + chunk] = branch_forward(model, channel, frames[lo : lo + chunk]).data
+    for lo in range(0, n, EMBED_CHUNK):
+        out[lo : lo + EMBED_CHUNK] = branch_forward(model, channel, frames[lo : lo + EMBED_CHUNK]).data
     return out
 
 
@@ -391,9 +403,7 @@ def train(
     if not ((data.train_y == 1).any() and (data.train_y == 0).any()):
         raise FitError("training split needs both classes")
     model = build_model(cfg, backbone)
-    frozen = {
-        ch for ch in cfg.channels if all((ch, g) not in model.dsu for g in GROUPS)
-    }
+    frozen = {ch for ch in cfg.channels if ch is ChannelId.GRAY or not cfg.adapt}
     emb_plain = {ch: _embed_frozen(model, ch, data.train_x[ch]) for ch in frozen}
     if cfg.flip_prob > 0.0:
         emb_flip = {
@@ -414,27 +424,13 @@ def train(
                 parts.append(branch_forward(model, ch, _flipped(data.train_x[ch], idx, flips)))
         return _head(model, parts)
 
-    def dev_scores() -> np.ndarray:
-        n = data.dev_y.size
-        out = np.empty(n, dtype=np.float64)
-        for lo in range(0, n, 64):
-            sl = slice(lo, min(lo + 64, n))
-            parts = []
-            for ch in cfg.channels:
-                if ch in frozen:
-                    parts.append(Tensor(dev_emb[ch][sl]))
-                else:
-                    parts.append(branch_forward(model, ch, data.dev_x[ch][sl]))
-            out[sl] = _head(model, parts).data.reshape(-1)
-        return out
-
     trainable = [t for _, t in model.trainable()]
     dev_bona = data.dev_y == 1
     result = TrainResult(model=model)
     best_snapshot = None
     best_acer = float("inf")
     for epoch, loss in _adam_epochs(trainable, data.train_y, cfg, cfg.seed, cfg.epochs, batch_prob):
-        scores = dev_scores()
+        scores = predict(model, data.dev_x, dev_emb)
         dev_tau = threshold_from_bonafide(scores[dev_bona], cfg.bpcer_target)
         apcer, bpcer = error_rates(scores, dev_bona, dev_tau)
         dev_acer = (apcer + bpcer) / 2.0
@@ -467,28 +463,24 @@ def pretrain_reference(
     epochs = cfg.pretrain_epochs if epochs is None else epochs
     backbone = init_backbone(cfg)
     pre_cfg = dataclass_replace(cfg, channels=(ChannelId.GRAY,), adapt=frozenset())
-    shapes = _group_shapes(pre_cfg)
-    blocks = {
-        group: {
-            name: ad.parameter(np.array(backbone[group][name], dtype=np.float32))
-            for name in shapes[group]
-        }
-        for group in GROUPS
-    }
+    proxy = McCnnModel(pre_cfg, {
+        f"shared.{group}.{name}": ad.parameter(np.array(arr, dtype=np.float32))
+        for group, block in backbone.items() for name, arr in block.items()
+    })
     head_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 103)))
     head_w = ad.parameter(_he_init(head_rng, (1, pre_cfg.embedding_dim)).astype(np.float32))
     head_b = ad.parameter(np.zeros(1, dtype=np.float32))
 
-    proxy = McCnnModel(config=pre_cfg, shared=blocks, dsu={}, head={})
     frames = np.asarray(gray_frames)
 
     def batch_prob(idx: np.ndarray, flips: np.ndarray) -> Tensor:
         emb = branch_forward(proxy, ChannelId.GRAY, _flipped(frames, idx, flips))
         return ad.reshape(ad.sigmoid(ad.linear(emb, head_w, head_b)), (-1,))
 
-    params = [t for group in GROUPS for _, t in sorted(blocks[group].items())] + [head_w, head_b]
+    params = [t for _, t in proxy.trainable()] + [head_w, head_b]
     losses = [loss for _, loss in _adam_epochs(params, labels, cfg, cfg.seed + 1, epochs, batch_prob)]
-    return {g: {n: t.data.copy() for n, t in blk.items()} for g, blk in blocks.items()}, losses
+    return {group: {name: proxy.params[f"shared.{group}.{name}"].data for name in block}
+            for group, block in backbone.items()}, losses
 
 
 # --------------------------------------------------------------------------
@@ -497,11 +489,10 @@ def pretrain_reference(
 
 def save_model(model: McCnnModel, path: str | Path) -> None:
     config_blob = json.dumps(plain(model.config), sort_keys=True).encode()
-    blocks = model.named_blocks()
     parts = [MODEL_MAGIC, struct.pack("<BI", MODEL_VERSION, len(config_blob)), config_blob,
-             struct.pack("<I", len(blocks))]
-    for name in sorted(blocks):
-        arr = np.asarray(blocks[name], dtype="<f4")
+             struct.pack("<I", len(model.params))]
+    for name, tensor in sorted(model.params.items()):
+        arr = np.asarray(tensor.data, dtype="<f4")
         encoded = name.encode()
         parts.append(struct.pack("<H", len(encoded)))
         parts.append(encoded)
@@ -533,17 +524,10 @@ def load_model(path: str | Path) -> McCnnModel:
     reader.end()
 
     model = build_model(cfg)
-    named = model.named_blocks()
-    missing = set(named) - set(blocks)
-    extra = set(blocks) - set(named)
+    missing = set(model.params) - set(blocks)
+    extra = set(blocks) - set(model.params)
     if missing or extra:
         raise ValueError(f"model blocks mismatch (missing {sorted(missing)}, extra {sorted(extra)})")
-    for group, block in model.shared.items():
-        for name, tensor in block.items():
-            tensor.data = blocks[f"shared.{group}.{name}"]
-    for (channel, group), block in model.dsu.items():
-        for name, tensor in block.items():
-            tensor.data = blocks[f"dsu.{channel.label}.{group}.{name}"]
-    for name, tensor in model.head.items():
-        tensor.data = blocks[f"head.{name}"]
+    for name, tensor in model.params.items():
+        tensor.data = blocks[name]
     return model

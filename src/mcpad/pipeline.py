@@ -51,7 +51,7 @@ from .features import (
     write_feature_table,
 )
 from .files import atomic_write
-from .preprocess import align_color, landmarks_path, load_landmarks, preprocess_sample
+from .preprocess import SampleError, align_color, landmarks_path, load_landmarks, preprocess_sample
 
 
 class ValidationError(ValueError):
@@ -141,9 +141,12 @@ def cmd_preprocess(cfg: RunConfig) -> Manifest:
         landmarks = load_landmarks(lm_file)
         frame_count = raw.frame_count(next(iter(raw.channels)))
         indices = sample_frames(frame_count, cfg.preprocess.frames)
-        processed, _dropped = preprocess_sample(
-            raw, landmarks, targets, mad_span=cfg.preprocess.mad_span, frame_indices=indices
-        )
+        try:
+            processed, _dropped = preprocess_sample(
+                raw, landmarks, targets, mad_span=cfg.preprocess.mad_span, frame_indices=indices
+            )
+        except SampleError as exc:
+            raise SampleError(f"sample {entry.sample_id}: {exc}") from None
         path = samples_dir / f"{entry.sample_id}.mcpd"
         write_sample(processed, path)
         entries.append(type(entry)(entry.sample_id, path.resolve(), entry.meta))
@@ -179,8 +182,8 @@ def _load_proc(cfg: RunConfig) -> tuple[Manifest, ProtocolSpec]:
 # feature extraction
 # --------------------------------------------------------------------------
 
-def _extract_one(args) -> tuple[str, list[int], dict[str, np.ndarray]]:
-    """Per-sample feature worker: returns (sample_id, frame indices,
+def _extract_one(args) -> tuple[list[int], dict[str, np.ndarray]]:
+    """Per-sample feature worker: returns (frame indices,
     {channel-label: (F, dim) features})."""
     cfg, extractor, sample_path, raw_path, channels = args
     out: dict[str, np.ndarray] = {}
@@ -196,7 +199,7 @@ def _extract_one(args) -> tuple[str, list[int], dict[str, np.ndarray]]:
         ]
         out[ChannelId.COLOR.label] = np.stack(rows)
         frames = list(range(stack.shape[0]))
-        return sample_path, frames, out
+        return frames, out
 
     sample = read_sample(sample_path)
     frames = None
@@ -209,7 +212,7 @@ def _extract_one(args) -> tuple[str, list[int], dict[str, np.ndarray]]:
         else:
             out[ch.label] = rdwt_haralick_features(stack.astype(np.float64), cfg.features.glcm)
         frames = list(range(stack.shape[0]))
-    return sample_path, frames, out
+    return frames, out
 
 
 def cmd_extract(cfg: RunConfig, extractor: str, jobs: int = 1) -> None:
@@ -222,12 +225,10 @@ def cmd_extract(cfg: RunConfig, extractor: str, jobs: int = 1) -> None:
         raw_manifest = load_manifest(_require(data_root(cfg) / "manifest.csv", "raw manifest"))
 
     tasks = []
-    metas = []
     for entry in proc_manifest:
         raw_path = raw_manifest.by_id(entry.sample_id).path if raw_manifest else None
         target_path = raw_path if extractor == "iqm" else entry.path
         tasks.append((cfg, extractor, str(target_path), str(raw_path) if raw_path else None, channels))
-        metas.append(entry)
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -239,7 +240,7 @@ def cmd_extract(cfg: RunConfig, extractor: str, jobs: int = 1) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     for ch in channels:
         per_split: dict[str, tuple[list, list]] = {s: ([], []) for s in ("train", "dev", "eval")}
-        for entry, (_, frames, features) in zip(metas, results):
+        for entry, (frames, features) in zip(proc_manifest, results):
             split = protocol.split_of(entry.sample_id)
             table, rows = per_split[split]
             table.append(features[ch.label])
@@ -411,7 +412,7 @@ def cmd_train_mccnn(cfg: RunConfig) -> Path:
     else:
         backbone, pretrain_losses = mccnn.init_backbone(net_cfg), []
 
-    out = out_root(cfg) / "mccnn" / mccnn_run_label(net_cfg)
+    out = mccnn_out_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
     init_model = mccnn.build_model(net_cfg, backbone)
     mccnn.save_model(init_model, out / "init.mcnn")

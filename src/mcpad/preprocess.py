@@ -109,21 +109,6 @@ def estimate_similarity(src: Landmarks, dst: AlignTargets) -> tuple[np.ndarray, 
     return matrix, residual
 
 
-def bilinear_sample(frame: np.ndarray, x: float, y: float) -> float:
-    """Bilinear value at (x, y) with out-of-bounds taps reading as 0."""
-    img = np.asarray(frame, dtype=np.float64)
-    h, w = img.shape[:2]
-    x0, y0 = int(np.floor(x)), int(np.floor(y))
-    fx, fy = x - x0, y - y0
-    total = 0.0
-    for dy, wy in ((0, 1 - fy), (1, fy)):
-        for dx, wx in ((0, 1 - fx), (1, fx)):
-            xi, yi = x0 + dx, y0 + dy
-            if 0 <= xi < w and 0 <= yi < h:
-                total += wx * wy * img[yi, xi]
-    return total
-
-
 def warp(frame: np.ndarray, transform: np.ndarray, out_size: int) -> np.ndarray:
     """Resample ``frame`` through the inverse of a 2x3 source->target
     transform; bilinear, out-of-bounds reads 0. Integer inputs are rounded
@@ -211,17 +196,24 @@ def landmarks_path(container_path: str | Path) -> Path:
 
 
 def load_landmarks(path: str | Path) -> dict[int, Landmarks]:
+    """Landmarks by frame index; a malformed line or a repeated frame index
+    raises ``ValueError`` naming the file and line."""
     table: dict[int, Landmarks] = {}
-    for line in Path(path).read_text().splitlines():
+    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
         if not line:
             continue
-        parts = line.split(",")
-        if len(parts) != 7:
-            raise ValueError(f"bad landmarks line: {line!r}")
-        idx = int(parts[0])
-        lx, ly, rx, ry, mx, my = (float(v) for v in parts[1:])
-        table[idx] = Landmarks((lx, ly), (rx, ry), (mx, my))
+        try:
+            parts = line.split(",")
+            if len(parts) != 7:
+                raise ValueError(f"expected 7 fields, found {len(parts)}")
+            idx = int(parts[0])
+            if idx in table:
+                raise ValueError(f"duplicate frame index {idx}")
+            lx, ly, rx, ry, mx, my = (float(v) for v in parts[1:])
+            table[idx] = Landmarks((lx, ly), (rx, ry), (mx, my))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {number}: {exc}") from None
     return table
 
 

@@ -15,7 +15,6 @@ from mcpad.classical import (
     load_model,
     lr_score,
     lr_train,
-    lr_training_losses,
     save_model,
     score_normalize_apply,
     score_normalize_fit,
@@ -23,6 +22,8 @@ from mcpad.classical import (
     svm_score,
     svm_train,
 )
+
+from oracles import lr_training_losses
 
 
 def blobs(rng, n=60, separation=6.0):

@@ -5,12 +5,13 @@ from hypothesis import strategies as st
 
 from mcpad.features.lbp import (
     LbpConfig,
-    lbp_code,
     lbp_code_map,
     lbp_histogram,
     uniform_bin_count,
     uniform_table,
 )
+
+from oracles import lbp_code
 
 
 def transitions(code, p):

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 import weakref
 
@@ -13,6 +14,7 @@ from mcpad.mccnn import (
     GROUPS,
     McCnnConfig,
     TrainData,
+    _embed_frozen,
     batch_class_weights,
     branch_forward,
     build_model,
@@ -77,7 +79,7 @@ class TestConfig:
             frames = {ch: rng.normal(size=(2, 16, 16)) for ch in channels}
             p = forward(model, frames).data
             assert p.shape == (2,) and np.all((p > 0) & (p < 1))
-            assert model.head["fc1_w"].data.shape == (10, len(channels) * cfg.embedding_dim)
+            assert model.params["head.fc1_w"].data.shape == (10, len(channels) * cfg.embedding_dim)
 
     def test_color_rejected(self):
         with pytest.raises(ValueError):
@@ -140,8 +142,9 @@ class TestForward:
 
     def test_missing_channel_rejected(self, rng):
         model = build_model(mini_config())
-        with pytest.raises(ValueError):
-            forward(model, {GRAY: rng.normal(size=(1, 16, 16))})
+        for run in (forward, predict):
+            with pytest.raises(ValueError, match="missing channels"):
+                run(model, {GRAY: rng.normal(size=(1, 16, 16))})
 
     def test_probability_range(self, rng):
         model = build_model(mini_config())
@@ -149,6 +152,53 @@ class TestForward:
         p = forward(model, frames).data
         assert p.ndim == 1 and p.shape == (5,)
         assert np.all((p > 0) & (p < 1))
+
+
+class TestPredict:
+    """Scoring runs through a frozen view of the model: the same arrays, no
+    graph, and the same numbers as the graph-building forward pass."""
+
+    def _model_and_frames(self, rng, dtype=np.float32):
+        cfg = mini_config(channels=(GRAY, DEPTH, ChannelId.INFRARED))
+        model = build_model(cfg, dtype=dtype)
+        frames = {ch: rng.normal(size=(5, 16, 16)).astype(dtype) for ch in cfg.channels}
+        return model, frames
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_forward_bit_for_bit(self, rng, dtype):
+        model, frames = self._model_and_frames(rng, dtype)
+        assert model.trainable() and model.block(DEPTH, "C1")["conv_w"].requires_grad
+        assert np.array_equal(predict(model, frames), forward(model, frames).data)
+
+    def test_builds_no_graph(self, rng, monkeypatch):
+        model, frames = self._model_and_frames(rng)
+        outputs = []
+        for name in ("conv2d", "linear", "mfm"):
+            op = getattr(ad, name)
+
+            def recording(*args, _op=op, **kwargs):
+                out = _op(*args, **kwargs)
+                outputs.append(out)
+                return out
+
+            monkeypatch.setattr(ad, name, recording)
+        predict(model, frames)
+        # 3 channels x (3 conv + 4 MFM + 1 EMB linear) + 2 head linears
+        assert len(outputs) == 3 * 8 + 2
+        assert all(out._backward is None and out._parents == () for out in outputs)
+
+    def test_precomputed_embeddings(self, rng):
+        model, frames = self._model_and_frames(rng)
+        gray = _embed_frozen(model, GRAY, frames[GRAY])
+        assert np.array_equal(predict(model, frames, {GRAY: gray}), predict(model, frames))
+
+    def test_frozen_view_shares_arrays(self, rng):
+        model, _ = self._model_and_frames(rng)
+        view = model.frozen()
+        assert view.config == model.config and set(view.params) == set(model.params)
+        for name, tensor in view.params.items():
+            assert np.shares_memory(tensor.data, model.params[name].data), name
+        assert view.trainable() == []
 
 
 class TestWeightsAndLoss:
@@ -345,6 +395,17 @@ class TestSerialization:
         (tmp_path / "cut.mcnn").write_bytes(blob[:5] + struct.pack("<I", len(cut)) + cut + blob[9 + length :])
         with pytest.raises(ValueError):
             load_model(tmp_path / "cut.mcnn")
+
+    @pytest.mark.parametrize("change, block", [("missing", "dsu.depth.B1.conv_b"), ("extra", "head.fc3_w")])
+    def test_block_set_mismatch_rejected(self, tmp_path, change, block):
+        model = build_model(mini_config())
+        if change == "missing":
+            del model.params[block]
+        else:
+            model.params[block] = ad.parameter(np.zeros(2, dtype=np.float32))
+        save_model(model, tmp_path / "m.mcnn")
+        with pytest.raises(ValueError, match=re.escape(f"{change} ['{block}']")):
+            load_model(tmp_path / "m.mcnn")
 
     def test_bad_magic(self, tmp_path):
         (tmp_path / "bad.mcnn").write_bytes(b"NOPE" + bytes(32))

@@ -10,7 +10,6 @@ from mcpad.preprocess import (
     Landmarks,
     MadParams,
     SampleError,
-    bilinear_sample,
     estimate_similarity,
     landmarks_path,
     load_landmarks,
@@ -20,6 +19,8 @@ from mcpad.preprocess import (
     to_gray,
     warp,
 )
+
+from oracles import bilinear_sample
 
 TARGETS = AlignTargets.for_size(128)
 

@@ -1,6 +1,7 @@
 """Every binary reader rejects a cut file and trailing bytes with a typed
-``FormatError`` carrying the byte offset; the score-file reader names the
-line of a malformed row; the CLI reports both without a traceback."""
+``FormatError`` carrying the byte offset; the score-file, manifest and
+landmarks readers name the file and line of a malformed row; the CLI reports
+these, and a sample whose frames are all dropped, without a traceback."""
 
 import numpy as np
 import pytest
@@ -10,9 +11,12 @@ from hypothesis import strategies as st
 from mcpad import classical, mccnn
 from mcpad.classical import LrModel, ScoreNormalizer, Standardizer, POP_ALL
 from mcpad.cli import main
-from mcpad.dataset import ChannelId, FormatError, MultiChannelSample, read_sample, write_sample
+from mcpad.dataset import (
+    ChannelId, FormatError, MultiChannelSample, load_manifest, read_sample, write_sample,
+)
 from mcpad.evaluation import load_scores
 from mcpad.features.io import read_feature_table, rows_sidecar, write_feature_table
+from mcpad.preprocess import landmarks_path, load_landmarks
 
 TINY_MCCNN = mccnn.McCnnConfig(
     channels=(ChannelId.GRAY,), input_size=16, embedding_dim=4, base_width=2,
@@ -179,6 +183,37 @@ class TestScoreFile:
             load_scores(path)
 
 
+MANIFEST_HEADER = "sample_id,path,client_id,label,attack_type,session\n"
+
+
+class TestManifest:
+    @pytest.mark.parametrize("row, reason", [
+        ("b,b.mcpd,1,bonafide", "expected 6 columns, found 4"),
+        ("b,b.mcpd,one,bonafide,none,1", "invalid literal for int"),
+        ("b,b.mcpd,1,bonafide,cardboard,1", "unknown attack type 'cardboard'"),
+    ])
+    def test_bad_row_names_file_and_line(self, tmp_path, row, reason):
+        path = tmp_path / "manifest.csv"
+        path.write_text(f"{MANIFEST_HEADER}a,a.mcpd,0,bonafide,none,1\n{row}\n")
+        with pytest.raises(ValueError, match=f"manifest.csv: line 3: {reason}"):
+            load_manifest(path, check_paths=False)
+
+
+class TestLandmarks:
+    @pytest.mark.parametrize("line, reason", [
+        ("1,0,1,2,3,4,x", "could not convert string to float"),
+        ("1,0,1,2,3,4", "expected 7 fields, found 6"),
+        ("x,0,1,2,3,4,5", "invalid literal for int"),
+        ("0,10,10,20,10,15,20", "duplicate frame index 0"),
+        ("1,10,10,10,10,15,20", "eye centers must be distinct"),
+    ])
+    def test_bad_line_names_file_and_line(self, tmp_path, line, reason):
+        path = tmp_path / "s.landmarks"
+        path.write_text(f"0,10,10,20,10,15,20\n{line}\n")
+        with pytest.raises(ValueError, match=f"s.landmarks: line 2: {reason}"):
+            load_landmarks(path)
+
+
 class TestCliReportsWithoutTraceback:
     def test_eval_on_malformed_score_file(self, tmp_path, capsys):
         bad = tmp_path / "bad_dev.csv"
@@ -188,3 +223,20 @@ class TestCliReportsWithoutTraceback:
         err = capsys.readouterr().err
         assert code in (1, 2)
         assert "line 1" in err and "Traceback" not in err
+
+    def test_preprocess_names_sample_with_every_frame_dropped(self, tmp_path, capsys):
+        config = tmp_path / "config.yaml"
+        config.write_text("\n".join([
+            f"paths: {{data_root: {tmp_path / 'data'}, out_root: {tmp_path / 'out'}}}",
+            "synth: {bonafide_clients: 2, attack_instruments: {print: 1}, frames_per_sample: 2,"
+            " image_size: 40}",
+            "preprocess: {out_size: 32, frames: 2}",
+        ]))
+        assert main(["synth", "--config", str(config)]) == 0
+        first = next(iter(load_manifest(tmp_path / "data" / "manifest.csv")))
+        landmarks_path(first.path).write_text("")
+        capsys.readouterr()
+        code = main(["preprocess", "--config", str(config)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"sample {first.sample_id}: all frames dropped" in err and "Traceback" not in err
