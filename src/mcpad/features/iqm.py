@@ -1,11 +1,24 @@
 """Image-quality measures for the color channel.
 
 Each measure compares the luminance image I against its Gaussian-smoothed
-reference (sigma 1.2, 5x5 kernel, mirrored borders). The 18-measure set
-spans pixel-difference, correlation, spectral, gradient, and edge families.
+reference R (sigma 1.2, 5x5 kernel, mirrored borders). The 18-measure set
+spans pixel-difference, correlation, spectral, gradient, and edge families
+(Galbally et al., *Image Quality Assessment for Fake Biometric Detection*,
+IEEE TIP 2014).
+
+``iqm_features`` works on stacks: frames ``(..., H, W, 3)`` give measure
+vectors ``(..., len(measures))``, and a single frame is the stack with no
+batch axes. I and R are stacked as one pair, and each intermediate (the
+Laplacians, one 2-D FFT, one gradient, the smoothed Harris products) is
+computed once for the whole pair and shared by every measure that reads it.
+Every per-frame sum adds one contiguous ``H*W`` run (``_framesum``), the
+order ``np.sum`` uses on that frame alone, so each frame's vector is
+bit-identical to the one it gets on its own.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -31,27 +44,25 @@ def gaussian_kernel(size: int = GAUSS_SIZE, sigma: float = GAUSS_SIGMA) -> np.nd
 
 
 def smooth(image: np.ndarray, kernel: np.ndarray | None = None) -> np.ndarray:
-    """2-D correlation with mirrored (edge-inclusive) borders."""
+    """2-D correlation with mirrored (edge-inclusive) borders over the last
+    two axes of ``(..., H, W)``."""
     img = np.asarray(image, dtype=np.float64)
     k = gaussian_kernel() if kernel is None else kernel
     kh, kw = k.shape
     py, px = kh // 2, kw // 2
-    padded = np.pad(img, ((py, py), (px, px)), mode="symmetric")
+    h, w = img.shape[-2:]
+    padded = np.pad(img, [(0, 0)] * (img.ndim - 2) + [(py, py), (px, px)], mode="symmetric")
     out = np.zeros_like(img)
     for i in range(kh):
         for j in range(kw):
-            out += k[i, j] * padded[i : i + img.shape[0], j : j + img.shape[1]]
+            out += k[i, j] * padded[..., i : i + h, j : j + w]
     return out
-
-
-def _gradients(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    gy, gx = np.gradient(img)
-    return gx, gy
 
 
 def _laplacian(img: np.ndarray) -> np.ndarray:
     return (
-        img[1:-1, 2:] + img[1:-1, :-2] + img[2:, 1:-1] + img[:-2, 1:-1] - 4.0 * img[1:-1, 1:-1]
+        img[..., 1:-1, 2:] + img[..., 1:-1, :-2] + img[..., 2:, 1:-1] + img[..., :-2, 1:-1]
+        - 4.0 * img[..., 1:-1, 1:-1]
     )
 
 
@@ -59,155 +70,191 @@ def _wrap_angle(d: np.ndarray) -> np.ndarray:
     return (d + np.pi) % (2.0 * np.pi) - np.pi
 
 
-def _harris_corner_count(img: np.ndarray) -> int:
-    gx, gy = _gradients(img)
-    k = gaussian_kernel()
-    ixx = smooth(gx * gx, k)
-    iyy = smooth(gy * gy, k)
-    ixy = smooth(gx * gy, k)
+def _framesum(x: np.ndarray) -> np.ndarray:
+    """Sum of each ``(h, w)`` frame of ``(..., h, w)`` as one contiguous run."""
+    x = np.ascontiguousarray(x)
+    return x.reshape(*x.shape[:-2], x.shape[-2] * x.shape[-1]).sum(axis=-1)
+
+
+def _ratio(num: np.ndarray, den: np.ndarray, degenerate: float) -> np.ndarray:
+    """``num / den`` per frame, ``degenerate`` where ``den <= _EPS``."""
+    flat = den <= _EPS
+    return np.where(flat, degenerate, num / np.where(flat, 1.0, den))
+
+
+class _Pair:
+    """Shared intermediates of a luminance stack I ``(F, H, W)`` and its
+    reference R, stacked as ``pair = (I, R)``; each is computed on first
+    use."""
+
+    def __init__(self, lum: np.ndarray):
+        self.pair = np.stack([lum, smooth(lum)])
+        self.size = lum.shape[-2] * lum.shape[-1]
+
+    def mean(self, x: np.ndarray) -> np.ndarray:
+        return _framesum(x) / self.size
+
+    @cached_property
+    def diff(self) -> np.ndarray:
+        return self.pair[0] - self.pair[1]
+
+    @cached_property
+    def mse(self) -> np.ndarray:
+        return self.mean(self.diff**2)
+
+    @cached_property
+    def energy(self) -> np.ndarray:
+        return _framesum(self.pair**2)
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        return np.fft.fft2(self.pair)
+
+    @cached_property
+    def magnitude(self) -> np.ndarray:
+        return np.abs(self.spectrum)
+
+    @cached_property
+    def gradients(self) -> tuple[np.ndarray, np.ndarray]:
+        gy, gx = np.gradient(self.pair, axis=(-2, -1))
+        return gx, gy
+
+    @cached_property
+    def grad_norm(self) -> np.ndarray:
+        return np.hypot(*self.gradients)
+
+    @cached_property
+    def angles(self) -> tuple[np.ndarray, np.ndarray]:
+        (gxi, gxr), (gyi, gyr) = self.gradients
+        ni, nr = self.grad_norm
+        dot = gxi * gxr + gyi * gyr
+        denom = ni * nr
+        cos = np.where(denom > _EPS, dot / np.maximum(denom, _EPS), 1.0)
+        alpha = np.arccos(np.clip(cos, -1.0, 1.0))
+        dist = np.hypot(gxi - gxr, gyi - gyr)
+        return alpha, dist
+
+
+def _harris_corner_count(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    """Harris corner count of each image of gradient stacks ``(..., H, W)``:
+    3x3 local maxima (edge-padded with -inf) above a fraction of the
+    image's peak response, 0 where the peak is not positive."""
+    ixx, iyy, ixy = smooth(np.stack([gx * gx, gy * gy, gx * gy]))
     resp = ixx * iyy - ixy**2 - HARRIS_K * (ixx + iyy) ** 2
-    peak = resp.max()
-    if peak <= 0:
-        return 0
-    # local maxima over a 3x3 neighborhood (edge-padded with -inf)
-    padded = np.pad(resp, 1, mode="constant", constant_values=-np.inf)
-    local_max = np.full(resp.shape, True)
+    h, w = resp.shape[-2:]
+    peak = resp.max(axis=(-2, -1), keepdims=True)
+    padded = np.pad(resp, [(0, 0)] * (resp.ndim - 2) + [(1, 1), (1, 1)], constant_values=-np.inf)
+    hits = resp > HARRIS_REL_THRESHOLD * peak
     for dy in range(3):
         for dx in range(3):
-            local_max &= resp >= padded[dy : dy + resp.shape[0], dx : dx + resp.shape[1]]
-    return int(np.sum(local_max & (resp > HARRIS_REL_THRESHOLD * peak)))
+            hits &= resp >= padded[..., dy : dy + h, dx : dx + w]
+    return np.where(peak[..., 0, 0] <= 0, 0, np.count_nonzero(hits, axis=(-2, -1)))
 
 
-def _hlfi(img: np.ndarray) -> float:
-    mag = np.abs(np.fft.fft2(img))
-    total = mag.sum()
-    if total <= _EPS:
-        return 0.0
-    fy = np.fft.fftfreq(img.shape[0])[:, None]
-    fx = np.fft.fftfreq(img.shape[1])[None, :]
+def _hlfi(mag: np.ndarray) -> np.ndarray:
+    """High-low frequency index of each spectrum magnitude ``(..., H, W)``;
+    the masked low-frequency entries are copied contiguous so that each
+    image's are summed as one run."""
+    total = _framesum(mag)
+    fy = np.fft.fftfreq(mag.shape[-2])[:, None]
+    fx = np.fft.fftfreq(mag.shape[-1])[None, :]
     low = np.sqrt(fy**2 + fx**2) <= _LOW_FREQ_RADIUS
-    low_sum = mag[low].sum()
-    return float((low_sum - (total - low_sum)) / total)
+    low_sum = np.ascontiguousarray(mag[..., low]).sum(axis=-1)
+    return _ratio(low_sum - (total - low_sum), total, 0.0)
 
 
-def _mse(i, r):
-    return float(np.mean((i - r) ** 2))
+def _mse(s: _Pair) -> np.ndarray:
+    return s.mse
 
 
-def _psnr(i, r):
-    mse = _mse(i, r)
-    if mse <= _EPS:
-        return PSNR_CAP
-    return float(min(PSNR_CAP, 10.0 * np.log10(255.0**2 / mse)))
+def _capped_db(signal, mse: np.ndarray) -> np.ndarray:
+    """``10 log10(signal / mse)`` capped at ``PSNR_CAP``, the cap where
+    ``mse <= _EPS``."""
+    db = 10.0 * np.log10(_ratio(signal, mse, 1.0))
+    return np.where(mse <= _EPS, PSNR_CAP, np.minimum(PSNR_CAP, db))
 
 
-def _snr(i, r):
-    mse = _mse(i, r)
-    if mse <= _EPS:
-        return PSNR_CAP
-    return float(min(PSNR_CAP, 10.0 * np.log10(max(np.mean(i**2), _EPS) / mse)))
+def _psnr(s: _Pair) -> np.ndarray:
+    return _capped_db(255.0**2, s.mse)
 
 
-def _structural_content(i, r):
-    denom = float(np.sum(r**2))
-    if denom <= _EPS:
-        return 1.0
-    return float(np.sum(i**2) / denom)
+def _snr(s: _Pair) -> np.ndarray:
+    return _capped_db(np.maximum(s.energy[0] / s.size, _EPS), s.mse)
 
 
-def _ncc(i, r):
-    denom = float(np.sum(i**2))
-    if denom <= _EPS:
-        return 1.0
-    return float(np.sum(i * r) / denom)
+def _structural_content(s: _Pair) -> np.ndarray:
+    return _ratio(s.energy[0], s.energy[1], 1.0)
 
 
-def _avg_diff(i, r):
-    return float(np.mean(i - r))
+def _ncc(s: _Pair) -> np.ndarray:
+    return _ratio(_framesum(s.pair[0] * s.pair[1]), s.energy[0], 1.0)
 
 
-def _max_diff(i, r):
-    return float(np.max(np.abs(i - r)))
+def _avg_diff(s: _Pair) -> np.ndarray:
+    return s.mean(s.diff)
 
 
-def _nae(i, r):
-    denom = float(np.sum(np.abs(i)))
-    if denom <= _EPS:
-        return 0.0
-    return float(np.sum(np.abs(i - r)) / denom)
+def _max_diff(s: _Pair) -> np.ndarray:
+    return np.abs(s.diff).max(axis=(-2, -1))
 
 
-def _lmse(i, r):
-    li = _laplacian(i)
-    lr = _laplacian(r)
-    denom = float(np.sum(li**2))
-    if denom <= _EPS:
-        return 0.0
-    return float(np.sum((li - lr) ** 2) / denom)
+def _nae(s: _Pair) -> np.ndarray:
+    return _ratio(_framesum(np.abs(s.diff)), _framesum(np.abs(s.pair[0])), 0.0)
 
 
-def _spectral_magnitude(i, r):
-    return float(np.mean((np.abs(np.fft.fft2(i)) - np.abs(np.fft.fft2(r))) ** 2))
+def _lmse(s: _Pair) -> np.ndarray:
+    li, lr = _laplacian(s.pair)
+    return _ratio(_framesum((li - lr) ** 2), _framesum(li**2), 0.0)
 
 
-def _spectral_phase(i, r):
-    d = _wrap_angle(np.angle(np.fft.fft2(i)) - np.angle(np.fft.fft2(r)))
-    return float(np.mean(d**2))
+def _spectral_magnitude(s: _Pair) -> np.ndarray:
+    return s.mean((s.magnitude[0] - s.magnitude[1]) ** 2)
 
 
-def _gradient_magnitude_error(i, r):
-    gi = np.hypot(*_gradients(i))
-    gr = np.hypot(*_gradients(r))
-    return float(np.mean((gi - gr) ** 2))
+def _spectral_phase(s: _Pair) -> np.ndarray:
+    phase = np.angle(s.spectrum)
+    return s.mean(_wrap_angle(phase[0] - phase[1]) ** 2)
 
 
-def _grad_angles(i, r):
-    gxi, gyi = _gradients(i)
-    gxr, gyr = _gradients(r)
-    ni = np.hypot(gxi, gyi)
-    nr = np.hypot(gxr, gyr)
-    dot = gxi * gxr + gyi * gyr
-    denom = ni * nr
-    cos = np.where(denom > _EPS, dot / np.maximum(denom, _EPS), 1.0)
-    alpha = np.arccos(np.clip(cos, -1.0, 1.0))
-    dist = np.hypot(gxi - gxr, gyi - gyr)
-    return alpha, dist
+def _gradient_magnitude_error(s: _Pair) -> np.ndarray:
+    return s.mean((s.grad_norm[0] - s.grad_norm[1]) ** 2)
 
 
-def _mean_angle_similarity(i, r):
-    alpha, _ = _grad_angles(i, r)
-    return float(1.0 - np.mean(2.0 * alpha / np.pi))
+def _mean_angle_similarity(s: _Pair) -> np.ndarray:
+    alpha, _ = s.angles
+    return 1.0 - s.mean(2.0 * alpha / np.pi)
 
 
-def _mean_angle_magnitude_similarity(i, r):
-    alpha, dist = _grad_angles(i, r)
+def _mean_angle_magnitude_similarity(s: _Pair) -> np.ndarray:
+    alpha, dist = s.angles
     chi = 1.0 - (1.0 - 2.0 * alpha / np.pi) * (1.0 - np.minimum(dist, 255.0) / 255.0)
-    return float(1.0 - np.mean(chi))
+    return 1.0 - s.mean(chi)
 
 
-def _total_edge_difference(i, r):
-    ei = np.hypot(*_gradients(i)) >= EDGE_THRESHOLD
-    er = np.hypot(*_gradients(r)) >= EDGE_THRESHOLD
-    return float(np.mean(ei != er))
+def _total_edge_difference(s: _Pair) -> np.ndarray:
+    edges = s.grad_norm >= EDGE_THRESHOLD
+    return np.count_nonzero(edges[0] != edges[1], axis=(-2, -1)) / s.size
 
 
-def _total_corner_difference(i, r):
-    ni = _harris_corner_count(i)
-    nr = _harris_corner_count(r)
-    return float(abs(ni - nr) / max(1.0, ni, nr))
+def _total_corner_difference(s: _Pair) -> np.ndarray:
+    ni, nr = _harris_corner_count(*s.gradients)
+    return np.abs(ni - nr) / np.maximum(1.0, np.maximum(ni, nr))
 
 
-def _hist_chi_square(i, r):
-    hi = np.bincount(np.clip(np.rint(i), 0, 255).astype(np.int64).ravel(), minlength=256)
-    hr = np.bincount(np.clip(np.rint(r), 0, 255).astype(np.int64).ravel(), minlength=256)
-    num = (hi - hr).astype(np.float64) ** 2
-    den = (hi + hr).astype(np.float64)
-    mask = den > 0
-    return float(np.sum(num[mask] / den[mask]) / i.size)
+def _hist_chi_square(s: _Pair) -> np.ndarray:
+    levels = np.clip(np.rint(s.pair), 0, 255).astype(np.int64)
+    n = levels.shape[0] * levels.shape[1]
+    codes = levels.reshape(n, s.size) + 256 * np.arange(n)[:, None]
+    hist = np.bincount(codes.ravel(), minlength=256 * n).reshape(levels.shape[:2] + (256,))
+    num = (hist[0] - hist[1]).astype(np.float64) ** 2
+    den = (hist[0] + hist[1]).astype(np.float64)
+    # the masked bins of each frame are summed on their own, as one run
+    return np.array([np.sum(nf[df > 0] / df[df > 0]) / s.size for nf, df in zip(num, den)])
 
 
-def _hlfi_delta(i, r):
-    return _hlfi(i) - _hlfi(r)
+def _hlfi_delta(s: _Pair) -> np.ndarray:
+    hi, hr = _hlfi(s.magnitude)
+    return hi - hr
 
 
 IQM_MEASURES: tuple[tuple[str, callable], ...] = (
@@ -235,15 +282,17 @@ IQM_NAMES = tuple(name for name, _ in IQM_MEASURES)
 
 
 def iqm_features(rgb: np.ndarray, measures: tuple[str, ...] | None = None) -> np.ndarray:
-    """Measure vector for one RGB frame (canonical measure order)."""
+    """Measure vectors of RGB frames ``(..., H, W, 3)``, returned as
+    ``(..., len(measures))`` (canonical measure order by default)."""
     rgb = np.asarray(rgb)
-    if rgb.ndim != 3 or rgb.shape[-1] != 3:
-        raise ValueError("expected an (H,W,3) frame")
+    if rgb.ndim < 3 or rgb.shape[-1] != 3:
+        raise ValueError("expected (..., H, W, 3) frames")
     selected = IQM_NAMES if measures is None else tuple(measures)
     unknown = set(selected) - set(IQM_NAMES)
     if unknown:
         raise ValueError(f"unknown IQM measures: {sorted(unknown)}")
-    lum = to_gray(rgb).astype(np.float64)
-    ref = smooth(lum)
+    *batch, h, w, _ = rgb.shape
+    stack = _Pair(to_gray(rgb).astype(np.float64).reshape(-1, h, w))
     table = dict(IQM_MEASURES)
-    return np.array([table[name](lum, ref) for name in selected], dtype=np.float64)
+    values = np.stack([table[name](stack) for name in selected], axis=-1)
+    return values.reshape(*batch, len(selected))

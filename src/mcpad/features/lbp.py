@@ -1,5 +1,13 @@
 """Local binary patterns with bilinear-sampled circular neighborhoods and
 spatially enhanced (grid-blocked) uniform histograms.
+
+``lbp_code_map`` and ``lbp_histogram`` work on stacks: frames ``(..., H, W)``
+give code maps ``(..., H-2m, W-2m)`` and histograms ``(..., blocks * bins)``,
+and a single frame is the stack with no batch axes. The block histograms of
+every frame of a stack come from one ``np.bincount``, and each block is
+normalized by the sum of its own contiguous row of bins, the order
+``np.sum`` uses on that block alone, so each frame's histogram is
+bit-identical to the one it gets on its own.
 """
 
 from __future__ import annotations
@@ -73,45 +81,52 @@ def uniform_table(p: int) -> np.ndarray:
 
 def lbp_code_map(image: np.ndarray, cfg: LbpConfig) -> np.ndarray:
     """Vectorized code image over all pixels at least ceil(R) from the
-    border; shape (H-2m, W-2m)."""
+    border of frames ``(..., H, W)``; shape ``(..., H-2m, W-2m)``."""
     img = np.asarray(image, dtype=np.float64)
-    h, w = img.shape
+    h, w = img.shape[-2:]
     m = math.ceil(cfg.r)
     if h <= 2 * m or w <= 2 * m:
         raise ValueError("image too small for the configured radius")
     ch, cw = h - 2 * m, w - 2 * m
-    center = img[m : m + ch, m : m + cw]
-    codes = np.zeros((ch, cw), dtype=np.int64)
+    center = img[..., m : m + ch, m : m + cw]
+    codes = np.zeros(center.shape, dtype=np.int64)
     for k, (dx, dy) in enumerate(neighbor_offsets(cfg.p, cfg.r)):
         x0, y0 = math.floor(dx), math.floor(dy)
         fx, fy = dx - x0, dy - y0
-        base_y, base_x = m + y0, m + x0
-        val = (1 - fx) * (1 - fy) * img[base_y : base_y + ch, base_x : base_x + cw]
+        y, x = m + y0, m + x0
+        val = (1 - fx) * (1 - fy) * img[..., y : y + ch, x : x + cw]
         if fx:
-            val = val + fx * (1 - fy) * img[base_y : base_y + ch, base_x + 1 : base_x + 1 + cw]
+            val = val + fx * (1 - fy) * img[..., y : y + ch, x + 1 : x + 1 + cw]
         if fy:
-            val = val + (1 - fx) * fy * img[base_y + 1 : base_y + 1 + ch, base_x : base_x + cw]
+            val = val + (1 - fx) * fy * img[..., y + 1 : y + 1 + ch, x : x + cw]
         if fx and fy:
-            val = val + fx * fy * img[base_y + 1 : base_y + 1 + ch, base_x + 1 : base_x + 1 + cw]
+            val = val + fx * fy * img[..., y + 1 : y + 1 + ch, x + 1 : x + 1 + cw]
         codes |= (val >= center).astype(np.int64) << k
     return codes
 
 
 def lbp_histogram(image: np.ndarray, cfg: LbpConfig) -> np.ndarray:
-    """Concatenated per-block L1-normalized code histograms (blocks row-major
+    """Concatenated per-block L1-normalized code histograms of frames
+    ``(..., H, W)``, returned as ``(..., blocks * bins)`` (blocks row-major
     over the code map, block sizes floored)."""
     codes = lbp_code_map(image, cfg)
+    *batch, height, width = codes.shape
     rows, cols = cfg.grid
-    bh, bw = codes.shape[0] // rows, codes.shape[1] // cols
+    bh, bw = height // rows, width // cols
     if bh < 1 or bw < 1:
         raise ValueError("image too small for the configured grid")
-    table = uniform_table(cfg.p) if cfg.uniform else None
+    if cfg.uniform:
+        codes = uniform_table(cfg.p)[codes]
     bins = cfg.bins
-    parts = []
-    for by in range(rows):
-        for bx in range(cols):
-            block = codes[by * bh : (by + 1) * bh, bx * bw : (bx + 1) * bw].ravel()
-            binned = table[block] if table is not None else block
-            hist = np.bincount(binned, minlength=bins).astype(np.float64)
-            parts.append(hist / hist.sum())
-    return np.concatenate(parts)
+    blocks = (
+        codes[..., : rows * bh, : cols * bw]
+        .reshape(-1, rows, bh, cols, bw)
+        .swapaxes(-3, -2)
+        .reshape(-1, rows * cols, bh * bw)
+    )
+    # one bincount over (block of the whole stack) * bins + bin
+    cells = blocks.shape[0] * blocks.shape[1]
+    keyed = blocks + (np.arange(cells) * bins).reshape(blocks.shape[:2] + (1,))
+    hist = np.bincount(keyed.ravel(), minlength=cells * bins).reshape(-1, bins).astype(np.float64)
+    hist /= hist.sum(axis=-1, keepdims=True)
+    return hist.reshape(*batch, rows * cols * bins)

@@ -148,14 +148,27 @@ def init_backbone(cfg: McCnnConfig, seed: int | None = None) -> dict[str, dict[s
 _HEAD_INIT_SCALE = 0.05
 
 
+def _head_shapes(cfg: McCnnConfig) -> dict[str, tuple[int, ...]]:
+    return {"fc1_w": (10, cfg.head_input), "fc1_b": (10,), "fc2_w": (1, 10), "fc2_b": (1,)}
+
+
 def _init_head(cfg: McCnnConfig) -> dict[str, np.ndarray]:
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 101)))
-    return {
-        "fc1_w": _HEAD_INIT_SCALE * _he_init(rng, (10, cfg.head_input)),
-        "fc1_b": np.zeros(10),
-        "fc2_w": _HEAD_INIT_SCALE * _he_init(rng, (1, 10)),
-        "fc2_b": np.zeros(1),
-    }
+    return {name: _HEAD_INIT_SCALE * _he_init(rng, shape) for name, shape in _head_shapes(cfg).items()}
+
+
+def _block_shapes(cfg: McCnnConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of every parameter block of a model, keyed by its ``.mcnn``
+    block name, in the order ``build_model`` lays the blocks out."""
+    groups = _group_shapes(cfg)
+    shapes = {f"shared.{group}.{name}": shape for group in GROUPS for name, shape in groups[group].items()}
+    for channel in cfg.channels:
+        if channel is not ChannelId.GRAY:
+            for group in sorted(cfg.adapt):
+                for name, shape in groups[group].items():
+                    shapes[f"dsu.{channel.label}.{group}.{name}"] = shape
+    shapes.update({f"head.{name}": shape for name, shape in _head_shapes(cfg).items()})
+    return shapes
 
 
 @dataclass
@@ -197,24 +210,17 @@ def build_model(
     Training runs float32; pass float64 for finite-difference checks."""
     if backbone is None:
         backbone = init_backbone(cfg)
-    shapes = _group_shapes(cfg)
-    for group, expected in shapes.items():
+    for group, expected in _group_shapes(cfg).items():
         for name, shape in expected.items():
             got = np.asarray(backbone[group][name]).shape
             if got != shape:
                 raise ValueError(f"backbone block {group}.{name}: shape {got}, expected {shape}")
-    params = {
-        f"shared.{group}.{name}": Tensor(np.array(backbone[group][name], dtype=dtype))
-        for group in GROUPS for name in shapes[group]
-    }
-    for channel in cfg.channels:
-        if channel is not ChannelId.GRAY:
-            for group in sorted(cfg.adapt):
-                for name in shapes[group]:
-                    params[f"dsu.{channel.label}.{group}.{name}"] = ad.parameter(
-                        np.array(backbone[group][name], dtype=dtype))
-    for name, value in _init_head(cfg).items():
-        params[f"head.{name}"] = ad.parameter(np.asarray(value, dtype=dtype))
+    head = _init_head(cfg)
+    params = {}
+    for key in _block_shapes(cfg):
+        kind, *group, name = key.split(".")
+        value = np.array(head[name] if kind == "head" else backbone[group[-1]][name], dtype=dtype)
+        params[key] = Tensor(value) if kind == "shared" else ad.parameter(value)
     return McCnnModel(config=cfg, params=params)
 
 
@@ -523,11 +529,19 @@ def load_model(path: str | Path) -> McCnnModel:
         blocks[name] = reader.array("<f4", count, "block data").reshape(shape).astype(np.float32)
     reader.end()
 
-    model = build_model(cfg)
-    missing = set(model.params) - set(blocks)
-    extra = set(blocks) - set(model.params)
+    shapes = _block_shapes(cfg)
+    missing = set(shapes) - set(blocks)
+    extra = set(blocks) - set(shapes)
     if missing or extra:
         raise ValueError(f"model blocks mismatch (missing {sorted(missing)}, extra {sorted(extra)})")
+    backbone: dict[str, dict[str, np.ndarray]] = {}
+    for key, shape in shapes.items():
+        if blocks[key].shape != shape:
+            raise ValueError(f"model block {key}: shape {blocks[key].shape}, expected {shape}")
+        kind, *group, name = key.split(".")
+        if kind == "shared":
+            backbone.setdefault(group[0], {})[name] = blocks[key]
+    model = build_model(cfg, backbone)
     for name, tensor in model.params.items():
         tensor.data = blocks[name]
     return model

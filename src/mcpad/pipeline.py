@@ -193,22 +193,15 @@ def _extract_one(args) -> tuple[list[int], dict[str, np.ndarray]]:
         frame_count = raw.frame_count(next(iter(raw.channels)))
         indices = sample_frames(frame_count, cfg.preprocess.frames)
         stack, _ = align_color(raw, landmarks, align_targets(cfg), frame_indices=indices)
-        rows = [
-            iqm_features(stack[i], measures=cfg.features.iqm_measures)
-            for i in range(stack.shape[0])
-        ]
-        out[ChannelId.COLOR.label] = np.stack(rows)
-        frames = list(range(stack.shape[0]))
-        return frames, out
+        out[ChannelId.COLOR.label] = iqm_features(stack, measures=cfg.features.iqm_measures)
+        return list(range(stack.shape[0])), out
 
     sample = read_sample(sample_path)
     frames = None
     for ch in channels:
         stack = sample.channels[ch]
         if extractor == "lbp":
-            out[ch.label] = np.stack(
-                [lbp_histogram(stack[i], cfg.features.lbp) for i in range(stack.shape[0])]
-            )
+            out[ch.label] = lbp_histogram(stack, cfg.features.lbp)
         else:
             out[ch.label] = rdwt_haralick_features(stack.astype(np.float64), cfg.features.glcm)
         frames = list(range(stack.shape[0]))

@@ -156,10 +156,11 @@ def warp(frame: np.ndarray, transform: np.ndarray, out_size: int) -> np.ndarray:
 
 
 def to_gray(rgb: np.ndarray) -> np.ndarray:
-    """ITU-R BT.601 luma: round(0.299 R + 0.587 G + 0.114 B)."""
+    """ITU-R BT.601 luma of frames ``(..., H, W, 3)``:
+    round(0.299 R + 0.587 G + 0.114 B)."""
     rgb = np.asarray(rgb)
-    if rgb.ndim != 3 or rgb.shape[-1] != 3:
-        raise ValueError("expected an (H,W,3) frame")
+    if rgb.ndim < 3 or rgb.shape[-1] != 3:
+        raise ValueError("expected (..., H, W, 3) frames")
     val = rgb[..., 0] * 0.299 + rgb[..., 1] * 0.587 + rgb[..., 2] * 0.114
     return np.floor(val + 0.5).astype(np.uint8)
 

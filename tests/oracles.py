@@ -7,7 +7,10 @@ the whole MC-CNN, and ``block_bytes`` serializes a model's parameter blocks
 for byte comparisons. ``bilinear_sample`` and ``lbp_code`` are the per-pixel
 forms of ``warp``'s and ``lbp_code_map``'s sampling, and
 ``lr_training_losses`` evaluates the objective along ``lr_train``'s own
-descent.
+descent. ``iqm_frame`` (with its per-measure functions) and
+``lbp_code_map_frame`` / ``lbp_histogram_frame`` are the one-frame
+extractors that the stack forms of ``iqm_features``, ``lbp_code_map`` and
+``lbp_histogram`` must match bit for bit.
 """
 
 from __future__ import annotations
@@ -21,8 +24,18 @@ import mcpad.autodiff as ad
 from mcpad.autodiff import Tensor
 from mcpad.classical import LrConfig, Standardizer, _lr_descent, _lr_inputs, _sigmoid
 from mcpad.dataset import ChannelId
-from mcpad.features.lbp import LbpConfig, neighbor_offsets
+from mcpad.features.iqm import (
+    _EPS,
+    _LOW_FREQ_RADIUS,
+    EDGE_THRESHOLD,
+    HARRIS_K,
+    HARRIS_REL_THRESHOLD,
+    PSNR_CAP,
+    gaussian_kernel,
+)
+from mcpad.features.lbp import LbpConfig, neighbor_offsets, uniform_table
 from mcpad.mccnn import McCnnModel, batch_class_weights, forward
+from mcpad.preprocess import to_gray
 
 
 def mse_loss(pred: Tensor, targets: np.ndarray) -> Tensor:
@@ -148,3 +161,272 @@ def lr_training_losses(
     """Objective at init and after each epoch of ``lr_train``'s descent."""
     xs, y, _ = _lr_inputs(features, labels, standardizer)
     return np.array([lr_loss(w, b, xs, y, l2) for w, b in _lr_descent(xs, y, l2, epochs, lr)])
+
+
+# one-frame image-quality measures
+
+def smooth(image: np.ndarray, kernel: np.ndarray | None = None) -> np.ndarray:
+    """2-D correlation with mirrored (edge-inclusive) borders."""
+    img = np.asarray(image, dtype=np.float64)
+    k = gaussian_kernel() if kernel is None else kernel
+    kh, kw = k.shape
+    py, px = kh // 2, kw // 2
+    padded = np.pad(img, ((py, py), (px, px)), mode="symmetric")
+    out = np.zeros_like(img)
+    for i in range(kh):
+        for j in range(kw):
+            out += k[i, j] * padded[i : i + img.shape[0], j : j + img.shape[1]]
+    return out
+
+
+def _gradients(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    gy, gx = np.gradient(img)
+    return gx, gy
+
+
+def _laplacian(img: np.ndarray) -> np.ndarray:
+    return (
+        img[1:-1, 2:] + img[1:-1, :-2] + img[2:, 1:-1] + img[:-2, 1:-1] - 4.0 * img[1:-1, 1:-1]
+    )
+
+
+def _wrap_angle(d: np.ndarray) -> np.ndarray:
+    return (d + np.pi) % (2.0 * np.pi) - np.pi
+
+
+def _harris_corner_count(img: np.ndarray) -> int:
+    gx, gy = _gradients(img)
+    k = gaussian_kernel()
+    ixx = smooth(gx * gx, k)
+    iyy = smooth(gy * gy, k)
+    ixy = smooth(gx * gy, k)
+    resp = ixx * iyy - ixy**2 - HARRIS_K * (ixx + iyy) ** 2
+    peak = resp.max()
+    if peak <= 0:
+        return 0
+    # local maxima over a 3x3 neighborhood (edge-padded with -inf)
+    padded = np.pad(resp, 1, mode="constant", constant_values=-np.inf)
+    local_max = np.full(resp.shape, True)
+    for dy in range(3):
+        for dx in range(3):
+            local_max &= resp >= padded[dy : dy + resp.shape[0], dx : dx + resp.shape[1]]
+    return int(np.sum(local_max & (resp > HARRIS_REL_THRESHOLD * peak)))
+
+
+def _hlfi(img: np.ndarray) -> float:
+    mag = np.abs(np.fft.fft2(img))
+    total = mag.sum()
+    if total <= _EPS:
+        return 0.0
+    fy = np.fft.fftfreq(img.shape[0])[:, None]
+    fx = np.fft.fftfreq(img.shape[1])[None, :]
+    low = np.sqrt(fy**2 + fx**2) <= _LOW_FREQ_RADIUS
+    low_sum = mag[low].sum()
+    return float((low_sum - (total - low_sum)) / total)
+
+
+def _mse(i, r):
+    return float(np.mean((i - r) ** 2))
+
+
+def _psnr(i, r):
+    mse = _mse(i, r)
+    if mse <= _EPS:
+        return PSNR_CAP
+    return float(min(PSNR_CAP, 10.0 * np.log10(255.0**2 / mse)))
+
+
+def _snr(i, r):
+    mse = _mse(i, r)
+    if mse <= _EPS:
+        return PSNR_CAP
+    return float(min(PSNR_CAP, 10.0 * np.log10(max(np.mean(i**2), _EPS) / mse)))
+
+
+def _structural_content(i, r):
+    denom = float(np.sum(r**2))
+    if denom <= _EPS:
+        return 1.0
+    return float(np.sum(i**2) / denom)
+
+
+def _ncc(i, r):
+    denom = float(np.sum(i**2))
+    if denom <= _EPS:
+        return 1.0
+    return float(np.sum(i * r) / denom)
+
+
+def _avg_diff(i, r):
+    return float(np.mean(i - r))
+
+
+def _max_diff(i, r):
+    return float(np.max(np.abs(i - r)))
+
+
+def _nae(i, r):
+    denom = float(np.sum(np.abs(i)))
+    if denom <= _EPS:
+        return 0.0
+    return float(np.sum(np.abs(i - r)) / denom)
+
+
+def _lmse(i, r):
+    li = _laplacian(i)
+    lr = _laplacian(r)
+    denom = float(np.sum(li**2))
+    if denom <= _EPS:
+        return 0.0
+    return float(np.sum((li - lr) ** 2) / denom)
+
+
+def _spectral_magnitude(i, r):
+    return float(np.mean((np.abs(np.fft.fft2(i)) - np.abs(np.fft.fft2(r))) ** 2))
+
+
+def _spectral_phase(i, r):
+    d = _wrap_angle(np.angle(np.fft.fft2(i)) - np.angle(np.fft.fft2(r)))
+    return float(np.mean(d**2))
+
+
+def _gradient_magnitude_error(i, r):
+    gi = np.hypot(*_gradients(i))
+    gr = np.hypot(*_gradients(r))
+    return float(np.mean((gi - gr) ** 2))
+
+
+def _grad_angles(i, r):
+    gxi, gyi = _gradients(i)
+    gxr, gyr = _gradients(r)
+    ni = np.hypot(gxi, gyi)
+    nr = np.hypot(gxr, gyr)
+    dot = gxi * gxr + gyi * gyr
+    denom = ni * nr
+    cos = np.where(denom > _EPS, dot / np.maximum(denom, _EPS), 1.0)
+    alpha = np.arccos(np.clip(cos, -1.0, 1.0))
+    dist = np.hypot(gxi - gxr, gyi - gyr)
+    return alpha, dist
+
+
+def _mean_angle_similarity(i, r):
+    alpha, _ = _grad_angles(i, r)
+    return float(1.0 - np.mean(2.0 * alpha / np.pi))
+
+
+def _mean_angle_magnitude_similarity(i, r):
+    alpha, dist = _grad_angles(i, r)
+    chi = 1.0 - (1.0 - 2.0 * alpha / np.pi) * (1.0 - np.minimum(dist, 255.0) / 255.0)
+    return float(1.0 - np.mean(chi))
+
+
+def _total_edge_difference(i, r):
+    ei = np.hypot(*_gradients(i)) >= EDGE_THRESHOLD
+    er = np.hypot(*_gradients(r)) >= EDGE_THRESHOLD
+    return float(np.mean(ei != er))
+
+
+def _total_corner_difference(i, r):
+    ni = _harris_corner_count(i)
+    nr = _harris_corner_count(r)
+    return float(abs(ni - nr) / max(1.0, ni, nr))
+
+
+def _hist_chi_square(i, r):
+    hi = np.bincount(np.clip(np.rint(i), 0, 255).astype(np.int64).ravel(), minlength=256)
+    hr = np.bincount(np.clip(np.rint(r), 0, 255).astype(np.int64).ravel(), minlength=256)
+    num = (hi - hr).astype(np.float64) ** 2
+    den = (hi + hr).astype(np.float64)
+    mask = den > 0
+    return float(np.sum(num[mask] / den[mask]) / i.size)
+
+
+def _hlfi_delta(i, r):
+    return _hlfi(i) - _hlfi(r)
+
+
+IQM_MEASURES: tuple[tuple[str, callable], ...] = (
+    ("mse", _mse),
+    ("psnr", _psnr),
+    ("snr", _snr),
+    ("structural_content", _structural_content),
+    ("ncc", _ncc),
+    ("avg_diff", _avg_diff),
+    ("max_diff", _max_diff),
+    ("nae", _nae),
+    ("laplacian_mse", _lmse),
+    ("spectral_magnitude", _spectral_magnitude),
+    ("spectral_phase", _spectral_phase),
+    ("gradient_magnitude", _gradient_magnitude_error),
+    ("mean_angle_similarity", _mean_angle_similarity),
+    ("mean_angle_magnitude", _mean_angle_magnitude_similarity),
+    ("total_edge_diff", _total_edge_difference),
+    ("total_corner_diff", _total_corner_difference),
+    ("hist_chi_square", _hist_chi_square),
+    ("hlfi", _hlfi_delta),
+)
+
+IQM_NAMES = tuple(name for name, _ in IQM_MEASURES)
+
+
+def iqm_frame(rgb: np.ndarray, measures: tuple[str, ...] | None = None) -> np.ndarray:
+    """Measure vector for one RGB frame (canonical measure order)."""
+    rgb = np.asarray(rgb)
+    if rgb.ndim != 3 or rgb.shape[-1] != 3:
+        raise ValueError("expected an (H,W,3) frame")
+    selected = IQM_NAMES if measures is None else tuple(measures)
+    unknown = set(selected) - set(IQM_NAMES)
+    if unknown:
+        raise ValueError(f"unknown IQM measures: {sorted(unknown)}")
+    lum = to_gray(rgb).astype(np.float64)
+    ref = smooth(lum)
+    table = dict(IQM_MEASURES)
+    return np.array([table[name](lum, ref) for name in selected], dtype=np.float64)
+
+
+# one-frame local binary patterns
+
+def lbp_code_map_frame(image: np.ndarray, cfg: LbpConfig) -> np.ndarray:
+    """Vectorized code image over all pixels at least ceil(R) from the
+    border; shape (H-2m, W-2m)."""
+    img = np.asarray(image, dtype=np.float64)
+    h, w = img.shape
+    m = math.ceil(cfg.r)
+    if h <= 2 * m or w <= 2 * m:
+        raise ValueError("image too small for the configured radius")
+    ch, cw = h - 2 * m, w - 2 * m
+    center = img[m : m + ch, m : m + cw]
+    codes = np.zeros((ch, cw), dtype=np.int64)
+    for k, (dx, dy) in enumerate(neighbor_offsets(cfg.p, cfg.r)):
+        x0, y0 = math.floor(dx), math.floor(dy)
+        fx, fy = dx - x0, dy - y0
+        base_y, base_x = m + y0, m + x0
+        val = (1 - fx) * (1 - fy) * img[base_y : base_y + ch, base_x : base_x + cw]
+        if fx:
+            val = val + fx * (1 - fy) * img[base_y : base_y + ch, base_x + 1 : base_x + 1 + cw]
+        if fy:
+            val = val + (1 - fx) * fy * img[base_y + 1 : base_y + 1 + ch, base_x : base_x + cw]
+        if fx and fy:
+            val = val + fx * fy * img[base_y + 1 : base_y + 1 + ch, base_x + 1 : base_x + 1 + cw]
+        codes |= (val >= center).astype(np.int64) << k
+    return codes
+
+
+def lbp_histogram_frame(image: np.ndarray, cfg: LbpConfig) -> np.ndarray:
+    """Concatenated per-block L1-normalized code histograms (blocks row-major
+    over the code map, block sizes floored)."""
+    codes = lbp_code_map_frame(image, cfg)
+    rows, cols = cfg.grid
+    bh, bw = codes.shape[0] // rows, codes.shape[1] // cols
+    if bh < 1 or bw < 1:
+        raise ValueError("image too small for the configured grid")
+    table = uniform_table(cfg.p) if cfg.uniform else None
+    bins = cfg.bins
+    parts = []
+    for by in range(rows):
+        for bx in range(cols):
+            block = codes[by * bh : (by + 1) * bh, bx * bw : (bx + 1) * bw].ravel()
+            binned = table[block] if table is not None else block
+            hist = np.bincount(binned, minlength=bins).astype(np.float64)
+            parts.append(hist / hist.sum())
+    return np.concatenate(parts)

@@ -11,6 +11,8 @@ from mcpad.features.iqm import (
     smooth,
 )
 
+from oracles import iqm_frame
+
 
 def as_rgb(gray):
     return np.repeat(np.asarray(gray, dtype=np.uint8)[:, :, None], 3, axis=2)
@@ -99,3 +101,64 @@ class TestMeasures:
     def test_black_image_finite(self):
         feats = iqm_features(as_rgb(np.zeros((8, 8))))
         assert np.isfinite(feats).all()
+
+
+class TestStackMatchesFrameOracle:
+    """A stack gives, bit for bit, the vectors its frames get on their own
+    from the one-frame oracle."""
+
+    @staticmethod
+    def frames(seed, count, h, w, kinds):
+        rng = np.random.default_rng(seed)
+        stack = rng.integers(0, 256, (count, h, w, 3)).astype(np.uint8)
+        for i, kind in enumerate(kinds[:count]):
+            if kind == "black":
+                stack[i] = 0
+            elif kind == "constant":
+                stack[i] = rng.integers(1, 256)
+        return stack
+
+    @given(data=st.data())
+    def test_stack_equals_per_frame(self, data):
+        count = data.draw(st.sampled_from([1, 2, 5]))
+        h, w = data.draw(st.integers(2, 14)), data.draw(st.integers(2, 14))
+        kinds = data.draw(st.lists(st.sampled_from(["random", "black", "constant"]),
+                                   min_size=count, max_size=count))
+        measures = data.draw(st.none() | st.permutations(IQM_NAMES).flatmap(
+            lambda names: st.integers(1, len(names)).map(lambda n: tuple(names[:n]))))
+        stack = self.frames(data.draw(st.integers(0, 2**32 - 1)), count, h, w, kinds)
+        expected = np.stack([iqm_frame(frame, measures) for frame in stack])
+        assert np.array_equal(iqm_features(stack, measures), expected)
+
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    def test_odd_size_with_degenerate_frames(self, count):
+        # black and constant frames hit the PSNR cap, the NCC/NAE/LMSE/HLFI
+        # zero-denominator branches and a Harris peak <= 0
+        stack = self.frames(count, count, 9, 13, ["black", "constant", "random"])
+        expected = np.stack([iqm_frame(frame) for frame in stack])
+        assert np.array_equal(iqm_features(stack), expected)
+
+    def test_degenerate_frames_take_the_guarded_branches(self):
+        stack = self.frames(0, 2, 9, 13, ["black", "constant"])
+        black, constant = (dict(zip(IQM_NAMES, row)) for row in iqm_features(stack))
+        assert black["psnr"] == PSNR_CAP and constant["psnr"] == PSNR_CAP
+        assert black["ncc"] == 1.0 and black["structural_content"] == 1.0
+        assert black["nae"] == 0.0 and black["hlfi"] == 0.0
+        assert black["laplacian_mse"] == 0.0 and constant["laplacian_mse"] == 0.0
+        assert constant["total_corner_diff"] == 0.0
+
+    def test_single_frame_without_leading_axis(self):
+        frame = self.frames(3, 1, 9, 13, ["random"])[0]
+        assert iqm_features(frame).shape == (len(IQM_NAMES),)
+        assert np.array_equal(iqm_features(frame), iqm_frame(frame))
+
+    def test_subset_in_non_canonical_order(self):
+        stack = self.frames(4, 2, 11, 9, ["random", "black"])
+        subset = ("hlfi", "total_corner_diff", "mse", "psnr", "hist_chi_square")
+        expected = np.stack([iqm_frame(frame, subset) for frame in stack])
+        assert np.array_equal(iqm_features(stack, subset), expected)
+
+    def test_batch_axes_kept(self):
+        stack = self.frames(5, 6, 8, 8, ["random"] * 6).reshape(2, 3, 8, 8, 3)
+        flat = iqm_features(stack.reshape(6, 8, 8, 3))
+        assert np.array_equal(iqm_features(stack), flat.reshape(2, 3, len(IQM_NAMES)))

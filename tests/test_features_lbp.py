@@ -11,7 +11,7 @@ from mcpad.features.lbp import (
     uniform_table,
 )
 
-from oracles import lbp_code
+from oracles import lbp_code, lbp_code_map_frame, lbp_histogram_frame
 
 
 def transitions(code, p):
@@ -119,6 +119,38 @@ class TestHistogram:
         hist = lbp_histogram(img, LbpConfig(p=16, r=2.0, grid=(2, 2)))
         assert hist.shape == (4 * (uniform_bin_count(16) + 1),)
         assert np.isfinite(hist).all()
+
+
+class TestStackMatchesFrameOracle:
+    """Stacks give, bit for bit, the code maps and histograms their frames
+    get on their own from the one-frame oracle."""
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    @pytest.mark.parametrize("r", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("p", [4, 8, 16])
+    def test_stack_equals_per_frame(self, rng, p, r, uniform):
+        # 20x27 frames leave 18x25 (R=1) or 16x23 (R=1.5, 2) code maps,
+        # which a 5x3 grid does not divide
+        stack = rng.integers(0, 256, (3, 20, 27)).astype(np.float64)
+        stack[1] = 7.0
+        cfg = LbpConfig(p=p, r=r, uniform=uniform, grid=(5, 3))
+        codes = np.stack([lbp_code_map_frame(frame, cfg) for frame in stack])
+        hists = np.stack([lbp_histogram_frame(frame, cfg) for frame in stack])
+        assert np.array_equal(lbp_code_map(stack, cfg), codes)
+        assert np.array_equal(lbp_histogram(stack, cfg), hists)
+
+    def test_single_frame_and_batch_axes(self, rng):
+        stack = rng.integers(0, 256, (2, 3, 17, 19)).astype(np.float64)
+        cfg = LbpConfig(grid=(4, 4))
+        expected = np.stack([lbp_histogram_frame(f, cfg) for f in stack.reshape(6, 17, 19)])
+        assert np.array_equal(lbp_histogram(stack, cfg), expected.reshape(2, 3, -1))
+        assert np.array_equal(lbp_histogram(stack[0, 0], cfg), expected[0])
+
+    def test_too_small_rejected_for_stacks(self):
+        with pytest.raises(ValueError, match="radius"):
+            lbp_histogram(np.zeros((2, 2, 9)), LbpConfig())
+        with pytest.raises(ValueError, match="grid"):
+            lbp_histogram(np.zeros((2, 4, 9)), LbpConfig(grid=(3, 3)))
 
 
 class TestConfig:

@@ -175,7 +175,7 @@ class TestNonSignalChannels:
 
 
 class TestJobs:
-    @pytest.mark.parametrize("extractor, channels", [("lbp", 3), ("rdwt-haralick", 4)])
+    @pytest.mark.parametrize("extractor, channels", [("lbp", 3), ("iqm", 1), ("rdwt-haralick", 4)])
     def test_jobs_do_not_change_outputs(self, small_run, extractor, channels):
         """A worker pool writes the same feature tables and row sidecars, byte
         for byte, as the serial loop."""

@@ -3,6 +3,8 @@
 landmarks readers name the file and line of a malformed row; the CLI reports
 these, and a sample whose frames are all dropped, without a traceback."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -152,6 +154,18 @@ class TestMccnnModel:
     def test_trailing_bytes(self, saved):
         path, blob = saved
         _rejects_trailing(blob, path, mccnn.load_model)
+
+    @pytest.mark.parametrize("block, shape", [("head.fc1_w", (10, 7)), ("shared.C1.conv_w", (4, 1, 3, 3))])
+    def test_block_shape_mismatch_names_block(self, tmp_path, block, shape):
+        # a well-formed file whose block disagrees with the echoed config
+        # fails at load, not later inside predict
+        model = mccnn.build_model(TINY_MCCNN)
+        expected = model.params[block].data.shape
+        model.params[block].data = np.zeros(shape, dtype=np.float32)
+        path = tmp_path / "m.mcnn"
+        mccnn.save_model(model, path)
+        with pytest.raises(ValueError, match=re.escape(f"{block}: shape {shape}, expected {expected}")):
+            mccnn.load_model(path)
 
 
 class TestScoreFile:
