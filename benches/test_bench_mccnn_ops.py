@@ -9,10 +9,16 @@ not collect this directory. Shapes are the default configuration's at batch
 max pooling. Gradients flow as in DSU training with the adapt set {C1, B1}:
 the C1 input needs none, G1's weights are shared and frozen.
 
+conv2d's backward rebuilds the im2col columns whenever the weight trains,
+so ``test_conv2d_bwd`` for C1 and B1 includes that second im2col.
+
 The training step is one forward, weighted BCE and backward of the
 4-channel network (gray through the frozen shared blocks, the others through
-trainable DSU copies). Its ``extra_info`` records the minor page faults of
-each step (``ru_minflt``), which count the fresh memory the step touches.
+trainable DSU copies), with the previous step's graph alive during the next
+forward, as in training. Its ``extra_info`` records the minor page faults of
+each timed step (``ru_minflt``), which count the fresh memory the step
+touches, and the ``tracemalloc`` peak (MB) of three more steps run after the
+timed ones (tracing slows every allocation).
 
 The predict case scores 30 frames of each of the 4 channels through the
 default model's frozen view, as per-epoch dev scoring and the pipeline's
@@ -20,6 +26,7 @@ dev/eval scoring do.
 """
 
 import resource
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,18 +125,34 @@ def test_training_step_4ch(benchmark):
               for ch in cfg.channels}
     labels = np.arange(BATCH) % 2
     params = [t for _, t in model.trainable()]
+    held = []  # the previous step's loss, alive during the next forward as in training
     faults = []
 
     def step():
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         for p in params:
             p.zero_grad()
-        ad.weighted_bce(forward(model, frames), labels).backward()
+        loss = ad.weighted_bce(forward(model, frames), labels)
+        loss.backward()
+        held[:] = [loss]
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
     benchmark.pedantic(step, rounds=6, iterations=1, warmup_rounds=1)
-    benchmark.extra_info["minflt_per_step"] = faults
-    benchmark.extra_info["minflt_median"] = float(np.median(faults))
+    timed_faults = faults[:]
+    peaks = []
+    tracemalloc.start()
+    try:
+        step()  # leaves a traced graph alive for the recorded steps
+        for _ in range(3):
+            tracemalloc.reset_peak()
+            step()
+            peaks.append(tracemalloc.get_traced_memory()[1] / 1e6)
+    finally:
+        tracemalloc.stop()
+    benchmark.extra_info["minflt_per_step"] = timed_faults
+    benchmark.extra_info["minflt_median"] = float(np.median(timed_faults))
+    benchmark.extra_info["tracemalloc_peak_mb_per_step"] = peaks
+    benchmark.extra_info["tracemalloc_peak_mb_median"] = float(np.median(peaks))
     assert all(p.grad is not None for p in params)
 
 

@@ -18,13 +18,21 @@ No graph where no gradient flows: an op whose inputs all have
 backward closure, so a frozen forward pass frees each intermediate as soon
 as the next op has read it. Otherwise the closure keeps only what its
 backward reads:
-  conv2d    the im2col columns, and only when the weight needs a gradient;
+  conv2d    nothing beyond its input (the im2col columns are rebuilt for
+            the weight gradient; the column gradient is folded back a
+            block of samples at a time);
   maxpool2d nothing beyond its input and output (hit masks are rebuilt);
   mfm       nothing beyond its input (the comparison is recomputed);
   sigmoid   its output and the inside-the-clamp mask;
   weighted_bce  the clamped probabilities, targets and clamp mask.
+Because backward rereads its inputs, an op's input must not be changed in
+place between the forward call and the backward sweep.
 ``Tensor.accumulate`` adopts the first gradient it receives instead of
 copying it, so every backward hands over an array that it owns.
+``Tensor.backward`` drops each intermediate gradient once its closure has
+run: afterwards only leaves (tensors without a backward closure) hold a
+``.grad``, and a second sweep over the same graph adds exactly one more
+pass to them.
 """
 
 from __future__ import annotations
@@ -70,7 +78,8 @@ class Tensor:
         self.grad = None
 
     def backward(self) -> None:
-        """Reverse-mode sweep seeded with ones (call on the scalar loss)."""
+        """Reverse-mode sweep seeded with ones (call on the scalar loss);
+        leaves accumulate, intermediate gradients are dropped once used."""
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -90,6 +99,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None  # every consumer has run: only leaves keep a gradient
 
 
 def parameter(data) -> Tensor:
@@ -106,8 +116,33 @@ def _wrap(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
 # layers
 # --------------------------------------------------------------------------
 
+#: Bytes of column gradient that conv2d's backward folds back at a time: a
+#: block of whole samples, so each sample's product is the same matmul
+#: that one whole-batch column gradient would make.
+_FOLD_BYTES = 1 << 20
+
+
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int, oh: int, ow: int) -> np.ndarray:
+    """(N, C*kh*kw, oh*ow) columns of ``x`` zero-padded by ``padding``."""
+    n, c, h, w = x.shape
+    if padding:
+        xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        xp[:, :, padding : padding + h, padding : padding + w] = x
+    else:
+        xp = x
+    cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
+    return cols.reshape(n, c * kh * kw, oh * ow)
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation: x (N,C,H,W), weight (F,C,kh,kw), bias (F,)."""
+    """Cross-correlation: x (N,C,H,W), weight (F,C,kh,kw), bias (F,).
+
+    Backward rebuilds the columns from ``x`` for the weight gradient and
+    folds the column gradient back into the input gradient a few samples at
+    a time, so the graph keeps nothing beyond ``x`` and the output."""
     if stride not in (1, 2):
         raise ValueError("stride must be 1 or 2")
     n, c, h, w = x.data.shape
@@ -119,31 +154,26 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     if oh < 1 or ow < 1:
         raise ValueError("conv2d output would be empty")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x.data
-    cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.data.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
-    cols2 = cols.reshape(n, c * kh * kw, oh * ow)
-    w2 = weight.data.reshape(f, c * kh * kw)
-    out = np.matmul(w2[None], cols2)
+    out = np.matmul(weight.data.reshape(f, c * kh * kw)[None], _im2col(x.data, kh, kw, stride, padding, oh, ow))
     out += bias.data[None, :, None]
-    if not weight.requires_grad:
-        cols2 = None  # the weight gradient is the only reader of the columns
-    padded_shape = xp.shape
 
     def backward(grad):
         g = grad.reshape(n, f, oh * ow)
         if weight.requires_grad:
-            weight.accumulate(np.matmul(g, cols2.transpose(0, 2, 1)).sum(axis=0).reshape(weight.data.shape))
+            dw = np.matmul(g, _im2col(x.data, kh, kw, stride, padding, oh, ow).transpose(0, 2, 1))
+            weight.accumulate(dw.sum(axis=0).reshape(weight.data.shape))
         if bias.requires_grad:
             bias.accumulate(g.sum(axis=(0, 2)))
         if x.requires_grad:
-            dcols = np.matmul(w2.T[None], g).reshape(n, c, kh, kw, oh, ow)
-            dxp = np.zeros(padded_shape, dtype=x.data.dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += dcols[:, :, i, j]
+            w2t = weight.data.reshape(f, c * kh * kw).T
+            dxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.data.dtype)
+            step = max(1, _FOLD_BYTES // (c * kh * kw * oh * ow * x.data.itemsize))
+            for lo in range(0, n, step):
+                dcols = np.matmul(w2t, g[lo : lo + step]).reshape(-1, c, kh, kw, oh, ow)
+                block = dxp[lo : lo + step]
+                for i in range(kh):
+                    for j in range(kw):
+                        block[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += dcols[:, :, i, j]
             dx = dxp[:, :, padding : padding + h, padding : padding + w] if padding else dxp
             x.accumulate(dx)
 

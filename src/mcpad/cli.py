@@ -20,11 +20,22 @@ from .evaluation import MetricError, ProtocolError
 from .pipeline import ValidationError
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts such as ``--jobs``: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="YAML run configuration (defaults apply if omitted)")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="override a config entry (dotted path)")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes for data-parallel stages")
+    parser.add_argument("--jobs", type=_positive_int, default=1, help="worker processes for data-parallel stages")
 
 
 def build_parser() -> argparse.ArgumentParser:

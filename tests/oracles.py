@@ -4,8 +4,11 @@ calls it.
 ``mse_loss`` and ``check_gradients`` give the autodiff ops a quadratic
 objective and central finite differences; ``grad_check`` runs them through
 the whole MC-CNN, and ``block_bytes`` serializes a model's parameter blocks
-for byte comparisons. ``bilinear_sample`` and ``lbp_code`` are the per-pixel
-forms of ``warp``'s and ``lbp_code_map``'s sampling, and
+for byte comparisons. ``conv2d_im2col`` is the convolution that keeps its
+im2col columns in the graph and folds a column gradient back (col2im);
+``autodiff.conv2d`` must match its output and gradients byte for byte.
+``bilinear_sample`` and ``lbp_code`` are the per-pixel forms of ``warp``'s
+and ``lbp_code_map``'s sampling, and
 ``lr_training_losses`` evaluates the objective along ``lr_train``'s own
 descent. ``iqm_frame`` (with its per-measure functions) and
 ``lbp_code_map_frame`` / ``lbp_histogram_frame`` are the one-frame
@@ -100,6 +103,52 @@ def grad_check(
 def block_bytes(model: McCnnModel) -> dict[str, bytes]:
     """Serialized (float32) bytes of every named parameter block."""
     return {name: np.asarray(t.data, dtype="<f4").tobytes() for name, t in model.params.items()}
+
+
+def conv2d_im2col(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+    """Cross-correlation through one im2col matrix that the graph keeps for
+    the weight gradient; the input gradient is one matmul into columns
+    folded back tap by tap (col2im)."""
+    if stride not in (1, 2):
+        raise ValueError("stride must be 1 or 2")
+    n, c, h, w = x.data.shape
+    f, wc, kh, kw = weight.data.shape
+    if wc != c:
+        raise ValueError(f"conv2d channel mismatch: input {c}, weight {wc}")
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (w + 2 * padding - kw) // stride + 1
+    if oh < 1 or ow < 1:
+        raise ValueError("conv2d output would be empty")
+
+    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x.data
+    cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.data.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
+    cols2 = cols.reshape(n, c * kh * kw, oh * ow)
+    w2 = weight.data.reshape(f, c * kh * kw)
+    out = np.matmul(w2[None], cols2)
+    out += bias.data[None, :, None]
+    if not weight.requires_grad:
+        cols2 = None  # the weight gradient is the only reader of the columns
+    padded_shape = xp.shape
+
+    def backward(grad):
+        g = grad.reshape(n, f, oh * ow)
+        if weight.requires_grad:
+            weight.accumulate(np.matmul(g, cols2.transpose(0, 2, 1)).sum(axis=0).reshape(weight.data.shape))
+        if bias.requires_grad:
+            bias.accumulate(g.sum(axis=(0, 2)))
+        if x.requires_grad:
+            dcols = np.matmul(w2.T[None], g).reshape(n, c, kh, kw, oh, ow)
+            dxp = np.zeros(padded_shape, dtype=x.data.dtype)
+            for i in range(kh):
+                for j in range(kw):
+                    dxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += dcols[:, :, i, j]
+            dx = dxp[:, :, padding : padding + h, padding : padding + w] if padding else dxp
+            x.accumulate(dx)
+
+    return ad._wrap(out.reshape(n, f, oh, ow), (x, weight, bias), backward)
 
 
 def bilinear_sample(frame: np.ndarray, x: float, y: float) -> float:

@@ -1,3 +1,6 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,8 +9,10 @@ from hypothesis.extra.numpy import arrays
 
 import mcpad.autodiff as ad
 from mcpad.autodiff import Tensor
+from mcpad.dataset import ChannelId
+from mcpad.mccnn import McCnnConfig, build_model, forward
 
-from oracles import check_gradients, mse_loss
+from oracles import check_gradients, conv2d_im2col, mse_loss
 
 
 def _reference_maxpool2d(x: np.ndarray):
@@ -139,6 +144,58 @@ class TestKernelsMatchReference:
         out._backward(grad)
         assert np.array_equal(out.data, ref_out)
         assert t.grad.tobytes() == ref_backward(grad).tobytes()
+
+
+@st.composite
+def _conv_cases(draw):
+    """Random-valued conv inputs: (x, weight, bias, stride, padding) as
+    arrays, with odd and even H/W and every kernel size up to 5x5."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    stride = draw(st.sampled_from([1, 2]))
+    padding = draw(st.integers(0, 2))
+    kh, kw = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    h = max(1, kh - 2 * padding) + draw(st.integers(0, 6))
+    w = max(1, kw - 2 * padding) + draw(st.integers(0, 6))
+    n, c, f = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(n, c, h, w)).astype(dtype)
+    weight = rng.normal(size=(f, c, kh, kw)).astype(dtype)
+    bias = rng.normal(size=f).astype(dtype)
+    return x, weight, bias, stride, padding
+
+
+class TestConvMatchesIm2col:
+    """conv2d against the kernel that keeps its columns and folds a column
+    gradient back: byte-equal output and gradients. Random values, so a
+    changed summation order would show."""
+
+    @given(case=_conv_cases(), x_grad=st.booleans(), w_grad=st.booleans(), seed=st.integers(0, 99),
+           fold_bytes=st.sampled_from([1, 3000, ad._FOLD_BYTES]))
+    def test_output_and_gradients(self, case, x_grad, w_grad, seed, fold_bytes):
+        """``fold_bytes`` 1 folds the column gradient back one sample at a
+        time, 3000 a few samples at a time."""
+        x, weight, bias, stride, padding = case
+
+        def run(op):
+            leaves = (Tensor(x.copy(), requires_grad=x_grad), Tensor(weight.copy(), requires_grad=w_grad),
+                      Tensor(bias.copy(), requires_grad=w_grad))
+            out = op(*leaves, stride=stride, padding=padding)
+            if out._backward is not None:
+                grad = np.random.default_rng(seed).normal(size=out.shape).astype(x.dtype)
+                out._backward(grad)
+            return out, leaves
+
+        with mock.patch.object(ad, "_FOLD_BYTES", fold_bytes):
+            out, leaves = run(ad.conv2d)
+        ref_out, ref_leaves = run(conv2d_im2col)
+        assert out.data.dtype == x.dtype
+        assert out.data.tobytes() == ref_out.data.tobytes()
+        assert (out._backward is None) == (not (x_grad or w_grad))
+        for t, ref in zip(leaves, ref_leaves):
+            assert (t.grad is None) == (ref.grad is None) == (not t.requires_grad)
+            if t.grad is not None:
+                assert t.grad.dtype == ref.grad.dtype
+                assert t.grad.tobytes() == ref.grad.tobytes()
 
 
 class TestConv:
@@ -314,3 +371,58 @@ class TestEngine:
         loss = ad.weighted_bce(p, np.array([1.0, 0.0]))
         loss.backward()
         assert np.isfinite(w.grad).all() and np.isfinite(b.grad).all()
+
+
+class TestRetention:
+    """A training graph holds its activations and leaf gradients, nothing
+    more."""
+
+    def test_conv2d_keeps_no_columns(self, rng):
+        x = Tensor(rng.normal(size=(4, 3, 16, 16)).astype(np.float32))
+        w = ad.parameter(rng.normal(size=(8, 3, 3, 3)).astype(np.float32))
+        b = ad.parameter(np.zeros(8, dtype=np.float32))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = ad.conv2d(x, w, b, padding=1)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        columns = 4 * (3 * 3 * 3) * (16 * 16) * 4  # the (N, C*kh*kw, oh*ow) float32 array
+        assert out._backward is not None
+        assert kept < out.data.nbytes + columns / 2
+
+    def test_backward_leaves_gradients_on_leaves_only(self, rng):
+        cfg = McCnnConfig(channels=(ChannelId.GRAY, ChannelId.DEPTH), input_size=16, embedding_dim=8,
+                          base_width=4, adapt=frozenset({"C1", "B1"}), batch_size=4, seed=0)
+        model = build_model(cfg)
+        frames = {ch: rng.uniform(-1, 1, (4, 16, 16)).astype(np.float32) for ch in cfg.channels}
+        loss = ad.weighted_bce(forward(model, frames), np.array([1, 0, 1, 0]))
+        loss.backward()
+        nodes, stack = {}, [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                stack.extend(node._parents)
+        inner = [t for t in nodes.values() if t._backward is not None]
+        assert len(inner) > 10
+        assert all(t.grad is None for t in inner)
+        trainable = [t for _, t in model.trainable()]
+        assert trainable and all(t.grad is not None for t in trainable)
+
+    def test_second_backward_adds_one_pass(self, rng):
+        x = ad.parameter(rng.normal(size=(5, 3)))
+        w1, b1 = ad.parameter(rng.normal(size=(4, 3))), ad.parameter(rng.normal(size=4))
+        w2, b2 = ad.parameter(rng.normal(size=(1, 4))), ad.parameter(rng.normal(size=1))
+        leaves = (x, w1, b1, w2, b2)
+        h = ad.sigmoid(ad.linear(x, w1, b1))
+        loss = ad.weighted_bce(ad.flatten(ad.sigmoid(ad.linear(h, w2, b2))), np.array([1, 0, 1, 1, 0]))
+        loss.backward()
+        once = [t.grad.copy() for t in leaves]
+        for t in leaves:
+            t.zero_grad()
+        loss.backward()
+        loss.backward()
+        for t, g in zip(leaves, once):
+            assert np.array_equal(t.grad, 2.0 * g)

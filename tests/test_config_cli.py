@@ -150,6 +150,14 @@ class TestCliSurface:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+    def test_jobs_below_one_exits_2(self, jobs, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["extract", "--extractor", "lbp", "--jobs", jobs, "--set", "paths.out_root=" + str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_bad_override_exits_2(self):
         assert main(["synth", "--set", "nope=1"]) == 2
 
