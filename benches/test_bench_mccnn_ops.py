@@ -15,18 +15,29 @@ so ``test_conv2d_bwd`` for C1 and B1 includes that second im2col.
 The training step is one forward, weighted BCE and backward of the
 4-channel network (gray through the frozen shared blocks, the others through
 trainable DSU copies), with the previous step's graph alive during the next
-forward, as in training. Its ``extra_info`` records the minor page faults of
-each timed step (``ru_minflt``), which count the fresh memory the step
+forward, as in training. Its ``extra_info`` records the wall and process CPU
+time (``time.process_time``, every thread) of each timed step, the minor
+page faults of each (``ru_minflt``), which count the fresh memory the step
 touches, and the ``tracemalloc`` peak (MB) of three more steps run after the
-timed ones (tracing slows every allocation).
+timed ones (tracing slows every allocation). ``test_training_step_4ch_serial``
+runs the same step with every op in the calling thread, for a comparison
+within one session.
 
 The predict case scores 30 frames of each of the 4 channels through the
 default model's frozen view, as per-epoch dev scoring and the pipeline's
-dev/eval scoring do.
+dev/eval scoring do; its ``extra_info`` records the wall and CPU time of
+each call.
+
+conv2d, maxpool2d and mfm split their samples between the calling thread
+and a worker pool, which starts with the first op large enough to split;
+from then on numpy's OpenBLAS runs one thread in this process, in every
+case here.
 """
 
 import resource
+import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -117,7 +128,7 @@ def test_maxpool2d_bwd(benchmark, group):
     _run_backward(benchmark, ad.maxpool2d(x), (x,))
 
 
-def test_training_step_4ch(benchmark):
+def _training_step(benchmark):
     cfg = McCnnConfig()
     model = build_model(cfg)
     rng = np.random.default_rng(3)
@@ -126,18 +137,24 @@ def test_training_step_4ch(benchmark):
     labels = np.arange(BATCH) % 2
     params = [t for _, t in model.trainable()]
     held = []  # the previous step's loss, alive during the next forward as in training
-    faults = []
+    faults, wall, cpu = [], [], []
 
     def step():
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        wall0, cpu0 = time.perf_counter(), time.process_time()
         for p in params:
             p.zero_grad()
         loss = ad.weighted_bce(forward(model, frames), labels)
         loss.backward()
         held[:] = [loss]
+        wall.append((time.perf_counter() - wall0) * 1e3)
+        cpu.append((time.process_time() - cpu0) * 1e3)
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
     benchmark.pedantic(step, rounds=6, iterations=1, warmup_rounds=1)
+    benchmark.extra_info["wall_ms_per_step"] = wall[:]
+    benchmark.extra_info["cpu_ms_per_step"] = cpu[:]
+    benchmark.extra_info["cpu_ms_median"] = float(np.median(cpu))
     timed_faults = faults[:]
     peaks = []
     tracemalloc.start()
@@ -156,11 +173,32 @@ def test_training_step_4ch(benchmark):
     assert all(p.grad is not None for p in params)
 
 
+def test_training_step_4ch(benchmark):
+    _training_step(benchmark)
+
+
+def test_training_step_4ch_serial(benchmark):
+    ad._worker_pool()  # BLAS on one thread, as in the pooled step
+    with mock.patch.object(ad, "_SPLIT_BYTES", 1 << 62):  # no op is large enough to split
+        _training_step(benchmark)
+
+
 def test_predict_4ch(benchmark):
     cfg = McCnnConfig()
     model = build_model(cfg)
     rng = np.random.default_rng(4)
     frames = {ch: rng.uniform(-1, 1, (30, cfg.input_size, cfg.input_size)).astype(np.float32)
               for ch in cfg.channels}
-    scores = benchmark(predict, model, frames)
+    wall, cpu = [], []
+
+    def call():
+        wall0, cpu0 = time.perf_counter(), time.process_time()
+        scores = predict(model, frames)
+        wall.append((time.perf_counter() - wall0) * 1e3)
+        cpu.append((time.process_time() - cpu0) * 1e3)
+        return scores
+
+    scores = benchmark(call)
+    benchmark.extra_info["wall_ms_median"] = float(np.median(wall))
+    benchmark.extra_info["cpu_ms_median"] = float(np.median(cpu))
     assert scores.shape == (30,) and np.all((scores > 0) & (scores < 1))

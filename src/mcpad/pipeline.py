@@ -223,8 +223,9 @@ def cmd_extract(cfg: RunConfig, extractor: str, jobs: int = 1) -> None:
         target_path = raw_path if extractor == "iqm" else entry.path
         tasks.append((cfg, extractor, str(target_path), str(raw_path) if raw_path else None, channels))
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))  # a fork-started pool launches every worker at the first submit
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_extract_one, tasks))
     else:
         results = [_extract_one(task) for task in tasks]

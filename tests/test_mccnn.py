@@ -309,6 +309,28 @@ class TestTraining:
         assert flip_decision(7, 0, 0, 1.0) is True
 
 
+class TestThreadCount:
+    def test_blocks_do_not_change_training_or_scores(self, block_runner):
+        """Every op split however small: the caller alone, two workers, and
+        one-sample blocks give the same bytes."""
+        cfg = mini_config(epochs=2)  # C1 and B1 adapted, flips on
+        x, y = separable_frames(np.random.default_rng(7), 24, 16)
+        depth = np.ascontiguousarray(x[:, ::-1])
+        data = TrainData({GRAY: x, DEPTH: depth}, y, {GRAY: x[:8], DEPTH: depth[:8]}, y[:8])
+
+        def run():
+            result = train(data, cfg)
+            scores = predict(result.model, {GRAY: x, DEPTH: depth})
+            return block_bytes(result.model), result.history, result.best_epoch, scores.tobytes()
+
+        runs = []
+        for workers, per_thread in ((0, 4), (2, 4), (2, 10**6)):
+            with block_runner(workers, per_thread):
+                runs.append(run())
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
+
+
 class TestEpochSelection:
     def test_best_epoch_is_first_dev_acer_minimum(self):
         # Labels carry no signal, so dev ACER moves between epochs

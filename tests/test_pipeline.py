@@ -195,6 +195,58 @@ class TestJobs:
         assert outputs() == serial
 
 
+    def test_pool_capped_at_sample_count(self, small_run, monkeypatch):
+        """A fork-started pool launches all its workers at the first submit,
+        so ``jobs`` beyond the sample count asks for one per sample."""
+        import mcpad.pipeline as pipeline
+
+        root, config = small_run
+        cfg = load_config(config)
+        requested = []
+
+        class Recorder:  # runs the tasks in this process: no worker starts
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", Recorder)
+        samples = len(load_manifest(root / "out" / "proc" / "manifest.csv").entries)
+        pipeline.cmd_extract(cfg, "lbp", jobs=10 * samples)
+        pipeline.cmd_extract(cfg, "lbp", jobs=2)
+        assert requested == [samples, 2]
+
+    def test_jobs_after_pooled_predict(self, small_run, block_runner):
+        """Extract workers forked while the autodiff worker pool runs in
+        this process write the serial loop's bytes."""
+        import mcpad.autodiff as ad
+        from mcpad.mccnn import McCnnConfig, build_model, predict
+        from mcpad.pipeline import cmd_extract, features_dir
+
+        _, config = small_run
+        cfg = load_config(config)
+        tables = features_dir(cfg)
+
+        def outputs():
+            return {p.name: p.read_bytes() for p in sorted(tables.glob("*_lbp.mcfv*"))}
+
+        model = build_model(McCnnConfig(channels=(ChannelId.GRAY,), input_size=16, embedding_dim=8, base_width=4))
+        with block_runner(1):
+            predict(model, {ChannelId.GRAY: np.zeros((4, 16, 16), dtype=np.float32)})
+            assert ad._pool is not None
+            cmd_extract(cfg, "lbp", jobs=1)
+            serial = outputs()
+            cmd_extract(cfg, "lbp", jobs=2)
+            assert outputs() == serial
+
+
 class TestCorruptInputs:
     def test_truncated_feature_table_exits_without_traceback(self, small_run, tmp_path, capsys):
         import shutil
