@@ -7,10 +7,18 @@ training step.
 not collect this directory. Shapes are the default configuration's at batch
 32 (64 px input, base width 16): each group C1/B1/G1 runs conv, MFM and 2x2
 max pooling. Gradients flow as in DSU training with the adapt set {C1, B1}:
-the C1 input needs none, G1's weights are shared and frozen.
+the C1 input needs none, G1's weights are shared and frozen. The EMB cases
+run the shared, frozen embedding layer (1536 -> 128), whose input needs a
+gradient.
 
 conv2d's backward rebuilds the im2col columns whenever the weight trains,
 so ``test_conv2d_bwd`` for C1 and B1 includes that second im2col.
+
+The first conv2d sets numpy's OpenBLAS to one thread for the rest of the
+process, so every case here runs BLAS on one thread, the linear ones
+included, except ``test_training_step_4ch_all_blas_threads``: the same
+step with one BLAS thread per CPU, as before that setting, for a
+comparison within one session.
 
 The training step is one forward, weighted BCE and backward of the
 4-channel network (gray through the frozen shared blocks, the others through
@@ -19,25 +27,18 @@ forward, as in training. Its ``extra_info`` records the wall and process CPU
 time (``time.process_time``, every thread) of each timed step, the minor
 page faults of each (``ru_minflt``), which count the fresh memory the step
 touches, and the ``tracemalloc`` peak (MB) of three more steps run after the
-timed ones (tracing slows every allocation). ``test_training_step_4ch_serial``
-runs the same step with every op in the calling thread, for a comparison
-within one session.
+timed ones (tracing slows every allocation).
 
 The predict case scores 30 frames of each of the 4 channels through the
 default model's frozen view, as per-epoch dev scoring and the pipeline's
 dev/eval scoring do; its ``extra_info`` records the wall and CPU time of
 each call.
-
-conv2d, maxpool2d and mfm split their samples between the calling thread
-and a worker pool, which starts with the first op large enough to split;
-from then on numpy's OpenBLAS runs one thread in this process, in every
-case here.
 """
 
+import os
 import resource
 import time
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -128,6 +129,24 @@ def test_maxpool2d_bwd(benchmark, group):
     _run_backward(benchmark, ad.maxpool2d(x), (x,))
 
 
+def _emb():
+    x = Tensor(_array((BATCH, 1536), 0), requires_grad=True)
+    weight = Tensor(_array((128, 1536), 1) * 0.03)
+    return x, weight, Tensor(np.zeros(128, dtype=np.float32))
+
+
+def test_linear_emb_fwd(benchmark):
+    ad._use_one_blas_thread()  # as after the convs that precede it in the network
+    out = benchmark(ad.linear, *_emb())
+    assert out.shape == (BATCH, 128)
+
+
+def test_linear_emb_bwd(benchmark):
+    ad._use_one_blas_thread()
+    x, weight, bias = _emb()
+    _run_backward(benchmark, ad.linear(x, weight, bias), (x,))
+
+
 def _training_step(benchmark):
     cfg = McCnnConfig()
     model = build_model(cfg)
@@ -177,10 +196,15 @@ def test_training_step_4ch(benchmark):
     _training_step(benchmark)
 
 
-def test_training_step_4ch_serial(benchmark):
-    ad._worker_pool()  # BLAS on one thread, as in the pooled step
-    with mock.patch.object(ad, "_SPLIT_BYTES", 1 << 62):  # no op is large enough to split
+@pytest.mark.skipif(ad._blas_thread_setter() is None, reason="numpy does not bundle OpenBLAS")
+def test_training_step_4ch_all_blas_threads(benchmark):
+    ad._use_one_blas_thread()  # already done, so the step's convs leave the count below alone
+    setter = ad._blas_thread_setter()
+    setter(len(os.sched_getaffinity(0)))
+    try:
         _training_step(benchmark)
+    finally:
+        setter(1)
 
 
 def test_predict_4ch(benchmark):

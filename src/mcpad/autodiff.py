@@ -34,34 +34,24 @@ run: afterwards only leaves (tensors without a backward closure) hold a
 ``.grad``, and a second sweep over the same graph adds exactly one more
 pass to them.
 
-Threads: conv2d, maxpool2d and mfm (forward and backward) split their
-samples into contiguous whole-sample blocks, which the calling thread and a
-pool of one worker thread per further CPU take in turn. The caller
-allocates every buffer (padded input, columns, output, the per-sample weight
-gradient stack, the input gradient, the pooling and MFM masks); a block
-writes only its slice of them and allocates nothing but conv2d's column
-gradient, at most ``_FOLD_BYTES``. Each sample's product is the GEMM a
-whole-batch call makes, and every reduction over the sample axis (the
-weight and bias gradients) runs in the caller after the blocks, so the
-bytes do not depend on the thread count or the blocks. The pool starts on
-the first op large enough to split and sets numpy's bundled OpenBLAS to one
-thread for the rest of the process: BLAS threads would split each small
-GEMM again and spin between calls. With one CPU, or when no OpenBLAS
-thread setter is found, every op runs as one block in the caller. A
-forked child starts its own pool.
+BLAS threads: the first conv2d sets numpy's bundled OpenBLAS to one thread
+for the rest of the process, overriding ``OPENBLAS_NUM_THREADS``, and every
+later matmul in the process (the linear layers included) runs on that one
+thread. conv2d makes one small GEMM per sample; OpenBLAS threads split each
+of those again and spin between calls, which nearly doubled the CPU time of
+MC-CNN training for little wall time. OpenBLAS computes each output element
+in one thread, so no output byte depends on the thread count. Without that
+library (another BLAS, or a numpy build that does not bundle it) the BLAS
+thread count is left alone.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 SIGMOID_CLAMP = 40.0
 PROB_EPS = 1e-7
@@ -135,17 +125,28 @@ def _wrap(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
 
 
 # --------------------------------------------------------------------------
-# sample blocks
+# layers
 # --------------------------------------------------------------------------
 
-#: Worker threads beside the calling thread: one per further usable CPU.
-_WORKERS = len(os.sched_getaffinity(0)) - 1
-#: Blocks per thread (caller included) that an op's samples are dealt in:
-#: a thread that is descheduled holds up at most one small block.
-_BLOCKS_PER_THREAD = 4
-#: An op over fewer bytes than this runs as one block in the caller.
-_SPLIT_BYTES = 1 << 18
-_pool: ThreadPoolExecutor | None = None
+#: Bytes of column gradient that conv2d's backward folds back at a time: a
+#: block of whole samples, so each sample's product is the same matmul
+#: that one whole-batch column gradient would make.
+_FOLD_BYTES = 1 << 20
+
+
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int, oh: int, ow: int) -> np.ndarray:
+    """(N, C*kh*kw, oh*ow) columns of ``x`` zero-padded by ``padding``."""
+    n, c, h, w = x.shape
+    if padding:
+        xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        xp[:, :, padding : padding + h, padding : padding + w] = x
+    else:
+        xp = x
+    cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
+    return cols.reshape(n, c * kh * kw, oh * ow)
 
 
 @functools.cache
@@ -160,136 +161,12 @@ def _blas_thread_setter():
     return setter
 
 
-def _worker_pool() -> ThreadPoolExecutor | None:
-    """The worker pool, started on first use with BLAS on one thread; None
-    with one CPU or without a BLAS thread setter."""
-    global _pool
-    if _pool is None and _WORKERS > 0:
-        setter = _blas_thread_setter()
-        if setter is not None:
-            setter(1)
-            _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="autodiff")
-    return _pool
-
-
-def _forget_pool() -> None:
-    global _pool
-    _pool = None  # its threads do not exist in a forked child
-
-
-os.register_at_fork(after_in_child=_forget_pool)
-
-
-class _Blocks:
-    """The ``(lo, hi)`` sample blocks of one op call, each run once by
-    whichever thread takes it first."""
-
-    __slots__ = ("fn", "_bounds", "_lock")
-
-    def __init__(self, fn: Callable[[int, int], None], n: int, count: int):
-        self.fn = fn
-        self._bounds = iter([(n * i // count, n * (i + 1) // count) for i in range(count)])
-        self._lock = threading.Lock()
-
-    def drain(self) -> None:
-        while True:
-            with self._lock:
-                block = next(self._bounds, None)
-            if block is None:
-                return
-            self.fn(*block)
-
-
-def _run_blocks(fn: Callable[[int, int], None], n: int, nbytes: int) -> None:
-    """Run ``fn(lo, hi)`` over contiguous blocks covering samples ``[0, n)``
-    on the caller and the worker pool; ``fn(0, n)`` when ``nbytes`` is
-    below ``_SPLIT_BYTES`` or there is no pool. Returns once every block
-    has run, keeping no reference to ``fn``."""
-    pool = _worker_pool() if n > 1 and nbytes >= _SPLIT_BYTES else None
-    if pool is None:
-        fn(0, n)
-        return
-    count = min(n, _BLOCKS_PER_THREAD * (_WORKERS + 1))
-    blocks = _Blocks(fn, n, count)
-    futures = [pool.submit(blocks.drain) for _ in range(min(_WORKERS, count - 1))]
-    try:
-        blocks.drain()
-    finally:
-        for future in futures:
-            future.cancel()  # not started yet: the caller has run its blocks
-        wait(futures)
-        blocks.fn = None  # a cancelled work item stays queued until a worker pops it
-    for future in futures:
-        if not future.cancelled():
-            future.result()
-
-
-# --------------------------------------------------------------------------
-# layers
-# --------------------------------------------------------------------------
-
-#: Bytes of column gradient that conv2d's backward folds back at a time: a
-#: block of whole samples, so each sample's product is the same matmul
-#: that one whole-batch column gradient would make.
-_FOLD_BYTES = 1 << 20
-
-
-def _im2col_blocks(x: np.ndarray, kh: int, kw: int, stride: int, padding: int, oh: int, ow: int):
-    """(N, C*kh*kw, oh*ow) columns of ``x`` zero-padded by ``padding``, left
-    unfilled, and ``fill(lo, hi)``, which writes those of samples [lo, hi)."""
-    n, c, h, w = x.shape
-    if padding:
-        xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
-    else:
-        xp = x
-    cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
-
-    def fill(lo: int, hi: int) -> None:
-        if padding:
-            xp[lo:hi, :, padding : padding + h, padding : padding + w] = x[lo:hi]
-        windows = sliding_window_view(xp[lo:hi], (kh, kw), axis=(2, 3))  # (b, C, H', W', kh, kw)
-        cols[lo:hi] = windows[:, :, : stride * oh : stride, : stride * ow : stride].transpose(0, 1, 4, 5, 2, 3)
-
-    return cols.reshape(n, c * kh * kw, oh * ow), fill
-
-
-def _conv_weight_grads(g: np.ndarray, x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
-                       oh: int, ow: int) -> np.ndarray:
-    """(N, F, C*kh*kw) per-sample weight gradients: each sample's output
-    gradient ``g`` (N, F, oh*ow) times its rebuilt columns."""
-    cols, fill = _im2col_blocks(x, kh, kw, stride, padding, oh, ow)
-    dw = np.empty(g.shape[:2] + cols.shape[1:2], dtype=np.result_type(g, cols))
-
-    def block(lo: int, hi: int) -> None:
-        fill(lo, hi)
-        np.matmul(g[lo:hi], cols[lo:hi].transpose(0, 2, 1), out=dw[lo:hi])
-
-    _run_blocks(block, g.shape[0], cols.nbytes)
-    return dw
-
-
-def _conv_input_grad(g: np.ndarray, weight: np.ndarray, x: np.ndarray, stride: int, padding: int,
-                     oh: int, ow: int) -> np.ndarray:
-    """Gradient for ``x``: the column gradient ``weight.T @ g`` folded back
-    ``_FOLD_BYTES`` of whole samples at a time."""
-    n, c, h, w = x.shape
-    f, _, kh, kw = weight.shape
-    w2t = weight.reshape(f, c * kh * kw).T
-    dxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
-    sample_bytes = c * kh * kw * oh * ow * x.itemsize
-    step = max(1, _FOLD_BYTES // sample_bytes)
-
-    def block(lo: int, hi: int) -> None:
-        for start in range(lo, hi, step):
-            stop = min(start + step, hi)
-            dcols = np.matmul(w2t, g[start:stop]).reshape(-1, c, kh, kw, oh, ow)
-            sub = dxp[start:stop]
-            for i in range(kh):
-                for j in range(kw):
-                    sub[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += dcols[:, :, i, j]
-
-    _run_blocks(block, n, n * sample_bytes)
-    return dxp[:, :, padding : padding + h, padding : padding + w] if padding else dxp
+@functools.cache
+def _use_one_blas_thread() -> None:
+    """Run BLAS on one thread from now on (see the module docstring)."""
+    setter = _blas_thread_setter()
+    if setter is not None:
+        setter(1)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -309,26 +186,29 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     if oh < 1 or ow < 1:
         raise ValueError("conv2d output would be empty")
 
-    cols, fill = _im2col_blocks(x.data, kh, kw, stride, padding, oh, ow)
-    w2 = weight.data.reshape(f, c * kh * kw)
-    out = np.empty((n, f, oh * ow), dtype=np.result_type(w2, cols))
-
-    def forward_block(lo: int, hi: int) -> None:
-        fill(lo, hi)
-        np.matmul(w2, cols[lo:hi], out=out[lo:hi])
-        out[lo:hi] += bias.data[:, None]
-
-    _run_blocks(forward_block, n, cols.nbytes)
+    _use_one_blas_thread()
+    out = np.matmul(weight.data.reshape(f, c * kh * kw)[None], _im2col(x.data, kh, kw, stride, padding, oh, ow))
+    out += bias.data[None, :, None]
 
     def backward(grad):
         g = grad.reshape(n, f, oh * ow)
         if weight.requires_grad:
-            dw = _conv_weight_grads(g, x.data, kh, kw, stride, padding, oh, ow)
+            dw = np.matmul(g, _im2col(x.data, kh, kw, stride, padding, oh, ow).transpose(0, 2, 1))
             weight.accumulate(dw.sum(axis=0).reshape(weight.data.shape))
         if bias.requires_grad:
             bias.accumulate(g.sum(axis=(0, 2)))
         if x.requires_grad:
-            x.accumulate(_conv_input_grad(g, weight.data, x.data, stride, padding, oh, ow))
+            w2t = weight.data.reshape(f, c * kh * kw).T
+            dxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.data.dtype)
+            step = max(1, _FOLD_BYTES // (c * kh * kw * oh * ow * x.data.itemsize))
+            for lo in range(0, n, step):
+                dcols = np.matmul(w2t, g[lo : lo + step]).reshape(-1, c, kh, kw, oh, ow)
+                block = dxp[lo : lo + step]
+                for i in range(kh):
+                    for j in range(kw):
+                        block[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += dcols[:, :, i, j]
+            dx = dxp[:, :, padding : padding + h, padding : padding + w] if padding else dxp
+            x.accumulate(dx)
 
     return _wrap(out.reshape(n, f, oh, ow), (x, weight, bias), backward)
 
@@ -337,57 +217,41 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
 _POOL_TAPS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def _select_into(dst: np.ndarray, src: np.ndarray, mask: np.ndarray, ones: np.ndarray) -> None:
+def _select_into(dst: np.ndarray, src: np.ndarray, mask: np.ndarray) -> None:
     """``dst = src`` where ``mask``, +0.0 elsewhere, as an AND of the float
-    bit patterns with an all-ones/all-zeros integer mask written into
-    ``ones`` (``np.copyto`` with ``where=`` is several times slower into
-    strided views)."""
-    np.negative(mask, dtype=ones.dtype, out=ones)
-    np.bitwise_and(src.view(ones.dtype), ones, out=dst.view(ones.dtype))
+    bit patterns with an all-ones/all-zeros integer mask (``np.copyto``
+    with ``where=`` is several times slower into strided views)."""
+    bits = np.dtype(f"i{src.dtype.itemsize}")
+    np.bitwise_and(src.view(bits), np.negative(mask, dtype=bits), out=dst.view(bits))
 
 
 def maxpool2d(x: Tensor) -> Tensor:
     """2x2 max pooling with stride 2; odd trailing rows/cols are dropped.
     Gradient goes to the first maximum in window scan order."""
-    n, c, h, w = x.data.shape
-    h2, w2 = h // 2, w // 2
+    h2, w2 = x.data.shape[2] // 2, x.data.shape[3] // 2
     if h2 < 1 or w2 < 1:
         raise ValueError("maxpool2d input too small")
 
     def tap(arr: np.ndarray, i: int, j: int) -> np.ndarray:
         return arr[:, :, i : 2 * h2 : 2, j : 2 * w2 : 2]
 
-    out = np.empty((n, c, h2, w2), dtype=x.data.dtype)
-
-    def forward_block(lo: int, hi: int) -> None:
-        xb, ob = x.data[lo:hi], out[lo:hi]
-        np.maximum(tap(xb, 0, 0), tap(xb, 0, 1), out=ob)
-        np.maximum(ob, tap(xb, 1, 0), out=ob)
-        np.maximum(ob, tap(xb, 1, 1), out=ob)
-
-    _run_blocks(forward_block, n, x.data.nbytes)
+    out = np.maximum(tap(x.data, 0, 0), tap(x.data, 0, 1))
+    np.maximum(out, tap(x.data, 1, 0), out=out)
+    np.maximum(out, tap(x.data, 1, 1), out=out)
 
     def backward(grad):
         if x.requires_grad:
             dx = np.zeros_like(x.data)
-            hit = np.empty(out.shape, dtype=bool)
-            taken = np.empty(out.shape, dtype=bool)
-            ones = np.empty(out.shape, dtype=f"i{x.data.itemsize}")
-
-            def block(lo: int, hi: int) -> None:
-                xb, ob, gb, db = x.data[lo:hi], out[lo:hi], grad[lo:hi], dx[lo:hi]
-                hb, tb, mb = hit[lo:hi], taken[lo:hi], ones[lo:hi]
-                np.equal(tap(xb, *_POOL_TAPS[0]), ob, out=tb)
-                _select_into(tap(db, *_POOL_TAPS[0]), gb, tb, mb)
-                for i, j in _POOL_TAPS[1:-1]:
-                    np.equal(tap(xb, i, j), ob, out=hb)
-                    np.greater(hb, tb, out=hb)  # equal here and at no earlier tap
-                    tb |= hb
-                    _select_into(tap(db, i, j), gb, hb, mb)
-                np.logical_not(tb, out=tb)
-                _select_into(tap(db, *_POOL_TAPS[-1]), gb, tb, mb)
-
-            _run_blocks(block, n, dx.nbytes)
+            taken = None
+            for i, j in _POOL_TAPS[:-1]:
+                hit = tap(x.data, i, j) == out
+                if taken is None:
+                    taken = hit
+                else:
+                    np.greater(hit, taken, out=hit)  # equal here and at no earlier tap
+                    taken |= hit
+                _select_into(tap(dx, i, j), grad, hit)
+            _select_into(tap(dx, *_POOL_TAPS[-1]), grad, ~taken)
             x.accumulate(dx)
 
     return _wrap(out, (x,), backward)
@@ -429,27 +293,14 @@ def mfm(x: Tensor) -> Tensor:
     if channels % 2 != 0:
         raise ValueError("MFM needs an even channel count")
     k = channels // 2
-    n = x.data.shape[0]
-    out = np.empty((n, k) + x.data.shape[2:], dtype=x.data.dtype)
-
-    def forward_block(lo: int, hi: int) -> None:
-        np.maximum(x.data[lo:hi, :k], x.data[lo:hi, k:], out=out[lo:hi])
-
-    _run_blocks(forward_block, n, x.data.nbytes)
+    out = np.maximum(x.data[:, :k], x.data[:, k:])
 
     def backward(grad):
         if x.requires_grad:
+            take_first = x.data[:, :k] >= x.data[:, k:]
             dx = np.empty_like(x.data)
-            take_first = np.empty(out.shape, dtype=bool)
-
-            def block(lo: int, hi: int) -> None:
-                xb, gb, first = x.data[lo:hi], grad[lo:hi], take_first[lo:hi]
-                np.greater_equal(xb[:, :k], xb[:, k:], out=first)
-                np.multiply(gb, first, out=dx[lo:hi, :k])
-                np.logical_not(first, out=first)
-                np.multiply(gb, first, out=dx[lo:hi, k:])
-
-            _run_blocks(block, n, dx.nbytes)
+            np.multiply(grad, take_first, out=dx[:, :k])
+            np.multiply(grad, ~take_first, out=dx[:, k:])
             x.accumulate(dx)
 
     return _wrap(out, (x,), backward)

@@ -1,11 +1,6 @@
-import contextlib
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
-
-import mcpad.autodiff as ad
 
 settings.register_profile(
     "mcpad",
@@ -20,23 +15,3 @@ settings.load_profile("mcpad")
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
-
-
-@pytest.fixture
-def block_runner():
-    """``block_runner(workers, per_thread)`` is a context in which autodiff
-    splits every op, however small, into ``per_thread`` sample blocks per
-    thread, run by the caller and a fresh pool of ``workers`` threads (0:
-    the caller alone); the pool is shut down on exit."""
-
-    @contextlib.contextmanager
-    def configure(workers: int, per_thread: int = ad._BLOCKS_PER_THREAD):
-        with mock.patch.multiple(ad, _WORKERS=workers, _BLOCKS_PER_THREAD=per_thread, _SPLIT_BYTES=0,
-                                 _pool=None):
-            try:
-                yield
-            finally:
-                if ad._pool is not None:
-                    ad._pool.shutdown()
-
-    return configure

@@ -13,7 +13,8 @@ and ``lbp_code_map``'s sampling, and
 descent. ``iqm_frame`` (with its per-measure functions) and
 ``lbp_code_map_frame`` / ``lbp_histogram_frame`` are the one-frame
 extractors that the stack forms of ``iqm_features``, ``lbp_code_map`` and
-``lbp_histogram`` must match bit for bit.
+``lbp_histogram`` must match bit for bit. ``at_blas_threads`` runs a call
+with numpy's OpenBLAS on more threads than the one autodiff sets.
 """
 
 from __future__ import annotations
@@ -98,6 +99,18 @@ def grad_check(
         return ad.weighted_bce(forward(model, frames), labels, w_bona, w_att)
 
     return check_gradients(loss_fn, [t for _, t in model.trainable()], eps=eps)
+
+
+def at_blas_threads(count: int, fn: Callable[[], object]):
+    """``fn()`` with numpy's OpenBLAS on ``count`` threads, then back on the
+    one thread that conv2d leaves it on."""
+    ad._use_one_blas_thread()  # already done, so a conv2d inside fn changes nothing
+    setter = ad._blas_thread_setter()
+    setter(count)
+    try:
+        return fn()
+    finally:
+        setter(1)
 
 
 def block_bytes(model: McCnnModel) -> dict[str, bytes]:

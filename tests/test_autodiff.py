@@ -1,7 +1,7 @@
+import ctypes
 import multiprocessing
-import sys
+import os
 import tracemalloc
-import weakref
 from unittest import mock
 
 import numpy as np
@@ -15,10 +15,7 @@ from mcpad.autodiff import Tensor
 from mcpad.dataset import ChannelId
 from mcpad.mccnn import McCnnConfig, build_model, forward
 
-from oracles import check_gradients, conv2d_im2col, mse_loss
-
-#: ``block_runner`` blocks per thread that give every sample its own block.
-ONE_SAMPLE = 10**6
+from oracles import at_blas_threads, check_gradients, conv2d_im2col, mse_loss
 
 
 def _reference_maxpool2d(x: np.ndarray):
@@ -115,24 +112,6 @@ class TestKernelsMatchReference:
 
     @given(data=st.data())
     def test_maxpool2d(self, data):
-        self._maxpool2d_matches(data)
-
-    @given(data=st.data())
-    def test_maxpool2d_one_sample_blocks(self, data, block_runner):
-        with block_runner(2, ONE_SAMPLE):
-            self._maxpool2d_matches(data)
-
-    @given(data=st.data())
-    def test_mfm(self, data):
-        self._mfm_matches(data)
-
-    @given(data=st.data())
-    def test_mfm_one_sample_blocks(self, data, block_runner):
-        with block_runner(2, ONE_SAMPLE):
-            self._mfm_matches(data)
-
-    @staticmethod
-    def _maxpool2d_matches(data):
         x = data.draw(_tie_heavy_stacks())
         ref_out, ref_backward = _reference_maxpool2d(x)
         t = ad.parameter(x)
@@ -145,8 +124,8 @@ class TestKernelsMatchReference:
         assert t.grad.dtype == expected.dtype
         assert t.grad.tobytes() == expected.tobytes()
 
-    @staticmethod
-    def _mfm_matches(data):
+    @given(data=st.data())
+    def test_mfm(self, data):
         x = data.draw(_tie_heavy_stacks(channel_step=2))
         ref_out, ref_backward = _reference_mfm(x)
         t = ad.parameter(x)
@@ -198,16 +177,6 @@ class TestConvMatchesIm2col:
     def test_output_and_gradients(self, case, x_grad, w_grad, seed, fold_bytes):
         """``fold_bytes`` 1 folds the column gradient back one sample at a
         time, 3000 a few samples at a time."""
-        self._matches(case, x_grad, w_grad, seed, fold_bytes)
-
-    @given(case=_conv_cases(), x_grad=st.booleans(), w_grad=st.booleans(), seed=st.integers(0, 99),
-           fold_bytes=st.sampled_from([1, 3000, ad._FOLD_BYTES]))
-    def test_output_and_gradients_one_sample_blocks(self, case, x_grad, w_grad, seed, fold_bytes, block_runner):
-        with block_runner(2, ONE_SAMPLE):
-            self._matches(case, x_grad, w_grad, seed, fold_bytes)
-
-    @staticmethod
-    def _matches(case, x_grad, w_grad, seed, fold_bytes):
         x, weight, bias, stride, padding = case
 
         def run(op):
@@ -462,6 +431,10 @@ class TestRetention:
             assert np.array_equal(t.grad, 2.0 * g)
 
 
+def _blas_threads() -> int:
+    return ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_num_threads64_()
+
+
 def _conv2d_matches(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, expected: bytes) -> None:
     """Forked-child target: exit code 0 when conv2d gives ``expected``."""
     out = ad.conv2d(Tensor(x), Tensor(weight), Tensor(bias), padding=1)
@@ -469,85 +442,53 @@ def _conv2d_matches(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, expecte
         raise SystemExit(1)
 
 
-class TestBlockRunner:
-    """The caller and the worker pool share an op's sample blocks."""
+@pytest.mark.skipif(ad._blas_thread_setter() is None, reason="numpy does not bundle OpenBLAS")
+class TestBlasThreads:
+    def test_first_conv2d_sets_one_thread(self):
+        ad._blas_thread_setter()(2)
+        ad._use_one_blas_thread.cache_clear()
+        x = Tensor(np.ones((2, 1, 8, 8), dtype=np.float32))
+        w = Tensor(np.ones((2, 1, 3, 3), dtype=np.float32))
+        ad.conv2d(x, w, Tensor(np.zeros(2, dtype=np.float32)))
+        assert _blas_threads() == 1
 
-    def test_every_block_runs_once_under_contention(self, block_runner):
-        n, calls = 37, 200
-        counts = np.zeros(n, dtype=np.int64)
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one CPU: one BLAS thread either way")
+    def test_outputs_do_not_depend_on_thread_count(self):
+        """The default config's C1 and B1 convs and the embedding layer, at
+        sizes where OpenBLAS splits each GEMM between threads."""
+        rng = np.random.default_rng(5)
+        cases = [((4, 1, 64, 64), (32, 1, 5, 5), 2), ((4, 16, 32, 32), (32, 16, 3, 3), 1)]
 
-        def fn(lo, hi):
-            counts[lo:hi] += 1
+        def run():
+            results = []
+            for x_shape, w_shape, padding in cases:
+                x = ad.parameter(rng.normal(size=x_shape).astype(np.float32))
+                w = ad.parameter((rng.normal(size=w_shape) * 0.1).astype(np.float32))
+                b = ad.parameter(rng.normal(size=w_shape[0]).astype(np.float32))
+                out = ad.conv2d(x, w, b, padding=padding)
+                out._backward(rng.normal(size=out.shape).astype(np.float32))
+                results += [out.data, x.grad, w.grad, b.grad]
+            x = ad.parameter(rng.normal(size=(32, 3072)).astype(np.float32))
+            w = ad.parameter(rng.normal(size=(64, 3072)).astype(np.float32))
+            out = ad.linear(x, w, ad.parameter(np.zeros(64, dtype=np.float32)))
+            out._backward(rng.normal(size=out.shape).astype(np.float32))
+            return [a.tobytes() for a in results + [out.data, x.grad, w.grad]]
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with block_runner(4, 3):  # more workers than CPUs, 15 blocks a call
-                for _ in range(calls):
-                    ad._run_blocks(fn, n, 1)
-        finally:
-            sys.setswitchinterval(interval)
-        assert np.all(counts == calls)
+        threads = len(os.sched_getaffinity(0))
+        state = rng.bit_generator.state
+        many = at_blas_threads(threads, run)
+        rng.bit_generator.state = state
+        assert at_blas_threads(1, run) == many
 
-    def test_block_error_reaches_caller(self, block_runner):
-        n = 16
-        counts = np.zeros(n, dtype=np.int64)
-        failing = {9}
-
-        def fn(lo, hi):
-            if lo in failing:
-                raise ValueError(f"block {lo}")
-            counts[lo:hi] += 1
-
-        with block_runner(2, ONE_SAMPLE):
-            with pytest.raises(ValueError, match="block 9"):
-                ad._run_blocks(fn, n, 1)
-            failing.clear()
-            counts[:] = 0
-            ad._run_blocks(fn, n, 1)  # the pool still takes work
-        assert np.all(counts == 1)
-
-    def test_small_or_single_sample_ops_run_in_caller(self):
-        calls = []
-        ad._run_blocks(lambda lo, hi: calls.append((lo, hi)), 8, ad._SPLIT_BYTES - 1)
-        ad._run_blocks(lambda lo, hi: calls.append((lo, hi)), 1, ad._SPLIT_BYTES)
-        assert calls == [(0, 8), (0, 1)]
-
-    def test_pooled_ops_free_their_buffers(self, rng, block_runner, monkeypatch):
-        columns = []
-        im2col_blocks = ad._im2col_blocks
-
-        def recording(*args):
-            cols, fill = im2col_blocks(*args)
-            columns.append(weakref.ref(cols.base))  # the (N, C, kh, kw, oh, ow) buffer
-            return cols, fill
-
-        monkeypatch.setattr(ad, "_im2col_blocks", recording)
-        x = ad.parameter(rng.normal(size=(6, 4, 8, 8)).astype(np.float32))
-        w = ad.parameter(rng.normal(size=(2, 4, 3, 3)).astype(np.float32))
-        b = ad.parameter(np.zeros(2, dtype=np.float32))
-        outputs = []
-        with block_runner(2, ONE_SAMPLE):
-            for op in (lambda: ad.conv2d(x, w, b, padding=1), lambda: ad.mfm(x), lambda: ad.maxpool2d(x)):
-                out = op()
-                out._backward(np.ones_like(out.data))
-                outputs.append(weakref.ref(out.data))
-                del out
-        assert len(columns) == 2  # forward, and the rebuild for the weight gradient
-        assert all(ref() is None for ref in outputs + columns)
-        assert x.grad is not None and w.grad is not None
-
-    def test_forked_child_runs_conv2d(self, rng, block_runner):
+    def test_forked_child_runs_conv2d(self, rng):
         x = rng.normal(size=(8, 2, 12, 12)).astype(np.float32)
         w = rng.normal(size=(4, 2, 3, 3)).astype(np.float32)
         b = rng.normal(size=4).astype(np.float32)
-        with block_runner(1):
-            expected = ad.conv2d(Tensor(x), Tensor(w), Tensor(b), padding=1).data.tobytes()
-            assert ad._pool is not None  # the parent's worker thread is running
-            child = multiprocessing.get_context("fork").Process(target=_conv2d_matches, args=(x, w, b, expected))
-            child.start()
-            child.join(timeout=60)
-            if child.is_alive():
-                child.kill()
-                child.join()
+        expected = ad.conv2d(Tensor(x), Tensor(w), Tensor(b), padding=1).data.tobytes()
+        child = multiprocessing.get_context("fork").Process(target=_conv2d_matches, args=(x, w, b, expected))
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
         assert child.exitcode == 0

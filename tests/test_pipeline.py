@@ -194,7 +194,6 @@ class TestJobs:
         cmd_extract(cfg, extractor, jobs=2)
         assert outputs() == serial
 
-
     def test_pool_capped_at_sample_count(self, small_run, monkeypatch):
         """A fork-started pool launches all its workers at the first submit,
         so ``jobs`` beyond the sample count asks for one per sample."""
@@ -223,10 +222,10 @@ class TestJobs:
         pipeline.cmd_extract(cfg, "lbp", jobs=2)
         assert requested == [samples, 2]
 
-    def test_jobs_after_pooled_predict(self, small_run, block_runner):
-        """Extract workers forked while the autodiff worker pool runs in
-        this process write the serial loop's bytes."""
-        import mcpad.autodiff as ad
+    def test_jobs_after_predict(self, small_run):
+        """Extract workers forked after a predict, which leaves numpy's
+        OpenBLAS on one thread in this process, write the serial loop's
+        bytes."""
         from mcpad.mccnn import McCnnConfig, build_model, predict
         from mcpad.pipeline import cmd_extract, features_dir
 
@@ -238,13 +237,11 @@ class TestJobs:
             return {p.name: p.read_bytes() for p in sorted(tables.glob("*_lbp.mcfv*"))}
 
         model = build_model(McCnnConfig(channels=(ChannelId.GRAY,), input_size=16, embedding_dim=8, base_width=4))
-        with block_runner(1):
-            predict(model, {ChannelId.GRAY: np.zeros((4, 16, 16), dtype=np.float32)})
-            assert ad._pool is not None
-            cmd_extract(cfg, "lbp", jobs=1)
-            serial = outputs()
-            cmd_extract(cfg, "lbp", jobs=2)
-            assert outputs() == serial
+        predict(model, {ChannelId.GRAY: np.zeros((4, 16, 16), dtype=np.float32)})
+        cmd_extract(cfg, "lbp", jobs=1)
+        serial = outputs()
+        cmd_extract(cfg, "lbp", jobs=2)
+        assert outputs() == serial
 
 
 class TestCorruptInputs:
