@@ -330,6 +330,7 @@ class TrainResult:
     history: list[dict] = field(default_factory=list)
     best_epoch: int = -1
     best_dev_acer: float = float("nan")
+    dev_scores: np.ndarray | None = None
 
 
 def _flipped(stack: np.ndarray, idx: np.ndarray, flips: np.ndarray) -> np.ndarray:
@@ -400,7 +401,9 @@ def train(
 ) -> TrainResult:
     """Train DSU copies of the adapt set plus the head with Adam; the best
     epoch is the first with the lowest dev ACER (percent) at the threshold
-    set on dev bonafide scores for the BPCER target.
+    set on dev bonafide scores for the BPCER target. The result carries
+    the returned model's dev scores: the selected epoch's, or, when no epoch
+    was selected, one ``predict`` over dev with the final weights.
 
     Branches with no trainable blocks (the gray reference, or every branch
     when the adapt set is empty) are frozen, so their embeddings are
@@ -447,9 +450,12 @@ def train(
             best_acer = dev_acer
             best_snapshot = [t.data.copy() for t in trainable]
             result.best_epoch = epoch
+            result.dev_scores = scores
     if best_snapshot is not None:
         for tensor, snap in zip(trainable, best_snapshot):
             tensor.data = snap
+    else:
+        result.dev_scores = predict(model, data.dev_x, dev_emb)
     result.best_dev_acer = best_acer
     return result
 

@@ -423,9 +423,9 @@ def cmd_train_mccnn(cfg: RunConfig) -> Path:
     )
     mccnn.save_model(result.model, out / "model.mcnn")
 
-    for split, data in (("dev", dev_data), ("eval", eval_data)):
-        scores = mccnn.predict(result.model, {ch: data.frames[ch] for ch in net_cfg.channels})
-        save_scores(Scores.from_rows(data.rows, scores, data.attack), out / f"scores_{split}.csv")
+    save_scores(Scores.from_rows(dev_data.rows, result.dev_scores, dev_data.attack), out / "scores_dev.csv")
+    eval_scores = mccnn.predict(result.model, {ch: eval_data.frames[ch] for ch in net_cfg.channels})
+    save_scores(Scores.from_rows(eval_data.rows, eval_scores, eval_data.attack), out / "scores_eval.csv")
 
     history_lines = ["epoch,train_loss,dev_acer,dev_tau"]
     for i, loss in enumerate(pretrain_losses):

@@ -2,6 +2,12 @@
 bilinear warping, grayscale conversion, and per-frame MAD normalization of
 non-color channels to 8 bit.
 
+Everything works on frame stacks. A sample's channels share one transform
+per frame (estimated from the color landmarks), so ``warp`` builds each
+frame's sampling grid (inverse map, tap indices and bilinear weights) once
+and gathers gray, depth, infrared and thermal through it together;
+``mad_fit`` and ``mad_normalize`` take a median and MAD per frame of a stack.
+
 Landmark sidecar format: one text line per annotated frame,
 ``frame_idx,lx,ly,rx,ry,mx,my`` (color-frame pixel coordinates).
 """
@@ -73,12 +79,17 @@ class AlignTargets:
 
 @dataclass(frozen=True)
 class MadParams:
-    median: float
-    mad: float
+    """Median and MAD of one frame (floats) or of each frame of a stack
+    (arrays of the stack's leading shape)."""
+
+    median: float | np.ndarray
+    mad: float | np.ndarray
     span: float = 4.0
 
     def __post_init__(self):
-        if self.mad < 0:
+        if not (np.isfinite(self.median).all() and np.isfinite(self.mad).all()):
+            raise ValueError("median and mad must be finite")
+        if np.any(np.asarray(self.mad) < 0):
             raise ValueError("mad must be >= 0")
         if self.span <= 0:
             raise ValueError("span must be positive")
@@ -109,50 +120,68 @@ def estimate_similarity(src: Landmarks, dst: AlignTargets) -> tuple[np.ndarray, 
     return matrix, residual
 
 
-def warp(frame: np.ndarray, transform: np.ndarray, out_size: int) -> np.ndarray:
-    """Resample ``frame`` through the inverse of a 2x3 source->target
-    transform; bilinear, out-of-bounds reads 0. Integer inputs are rounded
-    back to their dtype."""
-    transform = np.asarray(transform, dtype=np.float64)
-    if transform.shape != (2, 3):
-        raise ValueError("transform must be 2x3")
-    lin = transform[:, :2]
-    shift = transform[:, 2]
-    inv = np.linalg.inv(lin)
+def warp(frames: np.ndarray, transforms: np.ndarray, out_size: int) -> np.ndarray:
+    """Resample frames ``(F, H, W[, C])`` through the inverses of their 2x3
+    source->target ``transforms`` ``(F, 2, 3)``; one frame with a ``(2, 3)``
+    transform is the same call without the leading axis. Bilinear, and
+    out-of-bounds taps read 0. Each frame's sampling grid is built once and
+    gathers all of its planes. Integer inputs are rounded back to their
+    dtype. A non-finite or singular transform raises ``GeometryError``."""
+    transforms = np.asarray(transforms, dtype=np.float64)
+    img = np.asarray(frames)
+    single = transforms.ndim == 2
+    if single:
+        transforms, img = transforms[None], img[None]
+    if transforms.ndim != 3 or transforms.shape[1:] != (2, 3):
+        raise ValueError("transforms must be (F, 2, 3), or (2, 3) for one frame")
+    if img.ndim not in (3, 4) or img.shape[0] != transforms.shape[0]:
+        raise ValueError("frames must be (F, H, W[, C]) with one transform per frame")
+    if not np.isfinite(transforms).all():
+        raise GeometryError("transform must be finite")
+    try:
+        inv = np.linalg.inv(transforms[:, :, :2])
+    except np.linalg.LinAlgError:
+        raise GeometryError("transform is singular") from None
+    if not np.isfinite(inv).all():
+        raise GeometryError("transform is singular")
 
-    img = np.asarray(frame)
-    squeeze = img.ndim == 2
-    planes = img[:, :, None] if squeeze else img
-    h, w = planes.shape[:2]
-
+    planes = img if img.ndim == 4 else img[..., None]
+    count, h, w, depth = planes.shape
+    info = np.iinfo(img.dtype) if np.issubdtype(img.dtype, np.integer) else None
+    out = np.empty((count, out_size, out_size, depth), dtype=np.float64 if info is None else img.dtype)
     xs, ys = np.meshgrid(np.arange(out_size, dtype=np.float64),
                          np.arange(out_size, dtype=np.float64))
-    src = np.stack([xs.ravel(), ys.ravel()]) - shift[:, None]
-    src = inv @ src
-    sx, sy = src[0], src[1]
-
-    x0 = np.floor(sx).astype(np.int64)
-    y0 = np.floor(sy).astype(np.int64)
-    fx = sx - x0
-    fy = sy - y0
-
-    out = np.zeros((out_size * out_size, planes.shape[2]), dtype=np.float64)
-    data = planes.reshape(h * w, -1).astype(np.float64)
-    for dy, wy in ((0, 1 - fy), (1, fy)):
-        for dx, wx in ((0, 1 - fx), (1, fx)):
-            xi = x0 + dx
+    grid = np.stack([xs.ravel(), ys.ravel()])
+    acc = np.empty((depth, out_size * out_size), dtype=np.float64)
+    term = np.empty_like(acc)
+    for frame, matrix, lin_inv, dest in zip(planes, transforms, inv, out):
+        # One sampling grid per frame. A pixel's planes are one row, so each
+        # tap is one ``take`` of every plane; integer values enter the
+        # float64 sums exactly, as gathered.
+        src = lin_inv @ (grid - matrix[:, 2:])
+        sx, sy = src[0], src[1]
+        x0 = np.floor(sx).astype(np.int64)
+        y0 = np.floor(sy).astype(np.int64)
+        fx = sx - x0
+        fy = sy - y0
+        data = frame.reshape(h * w, depth)
+        acc[:] = 0.0
+        for dy, wy in ((0, 1 - fy), (1, fy)):
             yi = y0 + dy
-            valid = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
-            idx = np.where(valid, yi * w + xi, 0)
-            out += (wx * wy * valid)[:, None] * data[idx]
+            vy = (yi >= 0) & (yi < h)
+            for dx, wx in ((0, 1 - fx), (1, fx)):
+                xi = x0 + dx
+                valid = (xi >= 0) & (xi < w) & vy
+                idx = np.where(valid, yi * w + xi, 0)
+                np.multiply(wx * wy * valid, np.take(data, idx, axis=0).T, out=term)
+                acc += term
+        if info is not None:
+            np.clip(np.rint(acc, out=acc), info.min, info.max, out=acc)
+        dest[...] = acc.T.reshape(out_size, out_size, depth)
 
-    out = out.reshape(out_size, out_size, planes.shape[2])
-    if squeeze:
-        out = out[:, :, 0]
-    if np.issubdtype(img.dtype, np.integer):
-        info = np.iinfo(img.dtype)
-        return np.clip(np.rint(out), info.min, info.max).astype(img.dtype)
-    return out
+    if img.ndim == 3:
+        out = out[..., 0]
+    return out[0] if single else out
 
 
 def to_gray(rgb: np.ndarray) -> np.ndarray:
@@ -165,27 +194,51 @@ def to_gray(rgb: np.ndarray) -> np.ndarray:
     return np.floor(val + 0.5).astype(np.uint8)
 
 
-def mad_fit(frame: np.ndarray, span: float = 4.0) -> MadParams:
-    """Median and median-absolute-deviation over all pixels."""
-    values = np.asarray(frame, dtype=np.float64).ravel()
-    if values.size == 0:
+def _pixels(frames: np.ndarray) -> np.ndarray:
+    """Frames ``(..., H, W)`` as rows ``(..., H*W)``; an array of fewer than
+    two dimensions is one frame."""
+    return frames.reshape(frames.shape[:-2] + (-1,))
+
+
+def _sorted_median(rows: np.ndarray) -> np.ndarray:
+    """Median of each ascending row, as ``np.median`` takes it: the middle
+    value, or the mean (sum, then halved) of the two middle values."""
+    mid = rows.shape[-1] // 2
+    if rows.shape[-1] % 2:
+        return rows[..., mid].copy()
+    return (rows[..., mid - 1] + rows[..., mid]) / 2
+
+
+def mad_fit(frames: np.ndarray, span: float = 4.0) -> MadParams:
+    """Median and median-absolute-deviation over the pixels of each frame
+    of a stack ``(..., H, W)``. Both medians come from sorted rows, which is
+    faster than ``np.median``'s partitions at frame sizes and gives its
+    values."""
+    values = np.sort(_pixels(np.asarray(frames, dtype=np.float64)), axis=-1)
+    if values.shape[-1] == 0:
         raise ValueError("empty frame")
-    median = float(np.median(values))
-    mad = float(np.median(np.abs(values - median)))
+    if np.isnan(values[..., -1]).any():  # a sort puts NaN last
+        raise ValueError("frame values must not be NaN")
+    median = _sorted_median(values)
+    mad = _sorted_median(np.sort(np.abs(values - median[..., None]), axis=-1))
     return MadParams(median=median, mad=mad, span=span)
 
 
-def mad_normalize(frame: np.ndarray, params: MadParams) -> np.ndarray:
-    """Map intensities to 8 bit: 128 + (128/span)*(v-median)/MAD, rounded and
-    clamped; a zero MAD maps the whole frame to 128."""
-    frame = np.asarray(frame, dtype=np.float64)
-    if params.mad <= 0.0:
-        return np.full(frame.shape, 128, dtype=np.uint8)
-    scaled = 128.0 + (128.0 / params.span) * ((frame - params.median) / params.mad)
+def mad_normalize(frames: np.ndarray, params: MadParams) -> np.ndarray:
+    """Map each frame's intensities to 8 bit: 128 + (128/span)*(v-median)/MAD,
+    rounded and clamped; a frame with zero MAD maps to 128 throughout."""
+    frames = np.asarray(frames, dtype=np.float64)
+    values = _pixels(frames)
+    median = np.asarray(params.median)[..., None]
+    mad = np.asarray(params.mad)[..., None]
+    flat = mad <= 0.0
+    scaled = 128.0 + (128.0 / params.span) * ((values - median) / np.where(flat, 1.0, mad))
     # Snap to a 1e-9 grid so that mathematically identical inputs (e.g. after
     # an exact affine rescale + refit) round identically.
     scaled = np.round(scaled, 9)
-    return np.clip(np.floor(scaled + 0.5), 0, 255).astype(np.uint8)
+    out = np.clip(np.floor(scaled + 0.5), 0, 255).astype(np.uint8)
+    out[np.broadcast_to(flat, out.shape)] = 128
+    return out.reshape(frames.shape)
 
 
 # --------------------------------------------------------------------------
@@ -230,15 +283,24 @@ def _kept_frames(
     landmarks: Mapping[int, Landmarks],
     frame_indices: Sequence[int] | None,
 ) -> tuple[list[int], int]:
-    counts = {raw.channels[ch].shape[0] for ch in raw.channels}
+    stacks = raw.channels.values()
+    counts = {stack.shape[0] for stack in stacks}
     if len(counts) != 1:
         raise SampleError("channels must be temporally aligned (equal frame counts)")
+    if len({stack.shape[1:3] for stack in stacks}) != 1:
+        raise SampleError("channels must be registered to the color frame (equal frame sizes)")
     total = counts.pop()
     indices = list(frame_indices) if frame_indices is not None else list(range(total))
     if any(i < 0 or i >= total for i in indices):
         raise ValueError("frame index out of range")
     kept = [i for i in indices if i in landmarks]
+    if not kept:
+        raise SampleError("all frames dropped (no landmarks)")
     return kept, len(indices) - len(kept)
+
+
+def _transforms(landmarks: Mapping[int, Landmarks], kept: list[int], targets: AlignTargets) -> np.ndarray:
+    return np.stack([estimate_similarity(landmarks[i], targets)[0] for i in kept])
 
 
 def preprocess_sample(
@@ -252,27 +314,24 @@ def preprocess_sample(
 
     Returns (preprocessed sample, number of frames dropped for missing
     landmarks). The output carries gray plus every non-color channel present
-    in the input, all ``out_size`` square uint8.
+    in the input, all ``out_size`` square uint8. Gray and the non-color
+    channels are warped in one call; the non-color ones are then
+    MAD-normalized frame by frame.
     """
     if ChannelId.COLOR not in raw.channels:
         raise SampleError("raw sample must carry the color channel")
     kept, dropped = _kept_frames(raw, landmarks, frame_indices)
-    if not kept:
-        raise SampleError("all frames dropped (no landmarks)")
-
-    size = targets.out_size
-    gray_frames = []
-    extra: dict[ChannelId, list[np.ndarray]] = {ch: [] for ch in _NONCOLOR if ch in raw.channels}
-    for i in kept:
-        matrix, _ = estimate_similarity(landmarks[i], targets)
-        gray_frames.append(warp(to_gray(raw.channels[ChannelId.COLOR][i]), matrix, size))
-        for ch, acc in extra.items():
-            warped = warp(raw.channels[ch][i], matrix, size)
-            acc.append(mad_normalize(warped, mad_fit(warped, mad_span)))
-
-    channels = {ChannelId.GRAY: np.stack(gray_frames)}
-    for ch, acc in extra.items():
-        channels[ch] = np.stack(acc)
+    extra = [ch for ch in _NONCOLOR if ch in raw.channels]
+    planes = np.stack(
+        [to_gray(raw.channels[ChannelId.COLOR][kept]), *(raw.channels[ch][kept] for ch in extra)],
+        axis=-1,
+    )
+    warped = np.moveaxis(warp(planes, _transforms(landmarks, kept, targets), targets.out_size), -1, 0)
+    # The bilinear weights of a pixel sum to 1, so warped gray stays within
+    # 0..255 in a uint16 pack and casts back exactly.
+    channels = {ChannelId.GRAY: warped[0].astype(np.uint8)}
+    for ch, stack in zip(extra, warped[1:]):
+        channels[ch] = mad_normalize(stack, mad_fit(stack, mad_span))
     return MultiChannelSample(meta=raw.meta, channels=channels), dropped
 
 
@@ -287,11 +346,5 @@ def align_color(
     if ChannelId.COLOR not in raw.channels:
         raise SampleError("raw sample must carry the color channel")
     kept, dropped = _kept_frames(raw, landmarks, frame_indices)
-    if not kept:
-        raise SampleError("all frames dropped (no landmarks)")
-    size = targets.out_size
-    frames = []
-    for i in kept:
-        matrix, _ = estimate_similarity(landmarks[i], targets)
-        frames.append(warp(raw.channels[ChannelId.COLOR][i], matrix, size))
-    return np.stack(frames), dropped
+    stack = raw.channels[ChannelId.COLOR][kept]
+    return warp(stack, _transforms(landmarks, kept, targets), targets.out_size), dropped

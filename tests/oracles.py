@@ -8,7 +8,10 @@ for byte comparisons. ``conv2d_im2col`` is the convolution that keeps its
 im2col columns in the graph and folds a column gradient back (col2im);
 ``autodiff.conv2d`` must match its output and gradients byte for byte.
 ``bilinear_sample`` and ``lbp_code`` are the per-pixel forms of ``warp``'s
-and ``lbp_code_map``'s sampling, and
+and ``lbp_code_map``'s sampling. ``warp_frame``, ``mad_fit_frame``,
+``mad_normalize_frame`` and ``preprocess_sample_frames`` are the one-frame,
+one-channel preprocessing that the stack forms of ``warp``, ``mad_fit``,
+``mad_normalize`` and ``preprocess_sample`` must match byte for byte, and
 ``lr_training_losses`` evaluates the objective along ``lr_train``'s own
 descent. ``iqm_frame`` (with its per-measure functions) and
 ``lbp_code_map_frame`` / ``lbp_histogram_frame`` are the one-frame
@@ -27,7 +30,7 @@ import numpy as np
 import mcpad.autodiff as ad
 from mcpad.autodiff import Tensor
 from mcpad.classical import LrConfig, Standardizer, _lr_descent, _lr_inputs, _sigmoid
-from mcpad.dataset import ChannelId
+from mcpad.dataset import ChannelId, MultiChannelSample
 from mcpad.features.iqm import (
     _EPS,
     _LOW_FREQ_RADIUS,
@@ -39,7 +42,16 @@ from mcpad.features.iqm import (
 )
 from mcpad.features.lbp import LbpConfig, neighbor_offsets, uniform_table
 from mcpad.mccnn import McCnnModel, batch_class_weights, forward
-from mcpad.preprocess import to_gray
+from mcpad.preprocess import (
+    _NONCOLOR,
+    AlignTargets,
+    Landmarks,
+    MadParams,
+    SampleError,
+    _kept_frames,
+    estimate_similarity,
+    to_gray,
+)
 
 
 def mse_loss(pred: Tensor, targets: np.ndarray) -> Tensor:
@@ -177,6 +189,103 @@ def bilinear_sample(frame: np.ndarray, x: float, y: float) -> float:
             if 0 <= xi < w and 0 <= yi < h:
                 total += wx * wy * img[yi, xi]
     return total
+
+
+def warp_frame(frame: np.ndarray, transform: np.ndarray, out_size: int) -> np.ndarray:
+    """Resample ``frame`` through the inverse of a 2x3 source->target
+    transform; bilinear, out-of-bounds reads 0. Integer inputs are rounded
+    back to their dtype."""
+    transform = np.asarray(transform, dtype=np.float64)
+    if transform.shape != (2, 3):
+        raise ValueError("transform must be 2x3")
+    lin = transform[:, :2]
+    shift = transform[:, 2]
+    inv = np.linalg.inv(lin)
+
+    img = np.asarray(frame)
+    squeeze = img.ndim == 2
+    planes = img[:, :, None] if squeeze else img
+    h, w = planes.shape[:2]
+
+    xs, ys = np.meshgrid(np.arange(out_size, dtype=np.float64),
+                         np.arange(out_size, dtype=np.float64))
+    src = np.stack([xs.ravel(), ys.ravel()]) - shift[:, None]
+    src = inv @ src
+    sx, sy = src[0], src[1]
+
+    x0 = np.floor(sx).astype(np.int64)
+    y0 = np.floor(sy).astype(np.int64)
+    fx = sx - x0
+    fy = sy - y0
+
+    out = np.zeros((out_size * out_size, planes.shape[2]), dtype=np.float64)
+    data = planes.reshape(h * w, -1).astype(np.float64)
+    for dy, wy in ((0, 1 - fy), (1, fy)):
+        for dx, wx in ((0, 1 - fx), (1, fx)):
+            xi = x0 + dx
+            yi = y0 + dy
+            valid = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
+            idx = np.where(valid, yi * w + xi, 0)
+            out += (wx * wy * valid)[:, None] * data[idx]
+
+    out = out.reshape(out_size, out_size, planes.shape[2])
+    if squeeze:
+        out = out[:, :, 0]
+    if np.issubdtype(img.dtype, np.integer):
+        info = np.iinfo(img.dtype)
+        return np.clip(np.rint(out), info.min, info.max).astype(img.dtype)
+    return out
+
+
+def mad_fit_frame(frame: np.ndarray, span: float = 4.0) -> MadParams:
+    """Median and median-absolute-deviation over all pixels."""
+    values = np.asarray(frame, dtype=np.float64).ravel()
+    if values.size == 0:
+        raise ValueError("empty frame")
+    median = float(np.median(values))
+    mad = float(np.median(np.abs(values - median)))
+    return MadParams(median=median, mad=mad, span=span)
+
+
+def mad_normalize_frame(frame: np.ndarray, params: MadParams) -> np.ndarray:
+    """Map intensities to 8 bit: 128 + (128/span)*(v-median)/MAD, rounded and
+    clamped; a zero MAD maps the whole frame to 128."""
+    frame = np.asarray(frame, dtype=np.float64)
+    if params.mad <= 0.0:
+        return np.full(frame.shape, 128, dtype=np.uint8)
+    scaled = 128.0 + (128.0 / params.span) * ((frame - params.median) / params.mad)
+    scaled = np.round(scaled, 9)
+    return np.clip(np.floor(scaled + 0.5), 0, 255).astype(np.uint8)
+
+
+def preprocess_sample_frames(
+    raw: MultiChannelSample,
+    landmarks: Mapping[int, Landmarks],
+    targets: AlignTargets,
+    mad_span: float = 4.0,
+    frame_indices: Sequence[int] | None = None,
+) -> tuple[MultiChannelSample, int]:
+    """``preprocess_sample`` one frame and one channel at a time."""
+    if ChannelId.COLOR not in raw.channels:
+        raise SampleError("raw sample must carry the color channel")
+    kept, dropped = _kept_frames(raw, landmarks, frame_indices)
+    if not kept:
+        raise SampleError("all frames dropped (no landmarks)")
+
+    size = targets.out_size
+    gray_frames = []
+    extra: dict[ChannelId, list[np.ndarray]] = {ch: [] for ch in _NONCOLOR if ch in raw.channels}
+    for i in kept:
+        matrix, _ = estimate_similarity(landmarks[i], targets)
+        gray_frames.append(warp_frame(to_gray(raw.channels[ChannelId.COLOR][i]), matrix, size))
+        for ch, acc in extra.items():
+            warped = warp_frame(raw.channels[ch][i], matrix, size)
+            acc.append(mad_normalize_frame(warped, mad_fit_frame(warped, mad_span)))
+
+    channels = {ChannelId.GRAY: np.stack(gray_frames)}
+    for ch, acc in extra.items():
+        channels[ch] = np.stack(acc)
+    return MultiChannelSample(meta=raw.meta, channels=channels), dropped
 
 
 def lbp_code(image: np.ndarray, x: int, y: int, cfg: LbpConfig) -> int:

@@ -349,6 +349,37 @@ class TestEpochSelection:
         assert tau == result.history[result.best_epoch]["dev_tau"]
 
 
+class TestDevScores:
+    """``train`` returns the dev scores of the model it returns, equal to
+    scoring dev again with ``predict``."""
+
+    def _data(self, n_dev):
+        rng = np.random.default_rng(21)
+        x, y = separable_frames(rng, 24, 16)
+        xd, yd = separable_frames(rng, n_dev, 16)
+        return TrainData({GRAY: x, DEPTH: x}, y, {GRAY: xd, DEPTH: xd}, yd)
+
+    # 200 dev frames: embedding chunks of 128 and scoring batches of 64 split
+    # the split at different rows
+    @pytest.mark.parametrize("adapt", [frozenset({"C1", "B1"}), frozenset()])
+    def test_equal_predict_over_dev(self, adapt):
+        data = self._data(200)
+        cfg = mini_config(adapt=adapt, epochs=2)
+        result = train(data, cfg)
+        assert result.model.dtype == np.float32 and result.best_epoch >= 0
+        assert result.dev_scores.dtype == np.float64
+        assert np.array_equal(result.dev_scores, predict(result.model, data.dev_x))
+
+    def test_no_selected_epoch_scores_final_weights(self, monkeypatch):
+        import mcpad.mccnn as mod
+
+        monkeypatch.setattr(mod, "error_rates", lambda scores, bona, tau: (float("nan"),) * 2)
+        data = self._data(20)
+        result = train(data, mini_config(epochs=2))
+        assert result.best_epoch == -1
+        assert np.array_equal(result.dev_scores, predict(result.model, data.dev_x))
+
+
 class TestPretraining:
     def test_backbone_shapes(self):
         cfg = mini_config()

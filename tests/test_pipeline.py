@@ -152,6 +152,34 @@ class TestChain:
         assert (fused.read_bytes(), model.read_bytes()) == before
 
 
+class TestMccnnChain:
+    def test_saved_model_reproduces_saved_scores(self, small_run, tmp_path):
+        """``train-mccnn`` writes dev scores kept from training and eval
+        scores from ``predict``; the saved model, reloaded, rewrites both
+        files byte for byte."""
+        import shutil
+
+        from mcpad.evaluation import Scores, save_scores
+        from mcpad.mccnn import load_model, predict
+        from mcpad.pipeline import _load_proc, _split_arrays, mccnn_out_dir
+
+        root, config = small_run
+        out = tmp_path / "out"
+        shutil.copytree(root / "out" / "proc", out / "proc")
+        overrides = ["--set", f"paths.out_root={out}"]
+        assert main(["train-mccnn", "--config", str(config), *overrides]) == 0
+        cfg = load_config(config, [f"paths.out_root={out}"])
+        run_dir = mccnn_out_dir(cfg)
+        model = load_model(run_dir / "model.mcnn")
+        manifest, protocol = _load_proc(cfg)
+        for split in ("dev", "eval"):
+            data = _split_arrays(cfg, manifest, protocol, model.config.channels, split)
+            scores = predict(model, data.frames)
+            save_scores(Scores.from_rows(data.rows, scores, data.attack), tmp_path / f"{split}.csv")
+            saved = (run_dir / f"scores_{split}.csv").read_bytes()
+            assert (tmp_path / f"{split}.csv").read_bytes() == saved, split
+
+
 class TestNonSignalChannels:
     def test_classifier_on_non_signal_channel_is_chance(self, small_run):
         """Channels outside signal_channels carry no class information: a

@@ -10,6 +10,7 @@ from mcpad.preprocess import (
     Landmarks,
     MadParams,
     SampleError,
+    align_color,
     estimate_similarity,
     landmarks_path,
     load_landmarks,
@@ -20,7 +21,13 @@ from mcpad.preprocess import (
     warp,
 )
 
-from oracles import bilinear_sample
+from oracles import (
+    bilinear_sample,
+    mad_fit_frame,
+    mad_normalize_frame,
+    preprocess_sample_frames,
+    warp_frame,
+)
 
 TARGETS = AlignTargets.for_size(128)
 
@@ -106,6 +113,93 @@ class TestWarp:
         assert np.array_equal(out, img)
 
 
+def _similarity(angle, scale, tx, ty):
+    c, s = scale * np.cos(angle), scale * np.sin(angle)
+    return np.array([[c, -s, tx], [s, c, ty]])
+
+
+def _frames(data, dtype, count, h, w, planes):
+    top = np.iinfo(dtype).max
+    shape = (count, h, w) if planes is None else (count, h, w, planes)
+    return data.draw(st.integers(0, 2**32 - 1).map(
+        lambda seed: np.random.default_rng(seed).integers(0, top, shape, endpoint=True).astype(dtype)))
+
+
+def _per_frame(frames, transforms, out_size):
+    return np.stack([warp_frame(f, t, out_size) for f, t in zip(frames, transforms)])
+
+
+def _assert_same(got, want):
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+class TestStackedWarp:
+    """``warp`` over a stack equals the one-frame oracle, frame by frame."""
+
+    @given(
+        dtype=st.sampled_from([np.uint8, np.uint16]),
+        count=st.sampled_from([1, 2, 5]),
+        h=st.integers(4, 20),
+        w=st.integers(4, 20),
+        planes=st.sampled_from([None, 1, 3, 4]),
+        out_size=st.integers(3, 17),
+        data=st.data(),
+    )
+    def test_rotation_and_scale(self, dtype, count, h, w, planes, out_size, data):
+        # scales up to 3 and shifts up to 25 px send part of the crop out of bounds
+        param = st.tuples(st.floats(-3.2, 3.2), st.floats(0.3, 3.0),
+                          st.floats(-25, 25), st.floats(-25, 25))
+        transforms = np.stack([_similarity(*data.draw(param)) for _ in range(count)])
+        frames = _frames(data, dtype, count, h, w, planes)
+        _assert_same(warp(frames, transforms, out_size), _per_frame(frames, transforms, out_size))
+
+    @given(
+        dtype=st.sampled_from([np.uint8, np.uint16]),
+        count=st.sampled_from([1, 2, 5]),
+        size=st.integers(4, 12),
+        data=st.data(),
+    )
+    def test_integer_coordinates_and_edge_taps(self, dtype, count, size, data):
+        # quarter turns and whole or half-pixel shifts land every sample on a
+        # pixel or midway between two, some on the last row or column or just
+        # past it; the halves make ties for the rounding
+        shift = st.integers(-2 * size, 2 * size).map(lambda v: v / 2)
+        quarter = st.tuples(st.integers(0, 3), shift, shift)
+        transforms = np.stack([
+            _similarity(k * np.pi / 2, 1.0, tx, ty).round(12)
+            for k, tx, ty in (data.draw(quarter) for _ in range(count))
+        ])
+        frames = _frames(data, dtype, count, size, size, data.draw(st.sampled_from([None, 4])))
+        _assert_same(warp(frames, transforms, size), _per_frame(frames, transforms, size))
+
+    def test_one_frame_is_the_stack_without_its_axis(self, rng):
+        frame = rng.integers(0, 65536, (12, 10, 4)).astype(np.uint16)
+        matrix = _similarity(0.3, 1.2, -2.0, 1.5)
+        _assert_same(warp(frame, matrix, 9), warp(frame[None], matrix[None], 9)[0])
+
+    def test_float_frames_stay_float(self, rng):
+        frames = rng.normal(size=(2, 8, 8))
+        transforms = np.stack([_similarity(0.2, 1.1, 0.5, -0.5)] * 2)
+        _assert_same(warp(frames, transforms, 7), _per_frame(frames, transforms, 7))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_transform_rejected(self, bad):
+        matrix = _similarity(0.0, 1.0, 0.0, 0.0)
+        matrix[1, 2] = bad
+        with pytest.raises(GeometryError):
+            warp(np.zeros((2, 8, 8), np.uint8), np.stack([_similarity(0, 1, 0, 0), matrix]), 8)
+
+    @pytest.mark.parametrize("linear", [[[0.0, 0.0], [0.0, 0.0]], [[1.0, 2.0], [2.0, 4.0]]])
+    def test_singular_transform_rejected(self, linear):
+        matrix = np.hstack([np.array(linear), np.zeros((2, 1))])
+        with pytest.raises(GeometryError):
+            warp(np.zeros((8, 8), np.uint8), matrix, 8)
+
+    def test_one_transform_per_frame(self):
+        with pytest.raises(ValueError):
+            warp(np.zeros((3, 8, 8), np.uint8), np.stack([_similarity(0, 1, 0, 0)] * 2), 8)
+
+
 class TestGray:
     def test_extremes(self):
         assert to_gray(np.array([[[255, 255, 255]]], dtype=np.uint8))[0, 0] == 255
@@ -152,6 +246,43 @@ class TestMad:
         mapped = a * base + b
         params2 = mad_fit(mapped)
         assert np.array_equal(mad_normalize(base, params), mad_normalize(mapped, params2))
+
+
+class TestStackedMad:
+    @given(
+        dtype=st.sampled_from([np.uint8, np.uint16]),
+        count=st.sampled_from([1, 2, 5]),
+        size=st.integers(1, 9),
+        data=st.data(),
+    )
+    def test_matches_frame_oracle(self, dtype, count, size, data):
+        frames = _frames(data, dtype, count, size, size, None)
+        for i in data.draw(st.lists(st.integers(0, count - 1), max_size=count)):
+            frames[i] = frames[i, 0, 0]  # a constant (zero-MAD) frame
+        span = data.draw(st.sampled_from([1.0, 2.5, 4.0]))
+        params = mad_fit(frames, span)
+        want = [mad_fit_frame(f, span) for f in frames]
+        assert np.array_equal(params.median, [p.median for p in want])
+        assert np.array_equal(params.mad, [p.mad for p in want])
+        _assert_same(mad_normalize(frames, params),
+                     np.stack([mad_normalize_frame(f, p) for f, p in zip(frames, want)]))
+
+    def test_nested_stacks_fit_per_frame(self, rng):
+        stack = rng.integers(0, 4096, (3, 2, 6, 6)).astype(np.uint16)
+        params = mad_fit(stack)
+        assert params.median.shape == (3, 2)
+        assert params.mad[1, 0] == mad_fit_frame(stack[1, 0]).mad
+
+    @pytest.mark.parametrize("median, mad", [(np.nan, np.nan), (1.0, np.inf), (-np.inf, 1.0)])
+    def test_non_finite_params_rejected(self, median, mad):
+        with pytest.raises(ValueError):
+            MadParams(median, mad)
+
+    def test_frame_with_nan_rejected(self):
+        frames = np.ones((2, 4, 4))
+        frames[1, 2, 3] = np.nan
+        with pytest.raises(ValueError):
+            mad_fit(frames)
 
 
 def _raw_sample(rng, frames=4, size=32):
@@ -228,3 +359,51 @@ class TestLandmarkFiles:
 
     def test_path_convention(self):
         assert landmarks_path("/x/sample_01.mcpd").name == "sample_01.landmarks"
+
+
+class TestStackedSample:
+    """``preprocess_sample`` and ``align_color`` equal the per-frame loops."""
+
+    @given(
+        count=st.integers(1, 5),
+        size=st.integers(10, 24),
+        out_size=st.integers(8, 15),
+        channels=st.sets(st.sampled_from([ChannelId.DEPTH, ChannelId.INFRARED, ChannelId.THERMAL])),
+        data=st.data(),
+    )
+    def test_matches_frame_oracle(self, count, size, out_size, channels, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        raw = _raw_sample(rng, frames=count, size=size)
+        for ch in set(raw.channels) - {ChannelId.COLOR} - channels:
+            del raw.channels[ch]
+        for ch in sorted(channels, key=lambda c: c.label):
+            if data.draw(st.booleans()):
+                raw.channels[ch][0] = raw.channels[ch][0, 0, 0]  # constant frame: zero MAD
+        targets = AlignTargets.for_size(out_size)
+        landmarks = {}
+        for i in data.draw(st.sets(st.integers(0, count - 1), min_size=1)):
+            matrix = _similarity(rng.uniform(-0.6, 0.6), size / out_size * rng.uniform(0.7, 1.4),
+                                 rng.uniform(-3, 3), rng.uniform(-3, 3))
+            pts = targets.points() @ matrix[:, :2].T + matrix[:, 2]
+            landmarks[i] = Landmarks(tuple(pts[0]), tuple(pts[1]), tuple(pts[2]))
+        indices = data.draw(st.one_of(st.none(), st.lists(st.integers(0, count - 1), min_size=1)))
+        if indices is not None and not set(indices) & set(landmarks):
+            indices.append(min(landmarks))
+        span = data.draw(st.sampled_from([2.0, 4.0]))
+
+        got, dropped = preprocess_sample(raw, landmarks, targets, span, indices)
+        want, want_dropped = preprocess_sample_frames(raw, landmarks, targets, span, indices)
+        assert dropped == want_dropped
+        assert got == want
+
+        stack, dropped = align_color(raw, landmarks, targets, indices)
+        kept = [i for i in (indices if indices is not None else range(count)) if i in landmarks]
+        transforms = [estimate_similarity(landmarks[i], targets)[0] for i in kept]
+        _assert_same(stack, _per_frame(raw.channels[ChannelId.COLOR][kept], transforms, out_size))
+        assert dropped == want_dropped
+
+    def test_channels_of_different_size_rejected(self, rng):
+        raw = _raw_sample(rng, frames=2, size=32)
+        raw.channels[ChannelId.DEPTH] = raw.channels[ChannelId.DEPTH][:, :16, :16].copy()
+        with pytest.raises(SampleError):
+            preprocess_sample(raw, _center_landmarks(32, 2), AlignTargets.for_size(32))
