@@ -22,12 +22,14 @@ comparison within one session.
 
 The training step is one forward, weighted BCE and backward of the
 4-channel network (gray through the frozen shared blocks, the others through
-trainable DSU copies), with the previous step's graph alive during the next
-forward, as in training. Its ``extra_info`` records the wall and process CPU
+trainable DSU copies). Each step drops its graph before the next forward
+runs, as training does. Its ``extra_info`` records the wall and process CPU
 time (``time.process_time``, every thread) of each timed step, the minor
 page faults of each (``ru_minflt``), which count the fresh memory the step
-touches, and the ``tracemalloc`` peak (MB) of three more steps run after the
-timed ones (tracing slows every allocation).
+touches, and, from three more steps run after the timed ones (tracing slows
+every allocation), the ``tracemalloc`` peak (MB) and the bytes (MB) that the
+training forward leaves in the graph: traced memory after the loss is built
+less that before the forward.
 
 The predict case scores 30 frames of each of the 4 channels through the
 default model's frozen view, as per-epoch dev scoring and the pipeline's
@@ -155,17 +157,17 @@ def _training_step(benchmark):
               for ch in cfg.channels}
     labels = np.arange(BATCH) % 2
     params = [t for _, t in model.trainable()]
-    held = []  # the previous step's loss, alive during the next forward as in training
-    faults, wall, cpu = [], [], []
+    faults, wall, cpu, graph = [], [], [], []
 
     def step():
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         wall0, cpu0 = time.perf_counter(), time.process_time()
         for p in params:
             p.zero_grad()
+        traced0 = tracemalloc.get_traced_memory()[0]
         loss = ad.weighted_bce(forward(model, frames), labels)
+        graph.append((tracemalloc.get_traced_memory()[0] - traced0) / 1e6)
         loss.backward()
-        held[:] = [loss]
         wall.append((time.perf_counter() - wall0) * 1e3)
         cpu.append((time.process_time() - cpu0) * 1e3)
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
@@ -176,9 +178,9 @@ def _training_step(benchmark):
     benchmark.extra_info["cpu_ms_median"] = float(np.median(cpu))
     timed_faults = faults[:]
     peaks = []
+    graph.clear()  # untraced steps read 0
     tracemalloc.start()
     try:
-        step()  # leaves a traced graph alive for the recorded steps
         for _ in range(3):
             tracemalloc.reset_peak()
             step()
@@ -189,6 +191,8 @@ def _training_step(benchmark):
     benchmark.extra_info["minflt_median"] = float(np.median(timed_faults))
     benchmark.extra_info["tracemalloc_peak_mb_per_step"] = peaks
     benchmark.extra_info["tracemalloc_peak_mb_median"] = float(np.median(peaks))
+    benchmark.extra_info["graph_mb_per_step"] = graph[:]
+    benchmark.extra_info["graph_mb_median"] = float(np.median(graph))
     assert all(p.grad is not None for p in params)
 
 

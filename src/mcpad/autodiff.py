@@ -16,19 +16,27 @@ pooling window whose maximum is NaN routes its gradient to its last tap.
 No graph where no gradient flows: an op whose inputs all have
 ``requires_grad`` false returns a bare tensor with no parents and no
 backward closure, so a frozen forward pass frees each intermediate as soon
-as the next op has read it. Otherwise the closure keeps only what its
-backward reads:
-  conv2d    nothing beyond its input (the im2col columns are rebuilt for
-            the weight gradient; the column gradient is folded back a
-            block of samples at a time);
-  maxpool2d nothing beyond its input and output (hit masks are rebuilt);
-  mfm       nothing beyond its input (the comparison is recomputed);
+as the next op has read it.
+
+The graph is made of nodes, not tensors. A tensor that needs a gradient
+owns a node: its gradient buffer, the nodes of the parents that need one,
+and its backward closure. Nothing in the graph refers to a tensor's
+``data``, so a training forward frees each activation that no backward
+reads as soon as the next op has read it. Each closure keeps only the
+arrays its backward reads, taken in forward:
+  conv2d    its input when the weight needs a gradient (the im2col columns
+            are rebuilt from it; the column gradient is folded back a
+            block of samples at a time), and its weight;
+  linear    its input when the weight needs a gradient, and its weight;
+  maxpool2d the first tap, in window scan order, that equals each window's
+            maximum (uint8; a NaN window takes its last tap);
+  mfm       the ``first >= second`` mask of the channel halves (bool);
   sigmoid   its output and the inside-the-clamp mask;
   weighted_bce  the clamped probabilities, targets and clamp mask.
-Because backward rereads its inputs, an op's input must not be changed in
-place between the forward call and the backward sweep.
-``Tensor.accumulate`` adopts the first gradient it receives instead of
-copying it, so every backward hands over an array that it owns.
+An array a closure keeps must not be changed in place between the forward
+call and the backward sweep.
+``accumulate`` adopts the first gradient it receives instead of copying
+it, so every backward hands over an array that it owns.
 ``Tensor.backward`` drops each intermediate gradient once its closure has
 run: afterwards only leaves (tensors without a backward closure) hold a
 ``.grad``, and a second sweep over the same graph adds exactly one more
@@ -57,44 +65,84 @@ SIGMOID_CLAMP = 40.0
 PROB_EPS = 1e-7
 
 
-class Tensor:
-    """Value + gradient buffer; float64 by default, float32 arrays are kept
-    as-is (training runs single precision, gradient checks double)."""
+class _Node:
+    """Gradient buffer, parent nodes and backward closure of a tensor that
+    needs a gradient. It holds no reference to the tensor's data."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("grad", "dtype", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, _parents: tuple = (), _backward=None):
-        data = np.asarray(data)
-        if data.dtype not in (np.float32, np.float64):
-            data = data.astype(np.float64)
-        self.data = data
+    def __init__(self, dtype, parents: tuple = (), backward=None):
         self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad)
-        self._parents = _parents
-        self._backward = _backward
-
-    @property
-    def shape(self):
-        return self.data.shape
+        self.dtype = dtype
+        self._parents = parents
+        self._backward = backward
 
     def accumulate(self, grad: np.ndarray) -> None:
         """Add ``grad``. The first gradient is adopted without a copy (cast
         only if its dtype differs): callers pass an array nothing else
         holds."""
         if self.grad is None:
-            self.grad = np.asarray(grad, dtype=self.data.dtype)
+            self.grad = np.asarray(grad, dtype=self.dtype)
         else:
             self.grad += grad
 
+
+class Tensor:
+    """Value plus, when it needs a gradient, a graph node; float64 by
+    default, float32 arrays are kept as-is (training runs single
+    precision, gradient checks double)."""
+
+    __slots__ = ("data", "_node")
+
+    def __init__(self, data, requires_grad: bool = False):
+        data = np.asarray(data)
+        if data.dtype not in (np.float32, np.float64):
+            data = data.astype(np.float64)
+        self.data = data
+        self._node = _Node(data.dtype) if requires_grad else None
+
+    @property
+    def shape(self):
+        return self.data.shape
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self._node is None else self._node.grad
+
+    @property
+    def _parents(self) -> tuple:
+        """The parent nodes that need a gradient."""
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward(self):
+        return None if self._node is None else self._node._backward
+
+    @_backward.setter
+    def _backward(self, backward) -> None:
+        self._node._backward = backward
+
+    def accumulate(self, grad: np.ndarray) -> None:
+        self._node.accumulate(grad)
+
     def zero_grad(self) -> None:
-        self.grad = None
+        if self._node is not None:
+            self._node.grad = None
 
     def backward(self) -> None:
         """Reverse-mode sweep seeded with ones (call on the scalar loss);
-        leaves accumulate, intermediate gradients are dropped once used."""
-        topo: list[Tensor] = []
+        leaves accumulate, intermediate gradients are dropped once used. A
+        tensor that needs no gradient has no graph to sweep."""
+        root = self._node
+        if root is None:
+            return
+        topo: list[_Node] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node, bool]] = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -107,7 +155,7 @@ class Tensor:
             for parent in node._parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
-        self.grad = np.ones_like(self.data)
+        root.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -119,9 +167,14 @@ def parameter(data) -> Tensor:
 
 
 def _wrap(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
-    if any(p.requires_grad for p in parents):
-        return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward)
-    return Tensor(data)
+    """``data`` in a tensor whose node runs ``backward``, when one of
+    ``parents`` needs a gradient. ``backward`` should capture arrays and
+    nodes, not tensors, so that the graph keeps no tensor's data."""
+    out = Tensor(data)
+    nodes = tuple(p._node for p in parents if p._node is not None)
+    if nodes:
+        out._node = _Node(out.data.dtype, nodes, backward)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -172,9 +225,10 @@ def _use_one_blas_thread() -> None:
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation: x (N,C,H,W), weight (F,C,kh,kw), bias (F,).
 
-    Backward rebuilds the columns from ``x`` for the weight gradient and
+    Backward rebuilds the columns from the input for the weight gradient and
     folds the column gradient back into the input gradient a few samples at
-    a time, so the graph keeps nothing beyond ``x`` and the output."""
+    a time; the graph keeps the input only when the weight needs a
+    gradient."""
     if stride not in (1, 2):
         raise ValueError("stride must be 1 or 2")
     n, c, h, w = x.data.shape
@@ -189,18 +243,21 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     _use_one_blas_thread()
     out = np.matmul(weight.data.reshape(f, c * kh * kw)[None], _im2col(x.data, kh, kw, stride, padding, oh, ow))
     out += bias.data[None, :, None]
+    xn, wn, bn = x._node, weight._node, bias._node
+    xd = x.data if wn is not None else None
+    wd, dtype = weight.data, x.data.dtype
 
     def backward(grad):
         g = grad.reshape(n, f, oh * ow)
-        if weight.requires_grad:
-            dw = np.matmul(g, _im2col(x.data, kh, kw, stride, padding, oh, ow).transpose(0, 2, 1))
-            weight.accumulate(dw.sum(axis=0).reshape(weight.data.shape))
-        if bias.requires_grad:
-            bias.accumulate(g.sum(axis=(0, 2)))
-        if x.requires_grad:
-            w2t = weight.data.reshape(f, c * kh * kw).T
-            dxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.data.dtype)
-            step = max(1, _FOLD_BYTES // (c * kh * kw * oh * ow * x.data.itemsize))
+        if wn is not None:
+            dw = np.matmul(g, _im2col(xd, kh, kw, stride, padding, oh, ow).transpose(0, 2, 1))
+            wn.accumulate(dw.sum(axis=0).reshape(wd.shape))
+        if bn is not None:
+            bn.accumulate(g.sum(axis=(0, 2)))
+        if xn is not None:
+            w2t = wd.reshape(f, c * kh * kw).T
+            dxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=dtype)
+            step = max(1, _FOLD_BYTES // (c * kh * kw * oh * ow * dtype.itemsize))
             for lo in range(0, n, step):
                 dcols = np.matmul(w2t, g[lo : lo + step]).reshape(-1, c, kh, kw, oh, ow)
                 block = dxp[lo : lo + step]
@@ -208,7 +265,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
                     for j in range(kw):
                         block[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += dcols[:, :, i, j]
             dx = dxp[:, :, padding : padding + h, padding : padding + w] if padding else dxp
-            x.accumulate(dx)
+            xn.accumulate(dx)
 
     return _wrap(out.reshape(n, f, oh, ow), (x, weight, bias), backward)
 
@@ -238,21 +295,24 @@ def maxpool2d(x: Tensor) -> Tensor:
     out = np.maximum(tap(x.data, 0, 0), tap(x.data, 0, 1))
     np.maximum(out, tap(x.data, 1, 0), out=out)
     np.maximum(out, tap(x.data, 1, 1), out=out)
+    xn = x._node
+    if xn is None:
+        return Tensor(out)
+    # first hit = 3 - (how many of the first three taps are at or after
+    # it); a NaN window equals no tap and takes the last
+    seen = tap(x.data, 0, 0) == out
+    first = seen.astype(np.uint8)
+    for i, j in _POOL_TAPS[1:-1]:
+        seen |= tap(x.data, i, j) == out
+        first += seen
+    np.subtract(len(_POOL_TAPS) - 1, first, out=first)
+    shape, dtype = x.data.shape, x.data.dtype
 
     def backward(grad):
-        if x.requires_grad:
-            dx = np.zeros_like(x.data)
-            taken = None
-            for i, j in _POOL_TAPS[:-1]:
-                hit = tap(x.data, i, j) == out
-                if taken is None:
-                    taken = hit
-                else:
-                    np.greater(hit, taken, out=hit)  # equal here and at no earlier tap
-                    taken |= hit
-                _select_into(tap(dx, i, j), grad, hit)
-            _select_into(tap(dx, *_POOL_TAPS[-1]), grad, ~taken)
-            x.accumulate(dx)
+        dx = np.zeros(shape, dtype=dtype)
+        for t, (i, j) in enumerate(_POOL_TAPS):
+            _select_into(tap(dx, i, j), grad, first == t)
+        xn.accumulate(dx)
 
     return _wrap(out, (x,), backward)
 
@@ -262,14 +322,17 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     if x.data.shape[1] != weight.data.shape[1]:
         raise ValueError(f"linear shape mismatch: {x.data.shape} vs {weight.data.shape}")
     out = x.data @ weight.data.T + bias.data
+    xn, wn, bn = x._node, weight._node, bias._node
+    xd = x.data if wn is not None else None
+    wd = weight.data
 
     def backward(grad):
-        if weight.requires_grad:
-            weight.accumulate(grad.T @ x.data)
-        if bias.requires_grad:
-            bias.accumulate(grad.sum(axis=0))
-        if x.requires_grad:
-            x.accumulate(grad @ weight.data)
+        if wn is not None:
+            wn.accumulate(grad.T @ xd)
+        if bn is not None:
+            bn.accumulate(grad.sum(axis=0))
+        if xn is not None:
+            xn.accumulate(grad @ wd)
 
     return _wrap(out, (x, weight, bias), backward)
 
@@ -277,11 +340,13 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 def sigmoid(x: Tensor) -> Tensor:
     clamped = np.clip(x.data, -SIGMOID_CLAMP, SIGMOID_CLAMP)
     out = 1.0 / (1.0 + np.exp(-clamped))
+    xn = x._node
+    if xn is None:
+        return Tensor(out)
     inside = (x.data > -SIGMOID_CLAMP) & (x.data < SIGMOID_CLAMP)
 
     def backward(grad):
-        if x.requires_grad:
-            x.accumulate(grad * out * (1.0 - out) * inside)
+        xn.accumulate(grad * out * (1.0 - out) * inside)
 
     return _wrap(out, (x,), backward)
 
@@ -294,14 +359,17 @@ def mfm(x: Tensor) -> Tensor:
         raise ValueError("MFM needs an even channel count")
     k = channels // 2
     out = np.maximum(x.data[:, :k], x.data[:, k:])
+    xn = x._node
+    if xn is None:
+        return Tensor(out)
+    take_first = x.data[:, :k] >= x.data[:, k:]
+    shape, dtype = x.data.shape, x.data.dtype
 
     def backward(grad):
-        if x.requires_grad:
-            take_first = x.data[:, :k] >= x.data[:, k:]
-            dx = np.empty_like(x.data)
-            np.multiply(grad, take_first, out=dx[:, :k])
-            np.multiply(grad, ~take_first, out=dx[:, k:])
-            x.accumulate(dx)
+        dx = np.empty(shape, dtype=dtype)
+        np.multiply(grad, take_first, out=dx[:, :k])
+        np.multiply(grad, ~take_first, out=dx[:, k:])
+        xn.accumulate(dx)
 
     return _wrap(out, (x,), backward)
 
@@ -310,11 +378,12 @@ def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
     out = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     bounds = np.cumsum([0] + sizes)
+    nodes = [t._node for t in tensors]
 
     def backward(grad):
-        for t, lo, hi in zip(tensors, bounds[:-1], bounds[1:]):
-            if t.requires_grad:
-                t.accumulate(np.take(grad, range(lo, hi), axis=axis))
+        for node, lo, hi in zip(nodes, bounds[:-1], bounds[1:]):
+            if node is not None:
+                node.accumulate(np.take(grad, range(lo, hi), axis=axis))
 
     return _wrap(out, tuple(tensors), backward)
 
@@ -323,10 +392,10 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     """View of ``x`` with ``shape`` (one entry may be -1); the gradient is
     reshaped back to the shape of ``x``."""
     out = x.data.reshape(shape)
+    xn, x_shape = x._node, x.data.shape
 
     def backward(grad):
-        if x.requires_grad:
-            x.accumulate(grad.reshape(x.data.shape).copy())  # a view would share this op's gradient
+        xn.accumulate(grad.reshape(x_shape).copy())  # a view would share this op's gradient
 
     return _wrap(out, (x,), backward)
 
@@ -348,10 +417,10 @@ def weighted_bce(p: Tensor, targets: np.ndarray, w_bonafide: float = 1.0, w_atta
     inside = (p.data > PROB_EPS) & (p.data < 1.0 - PROB_EPS)
     n = y.size
     loss = -np.sum(w_bonafide * y * np.log(pc) + w_attack * (1.0 - y) * np.log(1.0 - pc)) / n
+    pn = p._node
 
     def backward(grad):
-        if p.requires_grad:
-            dp = -(w_bonafide * y / pc - w_attack * (1.0 - y) / (1.0 - pc)) / n
-            p.accumulate(grad * dp * inside)
+        dp = -(w_bonafide * y / pc - w_attack * (1.0 - y) / (1.0 - pc)) / n
+        pn.accumulate(grad * dp * inside)
 
     return _wrap(np.asarray(loss), (p,), backward)

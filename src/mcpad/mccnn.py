@@ -383,6 +383,7 @@ def _adam_epochs(
                 p.data -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
             total += float(loss.data)
             batches += 1
+            del loss  # the graph goes before the next forward and the epoch's dev scoring
         yield epoch, total / max(batches, 1)
 
 

@@ -2,6 +2,7 @@ import ctypes
 import multiprocessing
 import os
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 import mcpad.autodiff as ad
 from mcpad.autodiff import Tensor
 from mcpad.dataset import ChannelId
-from mcpad.mccnn import McCnnConfig, build_model, forward
+from mcpad.mccnn import McCnnConfig, branch_forward, build_model, forward
 
 from oracles import at_blas_threads, check_gradients, conv2d_im2col, mse_loss
 
@@ -137,6 +138,14 @@ class TestKernelsMatchReference:
         expected = ref_backward(grad)
         assert t.grad.dtype == expected.dtype
         assert t.grad.tobytes() == expected.tobytes()
+
+    def test_maxpool2d_nan_window_routes_to_last_tap(self):
+        x = np.array([[[[np.nan, 5.0, 1.0, 1.0], [2.0, 3.0, 1.0, 1.0]]]])
+        t = ad.parameter(x)
+        out = ad.maxpool2d(t)
+        out._backward(np.array([[[[7.0, 9.0]]]]))
+        assert np.isnan(out.data[0, 0, 0, 0]) and out.data[0, 0, 0, 1] == 1.0
+        assert np.array_equal(t.grad, [[[[0.0, 0.0, 9.0, 0.0], [0.0, 7.0, 0.0, 0.0]]]])
 
     def test_mfm_on_embeddings(self, rng):
         x = rng.integers(-2, 3, size=(5, 8)).astype(np.float32)
@@ -377,8 +386,50 @@ class TestEngine:
 
 
 class TestRetention:
-    """A training graph holds its activations and leaf gradients, nothing
-    more."""
+    """A training graph holds gradient nodes and only the arrays each
+    backward reads: the inputs of conv2d and linear whose weight trains,
+    the masks of mfm, maxpool2d and sigmoid, and the leaf gradients. No
+    activation outlives the op that read it."""
+
+    def test_trainable_branch_frees_conv_and_mfm_outputs(self, rng, monkeypatch):
+        cfg = McCnnConfig(channels=(ChannelId.GRAY, ChannelId.DEPTH), input_size=16, embedding_dim=8,
+                          base_width=4, adapt=frozenset({"C1", "B1", "G1"}), batch_size=4, seed=0)
+        model = build_model(cfg)
+        outputs = {"conv2d": [], "mfm": []}
+
+        def recording(name):
+            op = getattr(ad, name)
+
+            def run(*args, **kwargs):
+                out = op(*args, **kwargs)
+                outputs[name].append(weakref.ref(out.data))
+                return out
+
+            return run
+
+        for name in outputs:
+            monkeypatch.setattr(ad, name, recording(name))
+        emb = branch_forward(model, ChannelId.DEPTH, rng.uniform(-1, 1, (4, 16, 16)).astype(np.float32))
+        assert emb.requires_grad
+        assert len(outputs["conv2d"]) == 3 and len(outputs["mfm"]) == 4  # C1, B1, G1 (+ EMB)
+        assert all(ref() is None for ref in outputs["conv2d"] + outputs["mfm"][:3])
+        assert outputs["mfm"][3]() is emb.data
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op", ["mfm", "maxpool2d"])
+    def test_mask_ops_keep_under_a_quarter_of_their_input(self, rng, op, dtype):
+        source = rng.normal(size=(4, 8, 32, 32)).astype(dtype)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = getattr(ad, op)(Tensor(source.copy(), requires_grad=True))
+            backward = out._backward
+            del out  # input and output go; what the backward closure reads stays
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert backward is not None
+        assert kept < source.nbytes / 4
 
     def test_conv2d_keeps_no_columns(self, rng):
         x = Tensor(rng.normal(size=(4, 3, 16, 16)).astype(np.float32))

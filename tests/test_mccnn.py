@@ -139,7 +139,8 @@ class TestForward:
         assert activations[3]() is gray.data
         depth = branch_forward(model, DEPTH, frames)  # trainable DSU copies
         assert depth._parents and depth.requires_grad
-        assert all(ref() is not None for ref in activations[4:])
+        assert all(ref() is None for ref in activations[4:7])  # the graph keeps masks, not outputs
+        assert activations[7]() is depth.data
 
     def test_missing_channel_rejected(self, rng):
         model = build_model(mini_config())
