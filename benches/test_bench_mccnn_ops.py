@@ -20,21 +20,29 @@ included, except ``test_training_step_4ch_all_blas_threads``: the same
 step with one BLAS thread per CPU, as before that setting, for a
 comparison within one session.
 
+The per-op cases run each op once over the whole batch of 32. The network
+does not: ``mccnn.branch_forward`` runs the C1 -> B1 -> G1 trunk over blocks
+of whole samples (2 at this configuration), so their sum over-states the
+trunk's cost. ``test_dsu_branch_trunk`` runs the trunk as the network does:
+one DSU branch (depth, adapt set {C1, B1}) forward through
+``branch_forward`` and backward from its embedding, batch 32.
+
 The training step is one forward, weighted BCE and backward of the
 4-channel network (gray through the frozen shared blocks, the others through
 trainable DSU copies). Each step drops its graph before the next forward
-runs, as training does. Its ``extra_info`` records the wall and process CPU
-time (``time.process_time``, every thread) of each timed step, the minor
-page faults of each (``ru_minflt``), which count the fresh memory the step
-touches, and, from three more steps run after the timed ones (tracing slows
-every allocation), the ``tracemalloc`` peak (MB) and the bytes (MB) that the
-training forward leaves in the graph: traced memory after the loss is built
-less that before the forward.
+runs, as training does. The ``extra_info`` of the step and of the DSU branch
+records the wall and process CPU time (``time.process_time``, every thread)
+of each timed step, the minor page faults of each (``ru_minflt``), which
+count the fresh memory the step touches, and, from three more steps run
+after the timed ones (tracing slows every allocation), the ``tracemalloc``
+peak (MB) and the bytes (MB) that the forward leaves in the graph: traced
+memory after the forward less that before it.
 
 The predict case scores 30 frames of each of the 4 channels through the
 default model's frozen view, as per-epoch dev scoring and the pipeline's
-dev/eval scoring do; its ``extra_info`` records the wall and CPU time of
-each call.
+dev/eval scoring do; its ``extra_info`` records the median wall and CPU
+time and minor page faults of a call and, from three more calls, the
+``tracemalloc`` peak.
 """
 
 import os
@@ -47,7 +55,8 @@ import pytest
 
 import mcpad.autodiff as ad
 from mcpad.autodiff import Tensor
-from mcpad.mccnn import McCnnConfig, build_model, forward, predict
+from mcpad.dataset import ChannelId
+from mcpad.mccnn import McCnnConfig, branch_forward, build_model, forward, predict
 
 BATCH = 32
 # group: (input shape, weight shape, padding, input needs grad, weight needs grad)
@@ -149,14 +158,17 @@ def test_linear_emb_bwd(benchmark):
     _run_backward(benchmark, ad.linear(x, weight, bias), (x,))
 
 
-def _training_step(benchmark):
+def _default_model_and_frames(seed):
     cfg = McCnnConfig()
-    model = build_model(cfg)
-    rng = np.random.default_rng(3)
+    rng = np.random.default_rng(seed)
     frames = {ch: rng.uniform(-1, 1, (BATCH, cfg.input_size, cfg.input_size)).astype(np.float32)
               for ch in cfg.channels}
-    labels = np.arange(BATCH) % 2
-    params = [t for _, t in model.trainable()]
+    return build_model(cfg), frames
+
+
+def _forward_backward_steps(benchmark, run_forward, params):
+    """Time ``run_forward()`` and the backward sweep from the tensor it
+    returns, recording per step what the module docstring lists."""
     faults, wall, cpu, graph = [], [], [], []
 
     def step():
@@ -165,9 +177,9 @@ def _training_step(benchmark):
         for p in params:
             p.zero_grad()
         traced0 = tracemalloc.get_traced_memory()[0]
-        loss = ad.weighted_bce(forward(model, frames), labels)
+        out = run_forward()
         graph.append((tracemalloc.get_traced_memory()[0] - traced0) / 1e6)
-        loss.backward()
+        out.backward()
         wall.append((time.perf_counter() - wall0) * 1e3)
         cpu.append((time.process_time() - cpu0) * 1e3)
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
@@ -196,6 +208,20 @@ def _training_step(benchmark):
     assert all(p.grad is not None for p in params)
 
 
+def _training_step(benchmark):
+    model, frames = _default_model_and_frames(3)
+    labels = np.arange(BATCH) % 2
+    params = [t for _, t in model.trainable()]
+    _forward_backward_steps(benchmark, lambda: ad.weighted_bce(forward(model, frames), labels), params)
+
+
+def test_dsu_branch_trunk(benchmark):
+    model, frames = _default_model_and_frames(3)
+    depth = ChannelId.DEPTH
+    params = [t for key, t in model.trainable() if key.startswith("dsu.depth.")]
+    _forward_backward_steps(benchmark, lambda: branch_forward(model, depth, frames[depth]), params)
+
+
 def test_training_step_4ch(benchmark):
     _training_step(benchmark)
 
@@ -217,16 +243,29 @@ def test_predict_4ch(benchmark):
     rng = np.random.default_rng(4)
     frames = {ch: rng.uniform(-1, 1, (30, cfg.input_size, cfg.input_size)).astype(np.float32)
               for ch in cfg.channels}
-    wall, cpu = [], []
+    wall, cpu, faults = [], [], []
 
     def call():
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         wall0, cpu0 = time.perf_counter(), time.process_time()
         scores = predict(model, frames)
         wall.append((time.perf_counter() - wall0) * 1e3)
         cpu.append((time.process_time() - cpu0) * 1e3)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         return scores
 
     scores = benchmark(call)
     benchmark.extra_info["wall_ms_median"] = float(np.median(wall))
     benchmark.extra_info["cpu_ms_median"] = float(np.median(cpu))
+    benchmark.extra_info["minflt_median"] = float(np.median(faults))
+    peaks = []
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            tracemalloc.reset_peak()
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1] / 1e6)
+    finally:
+        tracemalloc.stop()
+    benchmark.extra_info["tracemalloc_peak_mb_median"] = float(np.median(peaks))
     assert scores.shape == (30,) and np.all((scores > 0) & (scores < 1))

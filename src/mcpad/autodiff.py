@@ -25,8 +25,7 @@ and its backward closure. Nothing in the graph refers to a tensor's
 reads as soon as the next op has read it. Each closure keeps only the
 arrays its backward reads, taken in forward:
   conv2d    its input when the weight needs a gradient (the im2col columns
-            are rebuilt from it; the column gradient is folded back a
-            block of samples at a time), and its weight;
+            are rebuilt from it), and its weight;
   linear    its input when the weight needs a gradient, and its weight;
   maxpool2d the first tap, in window scan order, that equals each window's
             maximum (uint8; a NaN window takes its last tap);
@@ -41,6 +40,17 @@ it, so every backward hands over an array that it owns.
 run: afterwards only leaves (tensors without a backward closure) hold a
 ``.grad``, and a second sweep over the same graph adds exactly one more
 pass to them.
+
+Gradient order: conv2d adds each sample's weight and bias gradient into
+the leaf one sample at a time, in sample order (with two or more filters,
+the bytes of numpy's sums over the batch). The sweep runs the graph
+under an op's first parent before the graph under its second, when the two
+share only leaves. So a batch split into blocks of whole samples, run
+through the same ops and joined by ``concat`` in sample order, gives its
+leaves the same gradient bytes as the whole batch in one call; a sum of
+per-block sums would not. conv2d's backward folds the whole column
+gradient back in one pass, so a caller that wants its temporaries small
+passes it a small block (as ``mccnn.branch_forward`` does).
 
 BLAS threads: the first conv2d sets numpy's bundled OpenBLAS to one thread
 for the rest of the process, overriding ``OPENBLAS_NUM_THREADS``, and every
@@ -181,12 +191,6 @@ def _wrap(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
 # layers
 # --------------------------------------------------------------------------
 
-#: Bytes of column gradient that conv2d's backward folds back at a time: a
-#: block of whole samples, so each sample's product is the same matmul
-#: that one whole-batch column gradient would make.
-_FOLD_BYTES = 1 << 20
-
-
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int, oh: int, ow: int) -> np.ndarray:
     """(N, C*kh*kw, oh*ow) columns of ``x`` zero-padded by ``padding``."""
     n, c, h, w = x.shape
@@ -225,9 +229,10 @@ def _use_one_blas_thread() -> None:
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation: x (N,C,H,W), weight (F,C,kh,kw), bias (F,).
 
-    Backward rebuilds the columns from the input for the weight gradient and
-    folds the column gradient back into the input gradient a few samples at
-    a time; the graph keeps the input only when the weight needs a
+    Backward rebuilds the columns from the input for the weight gradient,
+    adds each sample's weight and bias gradient into the leaf in sample
+    order, and folds the whole column gradient back into the input
+    gradient; the graph keeps the input only when the weight needs a
     gradient."""
     if stride not in (1, 2):
         raise ValueError("stride must be 1 or 2")
@@ -251,19 +256,17 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
         g = grad.reshape(n, f, oh * ow)
         if wn is not None:
             dw = np.matmul(g, _im2col(xd, kh, kw, stride, padding, oh, ow).transpose(0, 2, 1))
-            wn.accumulate(dw.sum(axis=0).reshape(wd.shape))
+            for dw_sample in dw:
+                wn.accumulate(dw_sample.reshape(wd.shape))
         if bn is not None:
-            bn.accumulate(g.sum(axis=(0, 2)))
+            for g_sample in g:
+                bn.accumulate(g_sample.sum(axis=1))
         if xn is not None:
-            w2t = wd.reshape(f, c * kh * kw).T
+            dcols = np.matmul(wd.reshape(f, c * kh * kw).T, g).reshape(n, c, kh, kw, oh, ow)
             dxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=dtype)
-            step = max(1, _FOLD_BYTES // (c * kh * kw * oh * ow * dtype.itemsize))
-            for lo in range(0, n, step):
-                dcols = np.matmul(w2t, g[lo : lo + step]).reshape(-1, c, kh, kw, oh, ow)
-                block = dxp[lo : lo + step]
-                for i in range(kh):
-                    for j in range(kw):
-                        block[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += dcols[:, :, i, j]
+            for i in range(kh):
+                for j in range(kw):
+                    dxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += dcols[:, :, i, j]
             dx = dxp[:, :, padding : padding + h, padding : padding + w] if padding else dxp
             xn.accumulate(dx)
 

@@ -12,6 +12,17 @@ Layer groups (base width b, default 16):
 
 The gray branch always uses the shared (frozen) backbone; channels in the
 adapt set get their own trainable copies of those groups; FFC always trains.
+
+``branch_forward`` runs the C1 -> B1 -> G1 trunk over blocks of whole
+samples, as many as fit their C1 conv output in the fixed budget
+``TRUNK_BLOCK_BYTES`` (2 at the default 64 px), so each op's temporaries
+stay in a core's L2 cache instead of streaming batch-sized arrays through
+memory; the pooled G1 blocks are then joined. The trunk's ops work sample
+by sample and conv2d adds its weight and bias gradients into the leaves one
+sample at a time, so the block size changes no output byte. EMB and the
+head do not run in blocks: they run over every row of the batch, and
+``PREDICT_BATCH`` and ``EMBED_CHUNK`` keep their row counts, because the
+row count of a matmul can change its output bytes.
 ``McCnnModel.params`` is keyed by the model file's block names
 (``shared.C1.conv_w``, ``dsu.depth.C1.conv_w``, ``head.fc1_w``), so saving,
 loading and the trainable list walk one dict. Scoring (``predict``, also the
@@ -55,6 +66,10 @@ INPUT_SHIFT = 127.5
 # and FFC matmuls, so changing one can change the output bytes.
 PREDICT_BATCH = 64
 EMBED_CHUNK = 128
+
+# Bytes of C1 conv output per block of the trunk (see the module docstring):
+# 2 samples at the default 64 px, float32 and base width 16.
+TRUNK_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -228,24 +243,35 @@ def build_model(
 # forward graph
 # --------------------------------------------------------------------------
 
-def branch_forward(model: McCnnModel, channel: ChannelId, frames: np.ndarray | Tensor) -> Tensor:
-    """Embedding of shape (N, E) for one channel's frame batch (N,S,S)."""
+def trunk_block_samples(cfg: McCnnConfig, dtype) -> int:
+    """Samples per block of the C1 -> B1 -> G1 trunk: as many as fit their
+    C1 conv output, the trunk's largest array, in ``TRUNK_BLOCK_BYTES``."""
+    sample_bytes = 2 * cfg.base_width * cfg.input_size**2 * np.dtype(dtype).itemsize
+    return max(1, TRUNK_BLOCK_BYTES // sample_bytes)
+
+
+def branch_forward(model: McCnnModel, channel: ChannelId, frames: np.ndarray) -> Tensor:
+    """Embedding of shape (N, E) for one channel's frame batch (N,S,S).
+
+    The trunk runs over blocks of whole samples (``trunk_block_samples``)
+    and the pooled G1 blocks are joined in sample order; EMB runs once over
+    all N rows."""
     cfg = model.config
-    if isinstance(frames, Tensor):
-        x = frames
-    else:
-        arr = np.asarray(frames, dtype=model.dtype)
-        if arr.ndim == 2:
-            arr = arr[None]
-        if arr.shape[-2:] != (cfg.input_size, cfg.input_size):
-            raise ValueError(f"expected {cfg.input_size}x{cfg.input_size} frames, got {arr.shape}")
-        x = Tensor(arr[:, None, :, :])
-    c1 = model.block(channel, "C1")
-    x = ad.maxpool2d(ad.mfm(ad.conv2d(x, c1["conv_w"], c1["conv_b"], padding=2)))
-    b1 = model.block(channel, "B1")
-    x = ad.maxpool2d(ad.mfm(ad.conv2d(x, b1["conv_w"], b1["conv_b"], padding=1)))
-    g1 = model.block(channel, "G1")
-    x = ad.maxpool2d(ad.mfm(ad.conv2d(x, g1["conv_w"], g1["conv_b"], padding=1)))
+    arr = np.asarray(frames, dtype=model.dtype)
+    if arr.ndim == 2:
+        arr = arr[None]
+    if not arr.shape[0] or arr.shape[-2:] != (cfg.input_size, cfg.input_size):
+        size = cfg.input_size
+        raise ValueError(f"expected a nonempty batch of {size}x{size} frames, got {arr.shape}")
+    c1, b1, g1 = (model.block(channel, group) for group in ("C1", "B1", "G1"))
+    step = trunk_block_samples(cfg, model.dtype)
+    pooled = []
+    for lo in range(0, arr.shape[0], step):
+        x = Tensor(arr[lo : lo + step, None])
+        x = ad.maxpool2d(ad.mfm(ad.conv2d(x, c1["conv_w"], c1["conv_b"], padding=2)))
+        x = ad.maxpool2d(ad.mfm(ad.conv2d(x, b1["conv_w"], b1["conv_b"], padding=1)))
+        pooled.append(ad.maxpool2d(ad.mfm(ad.conv2d(x, g1["conv_w"], g1["conv_b"], padding=1))))
+    x = pooled[0] if len(pooled) == 1 else ad.concat(pooled, axis=0)
     emb = model.block(channel, "EMB")
     return ad.mfm(ad.linear(ad.flatten(x), emb["lin_w"], emb["lin_b"]))
 

@@ -3,7 +3,6 @@ import multiprocessing
 import os
 import tracemalloc
 import weakref
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -179,13 +178,13 @@ def _conv_cases(draw):
 class TestConvMatchesIm2col:
     """conv2d against the kernel that keeps its columns and folds a column
     gradient back: byte-equal output and gradients. Random values, so a
-    changed summation order would show."""
+    changed summation order would show. (Blocks of whole samples are
+    covered through the MC-CNN trunk in ``test_mccnn.TestTrunkBlocks``.)"""
 
-    @given(case=_conv_cases(), x_grad=st.booleans(), w_grad=st.booleans(), seed=st.integers(0, 99),
-           fold_bytes=st.sampled_from([1, 3000, ad._FOLD_BYTES]))
-    def test_output_and_gradients(self, case, x_grad, w_grad, seed, fold_bytes):
-        """``fold_bytes`` 1 folds the column gradient back one sample at a
-        time, 3000 a few samples at a time."""
+    @given(case=_conv_cases(), x_grad=st.booleans(), w_grad=st.booleans(), seed=st.integers(0, 99))
+    def test_output_and_gradients(self, case, x_grad, w_grad, seed):
+        """conv2d adds each sample's weight and bias gradient into the leaf
+        one at a time; the oracle sums them over the batch first."""
         x, weight, bias, stride, padding = case
 
         def run(op):
@@ -197,8 +196,7 @@ class TestConvMatchesIm2col:
                 out._backward(grad)
             return out, leaves
 
-        with mock.patch.object(ad, "_FOLD_BYTES", fold_bytes):
-            out, leaves = run(ad.conv2d)
+        out, leaves = run(ad.conv2d)
         ref_out, ref_leaves = run(conv2d_im2col)
         assert out.data.dtype == x.dtype
         assert out.data.tobytes() == ref_out.data.tobytes()

@@ -2,12 +2,17 @@ import json
 import os
 import re
 import struct
+import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import mcpad.autodiff as ad
+import mcpad.mccnn as mccnn
 from mcpad.classical import FitError
 from mcpad.dataset import AttackType, ChannelId, SynthConfig, synth_generate, read_sample
 from mcpad.evaluation import threshold_from_bonafide
@@ -28,9 +33,17 @@ from mcpad.mccnn import (
     pretrain_reference,
     save_model,
     train,
+    trunk_block_samples,
 )
 
-from oracles import at_blas_threads, block_bytes, grad_check
+from oracles import (
+    at_blas_threads,
+    block_bytes,
+    branch_forward_whole_batch,
+    grad_check,
+    mse_loss,
+    sample_sum,
+)
 
 GRAY = ChannelId.GRAY
 DEPTH = ChannelId.DEPTH
@@ -156,6 +169,109 @@ class TestForward:
         assert np.all((p > 0) & (p < 1))
 
 
+def _trunk_model(kind: str, dtype, seed: int):
+    """A mini model whose DEPTH branch adapts the groups ``kind`` names
+    ("C1B1", "none", "all"), or, for "pretrain", the all-trainable gray
+    proxy that ``pretrain_reference`` trains."""
+    if kind == "pretrain":
+        cfg = mini_config(channels=(GRAY,), adapt=frozenset(), seed=seed)
+        model = build_model(cfg, dtype=dtype)
+        for key, tensor in model.params.items():
+            if key.startswith("shared."):
+                model.params[key] = ad.parameter(tensor.data)
+        return model
+    adapt = {"C1B1": {"C1", "B1"}, "none": set(), "all": set(GROUPS)}[kind]
+    return build_model(mini_config(adapt=frozenset(adapt), seed=seed), dtype=dtype)
+
+
+class TestTrunkBlocks:
+    """``branch_forward`` runs the C1 -> B1 -> G1 trunk over blocks of whole
+    samples and joins the pooled G1 blocks; its embedding and every
+    trainable gradient equal the whole-batch trunk's byte for byte."""
+
+    @given(dtype=st.sampled_from([np.float32, np.float64]), n=st.integers(1, 9),
+           block=st.sampled_from([1, 2, 3, 4]), kind=st.sampled_from(["C1B1", "none", "all", "pretrain"]),
+           seed=st.integers(0, 2**16))
+    def test_matches_whole_batch(self, dtype, n, block, kind, seed):
+        """Blocks of 1, 2, 3 or 4 samples over 1-9 frames: one block, several,
+        and a ragged last block."""
+        rng = np.random.default_rng(seed)
+        frames = rng.uniform(-1, 1, (n, 16, 16)).astype(dtype)
+        cfg = _trunk_model(kind, dtype, seed).config
+        sample_bytes = 2 * cfg.base_width * cfg.input_size**2 * np.dtype(dtype).itemsize
+        targets = rng.normal(size=(n, cfg.embedding_dim))
+        convs = []
+
+        def counting_conv2d(*args, _conv2d=ad.conv2d, **kwargs):
+            convs.append(args[0].shape[0])
+            return _conv2d(*args, **kwargs)
+
+        def run(branch):
+            model = _trunk_model(kind, dtype, seed)
+            embeddings = []
+            for channel in cfg.channels:
+                emb = branch(model, channel, frames)
+                embeddings.append(emb.data.tobytes())
+                if emb.requires_grad:
+                    mse_loss(emb, targets).backward()
+            grads = {key: None if t.grad is None else (t.grad.dtype, t.grad.tobytes())
+                     for key, t in model.params.items()}
+            return embeddings, grads, model
+
+        with mock.patch.object(mccnn, "TRUNK_BLOCK_BYTES", block * sample_bytes), \
+                mock.patch.object(ad, "conv2d", counting_conv2d):
+            assert trunk_block_samples(cfg, dtype) == block
+            embeddings, grads, model = run(branch_forward)
+        blocks = [min(block, n - lo) for lo in range(0, n, block)]
+        assert convs == [size for _ in cfg.channels for size in blocks for _ in range(3)]
+        ref_embeddings, ref_grads, _ = run(branch_forward_whole_batch)
+        assert embeddings == ref_embeddings
+        assert grads == ref_grads
+        trainable = {key for key, _ in model.trainable() if not key.startswith("head.")}
+        assert trainable == {key for key, g in grads.items() if g is not None}
+
+    @pytest.mark.parametrize("filters, pixels", [(32, 4096), (32, 1024), (48, 256), (2, 4)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sample_order_sums_equal_numpy_batch_sums(self, rng, filters, pixels, dtype):
+        """At the network's conv shapes (C1, B1, G1 and the mini model's),
+        the sample-order sums that conv2d's blocks add into the leaves are
+        the bytes of numpy's batch sums, which the trunk used before it ran
+        in blocks."""
+        for n in range(1, 35):
+            g = rng.normal(size=(n, filters, pixels)).astype(dtype)
+            assert sample_sum(g).tobytes() == g.sum(axis=0).tobytes()
+            assert sample_sum(g.sum(axis=2)).tobytes() == g.sum(axis=(0, 2)).tobytes()
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError, match="nonempty batch"):
+            branch_forward(build_model(mini_config()), GRAY, np.zeros((0, 16, 16), dtype=np.float32))
+
+    def test_default_block_size(self):
+        assert trunk_block_samples(McCnnConfig(), np.float32) == 2
+        assert trunk_block_samples(McCnnConfig(), np.float64) == 1
+
+    def test_dsu_branch_memory_at_batch_32(self):
+        """Forward and backward of one DSU branch at the default
+        configuration, batch 32: the traced peak stays under the bytes of
+        the whole batch's C1 conv output, so no batch-sized trunk array is
+        ever alive."""
+        cfg = McCnnConfig()
+        model = build_model(cfg)
+        frames = np.random.default_rng(0).uniform(-1, 1, (32, 64, 64)).astype(np.float32)
+        targets = np.zeros((32, cfg.embedding_dim), dtype=np.float32)
+        branch_forward(model, DEPTH, frames[:2])  # first-call set-up outside the trace
+        c1_output = 32 * 2 * cfg.base_width * 64 * 64 * 4
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            mse_loss(branch_forward(model, DEPTH, frames), targets).backward()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert model.params["dsu.depth.C1.conv_w"].grad is not None
+        assert peak < c1_output
+
+
 class TestPredict:
     """Scoring runs through a frozen view of the model: the same arrays, no
     graph, and the same numbers as the graph-building forward pass."""
@@ -170,6 +286,13 @@ class TestPredict:
     def test_equals_forward_bit_for_bit(self, rng, dtype):
         model, frames = self._model_and_frames(rng, dtype)
         assert model.trainable() and model.block(DEPTH, "C1")["conv_w"].requires_grad
+        assert np.array_equal(predict(model, frames), forward(model, frames).data)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_forward_over_several_trunk_blocks(self, rng, dtype, monkeypatch):
+        model, frames = self._model_and_frames(rng, dtype)
+        monkeypatch.setattr(mccnn, "TRUNK_BLOCK_BYTES", 2 * 8 * 16 * 16 * np.dtype(dtype).itemsize)
+        assert trunk_block_samples(model.config, dtype) == 2  # 5 frames in 3 blocks
         assert np.array_equal(predict(model, frames), forward(model, frames).data)
 
     def test_builds_no_graph(self, rng, monkeypatch):
