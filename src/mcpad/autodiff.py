@@ -41,16 +41,19 @@ run: afterwards only leaves (tensors without a backward closure) hold a
 ``.grad``, and a second sweep over the same graph adds exactly one more
 pass to them.
 
-Gradient order: conv2d adds each sample's weight and bias gradient into
-the leaf one sample at a time, in sample order (with two or more filters,
-the bytes of numpy's sums over the batch). The sweep runs the graph
-under an op's first parent before the graph under its second, when the two
-share only leaves. So a batch split into blocks of whole samples, run
-through the same ops and joined by ``concat`` in sample order, gives its
-leaves the same gradient bytes as the whole batch in one call; a sum of
-per-block sums would not. conv2d's backward folds the whole column
-gradient back in one pass, so a caller that wants its temporaries small
-passes it a small block (as ``mccnn.branch_forward`` does).
+Gradient order: conv2d's weight and bias gradients have the bytes of
+numpy's sums over the batch. Where a sum has two or more values (every
+weight gradient but a lone 1x1 one-channel filter's, every bias gradient
+with two or more filters) numpy adds the samples in order, and conv2d adds
+each sample's part into the leaf one sample at a time. The sweep runs the
+graph under an op's first parent before the graph under its second, when
+the two share only leaves. So a batch split into blocks of whole samples,
+run through the same ops (convs with two or more filters) and joined by
+``concat`` in sample order, gives its leaves the same gradient bytes as the
+whole batch in one call; a sum of per-block sums would not. conv2d's
+backward folds the whole column gradient back in one pass, so a caller
+that wants its temporaries small passes it a small block (as
+``mccnn.branch_forward`` does).
 
 BLAS threads: the first conv2d sets numpy's bundled OpenBLAS to one thread
 for the rest of the process, overriding ``OPENBLAS_NUM_THREADS``, and every
@@ -226,13 +229,28 @@ def _use_one_blas_thread() -> None:
         setter(1)
 
 
+def _add_batch_sum(node: _Node, parts: np.ndarray, shape: tuple[int, ...]) -> None:
+    """Add ``parts.sum(axis=(0, 2))``, reshaped to ``shape``, to ``node``
+    with the bytes of numpy's sum; ``parts`` is (samples, values, terms).
+    With two or more values numpy adds each sample's term sums into the
+    total in sample order, and so does this, one sample at a time into the
+    node: a batch split into blocks of whole samples then gives the node
+    the whole batch's bytes. One value numpy sums in one pairwise pass over
+    all samples' terms, which only a whole-batch call reproduces."""
+    if parts.shape[1] == 1:
+        node.accumulate(parts.sum(axis=(0, 2)).reshape(shape))
+        return
+    for part in parts:
+        node.accumulate(part.sum(axis=1).reshape(shape))
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation: x (N,C,H,W), weight (F,C,kh,kw), bias (F,).
 
     Backward rebuilds the columns from the input for the weight gradient,
-    adds each sample's weight and bias gradient into the leaf in sample
-    order, and folds the whole column gradient back into the input
-    gradient; the graph keeps the input only when the weight needs a
+    adds the weight and bias gradients into the leaves sample by sample
+    (``_add_batch_sum``), and folds the whole column gradient back into the
+    input gradient; the graph keeps the input only when the weight needs a
     gradient."""
     if stride not in (1, 2):
         raise ValueError("stride must be 1 or 2")
@@ -256,11 +274,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
         g = grad.reshape(n, f, oh * ow)
         if wn is not None:
             dw = np.matmul(g, _im2col(xd, kh, kw, stride, padding, oh, ow).transpose(0, 2, 1))
-            for dw_sample in dw:
-                wn.accumulate(dw_sample.reshape(wd.shape))
+            _add_batch_sum(wn, dw.reshape(n, -1, 1), wd.shape)
         if bn is not None:
-            for g_sample in g:
-                bn.accumulate(g_sample.sum(axis=1))
+            _add_batch_sum(bn, g, (f,))
         if xn is not None:
             dcols = np.matmul(wd.reshape(f, c * kh * kw).T, g).reshape(n, c, kh, kw, oh, ow)
             dxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=dtype)

@@ -260,8 +260,8 @@ def branch_forward(model: McCnnModel, channel: ChannelId, frames: np.ndarray) ->
     arr = np.asarray(frames, dtype=model.dtype)
     if arr.ndim == 2:
         arr = arr[None]
-    if not arr.shape[0] or arr.shape[-2:] != (cfg.input_size, cfg.input_size):
-        size = cfg.input_size
+    size = cfg.input_size
+    if arr.ndim != 3 or arr.shape[1:] != (size, size) or not len(arr):
         raise ValueError(f"expected a nonempty batch of {size}x{size} frames, got {arr.shape}")
     c1, b1, g1 = (model.block(channel, group) for group in ("C1", "B1", "G1"))
     step = trunk_block_samples(cfg, model.dtype)
@@ -271,7 +271,7 @@ def branch_forward(model: McCnnModel, channel: ChannelId, frames: np.ndarray) ->
         x = ad.maxpool2d(ad.mfm(ad.conv2d(x, c1["conv_w"], c1["conv_b"], padding=2)))
         x = ad.maxpool2d(ad.mfm(ad.conv2d(x, b1["conv_w"], b1["conv_b"], padding=1)))
         pooled.append(ad.maxpool2d(ad.mfm(ad.conv2d(x, g1["conv_w"], g1["conv_b"], padding=1))))
-    x = pooled[0] if len(pooled) == 1 else ad.concat(pooled, axis=0)
+    x = ad.concat(pooled, axis=0)
     emb = model.block(channel, "EMB")
     return ad.mfm(ad.linear(ad.flatten(x), emb["lin_w"], emb["lin_b"]))
 

@@ -5,14 +5,14 @@ calls it.
 objective and central finite differences; ``grad_check`` runs them through
 the whole MC-CNN, and ``block_bytes`` serializes a model's parameter blocks
 for byte comparisons. ``conv2d_im2col`` is the convolution that keeps its
-im2col columns in the graph and folds a column gradient back (col2im),
-with its weight and bias gradients summed over the samples in sample order
-(``sample_sum``); ``autodiff.conv2d`` must match its output and gradients
-byte for byte. ``branch_forward_whole_batch`` is ``mccnn.branch_forward``
-with the C1 -> B1 -> G1 trunk run over the whole batch in one pass through
+im2col columns in the graph, folds a column gradient back (col2im) and
+takes numpy's sums over the batch for its weight and bias gradients;
+``autodiff.conv2d`` must match its output and gradients byte for byte.
+``branch_forward_whole_batch`` is ``mccnn.branch_forward`` with the
+C1 -> B1 -> G1 trunk run over the whole batch in one pass through
 ``conv2d_im2col``; the blocked trunk must match its embedding and gradients
-byte for byte. ``bilinear_sample`` and ``lbp_code`` are the per-pixel forms of ``warp``'s
-and ``lbp_code_map``'s sampling. ``warp_frame``, ``mad_fit_frame``,
+byte for byte. ``bilinear_sample`` and ``lbp_code`` are the per-pixel forms
+of ``warp``'s and ``lbp_code_map``'s sampling. ``warp_frame``, ``mad_fit_frame``,
 ``mad_normalize_frame`` and ``preprocess_sample_frames`` are the one-frame,
 one-channel preprocessing that the stack forms of ``warp``, ``mad_fit``,
 ``mad_normalize`` and ``preprocess_sample`` must match byte for byte, and
@@ -134,23 +134,11 @@ def block_bytes(model: McCnnModel) -> dict[str, bytes]:
     return {name: np.asarray(t.data, dtype="<f4").tobytes() for name, t in model.params.items()}
 
 
-def sample_sum(parts: np.ndarray) -> np.ndarray:
-    """Sum over the first axis, one sample at a time in sample order. For
-    the batch gradients of every conv in the MC-CNN (at least two filters
-    and two output pixels) this is the sum numpy's ``sum(axis=0)`` and
-    ``sum(axis=(0, 2))`` make; with one filter numpy sums all N*P values of
-    a bias gradient in one pairwise pass instead."""
-    total = parts[0].copy()
-    for part in parts[1:]:
-        total += part
-    return total
-
-
 def conv2d_im2col(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation through one im2col matrix that the graph keeps for
     the weight gradient; the input gradient is one matmul into columns
-    folded back tap by tap (col2im). The weight and bias gradients are the
-    whole batch's, summed over the samples in sample order."""
+    folded back tap by tap (col2im); the weight and bias gradients are
+    numpy's sums over the whole batch."""
     if stride not in (1, 2):
         raise ValueError("stride must be 1 or 2")
     n, c, h, w = x.data.shape
@@ -178,9 +166,9 @@ def conv2d_im2col(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padd
     def backward(grad):
         g = grad.reshape(n, f, oh * ow)
         if weight.requires_grad:
-            weight.accumulate(sample_sum(np.matmul(g, cols2.transpose(0, 2, 1))).reshape(weight.data.shape))
+            weight.accumulate(np.matmul(g, cols2.transpose(0, 2, 1)).sum(axis=0).reshape(weight.data.shape))
         if bias.requires_grad:
-            bias.accumulate(sample_sum(g.sum(axis=2)))
+            bias.accumulate(g.sum(axis=(0, 2)))
         if x.requires_grad:
             dcols = np.matmul(w2.T[None], g).reshape(n, c, kh, kw, oh, ow)
             dxp = np.zeros(padded_shape, dtype=x.data.dtype)

@@ -183,8 +183,9 @@ class TestConvMatchesIm2col:
 
     @given(case=_conv_cases(), x_grad=st.booleans(), w_grad=st.booleans(), seed=st.integers(0, 99))
     def test_output_and_gradients(self, case, x_grad, w_grad, seed):
-        """conv2d adds each sample's weight and bias gradient into the leaf
-        one at a time; the oracle sums them over the batch first."""
+        """conv2d adds its weight and bias gradients into the leaves sample
+        by sample where numpy's batch sum does the same, and the oracle
+        takes numpy's sums, single-filter and one-weight convs included."""
         x, weight, bias, stride, padding = case
 
         def run(op):
@@ -206,6 +207,25 @@ class TestConvMatchesIm2col:
             if t.grad is not None:
                 assert t.grad.dtype == ref.grad.dtype
                 assert t.grad.tobytes() == ref.grad.tobytes()
+
+
+    @pytest.mark.parametrize("kernel", [1, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_single_filter_batch_sums(self, rng, kernel, dtype):
+        """One filter over one channel at 40 samples: a one-value bias
+        gradient, and with a 1x1 kernel a one-value weight gradient, which
+        numpy sums in one pairwise pass over the batch. A sum in sample
+        order rounds differently in most of the eight draws."""
+        for _ in range(8):
+            x = rng.normal(size=(40, 1, 5, 5)).astype(dtype)
+            weight = rng.normal(size=(1, 1, kernel, kernel)).astype(dtype)
+            grad = rng.normal(size=(40, 1, 5, 5)).astype(dtype)
+            grads = []
+            for op in (ad.conv2d, conv2d_im2col):
+                leaves = Tensor(weight, requires_grad=True), Tensor(np.zeros(1, dtype=dtype), requires_grad=True)
+                op(Tensor(x), *leaves, padding=kernel // 2)._backward(grad)
+                grads.append([t.grad.tobytes() for t in leaves])
+            assert grads[0] == grads[1]
 
 
 class TestConv:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import mcpad.autodiff as ad
 import mcpad.mccnn as mccnn
+from mcpad.autodiff import Tensor
 from mcpad.classical import FitError
 from mcpad.dataset import AttackType, ChannelId, SynthConfig, synth_generate, read_sample
 from mcpad.evaluation import threshold_from_bonafide
@@ -40,9 +41,9 @@ from oracles import (
     at_blas_threads,
     block_bytes,
     branch_forward_whole_batch,
+    conv2d_im2col,
     grad_check,
     mse_loss,
-    sample_sum,
 )
 
 GRAY = ChannelId.GRAY
@@ -230,21 +231,33 @@ class TestTrunkBlocks:
         trainable = {key for key, _ in model.trainable() if not key.startswith("head.")}
         assert trainable == {key for key, g in grads.items() if g is not None}
 
-    @pytest.mark.parametrize("filters, pixels", [(32, 4096), (32, 1024), (48, 256), (2, 4)])
+    @pytest.mark.parametrize("shape", [(1, 32, 5, 64, 2), (16, 32, 3, 32, 1), (16, 48, 3, 16, 1)],
+                             ids=["C1", "B1", "G1"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_sample_order_sums_equal_numpy_batch_sums(self, rng, filters, pixels, dtype):
-        """At the network's conv shapes (C1, B1, G1 and the mini model's),
-        the sample-order sums that conv2d's blocks add into the leaves are
-        the bytes of numpy's batch sums, which the trunk used before it ran
-        in blocks."""
-        for n in range(1, 35):
-            g = rng.normal(size=(n, filters, pixels)).astype(dtype)
-            assert sample_sum(g).tobytes() == g.sum(axis=0).tobytes()
-            assert sample_sum(g.sum(axis=2)).tobytes() == g.sum(axis=(0, 2)).tobytes()
+    def test_conv_blocks_add_whole_batch_sums(self, rng, shape, dtype):
+        """At the default network's conv shapes (input channels, filters,
+        kernel, size, padding), conv2d run over blocks of two samples adds
+        into its leaves the bytes of numpy's whole-batch weight and bias
+        sums, which the trunk took before it ran in blocks."""
+        c, f, k, size, padding = shape
+        weight = rng.normal(size=(f, c, k, k)).astype(dtype)
+        bias = rng.normal(size=f).astype(dtype)
+        for n in (1, 2, 3, 9, 33):
+            x = rng.normal(size=(n, c, size, size)).astype(dtype)
+            grad = rng.normal(size=(n, f, size, size)).astype(dtype)
+            leaves = Tensor(weight, requires_grad=True), Tensor(bias, requires_grad=True)
+            for lo in range(0, n, 2):
+                ad.conv2d(Tensor(x[lo : lo + 2]), *leaves, padding=padding)._backward(grad[lo : lo + 2])
+            ref = Tensor(weight, requires_grad=True), Tensor(bias, requires_grad=True)
+            conv2d_im2col(Tensor(x), *ref, padding=padding)._backward(grad)
+            for t, r in zip(leaves, ref):
+                assert t.grad.tobytes() == r.grad.tobytes()
 
-    def test_empty_batch_rejected(self):
+    @pytest.mark.parametrize("frames", [np.zeros((0, 16, 16)), np.float32(0.0), np.zeros((1, 1, 16, 16))],
+                             ids=["empty", "0-d", "4-d"])
+    def test_bad_batch_rejected(self, frames):
         with pytest.raises(ValueError, match="nonempty batch"):
-            branch_forward(build_model(mini_config()), GRAY, np.zeros((0, 16, 16), dtype=np.float32))
+            branch_forward(build_model(mini_config()), GRAY, frames)
 
     def test_default_block_size(self):
         assert trunk_block_samples(McCnnConfig(), np.float32) == 2
