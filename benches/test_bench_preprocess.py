@@ -64,7 +64,7 @@ def _planes(raw, landmarks):
     color = raw.channels[ChannelId.COLOR]
     planes = np.stack([to_gray(color)] + [raw.channels[ch] for ch in
                       (ChannelId.DEPTH, ChannelId.INFRARED, ChannelId.THERMAL)], axis=-1)
-    transforms = np.stack([estimate_similarity(landmarks[i], TARGETS)[0] for i in range(len(color))])
+    transforms = np.stack([estimate_similarity(landmarks[i], TARGETS) for i in range(len(color))])
     return planes, transforms
 
 

@@ -3,8 +3,8 @@
 Tensors hold float32 or float64 arrays: training runs float32, finite-
 difference checks float64, and every op keeps its input's precision.
 
-Ops: conv2d (zero padding, stride 1 or 2), 2x2/stride-2 max pooling, linear,
-sigmoid (input clamped to [-40, 40]), channel concatenation, max-feature-map,
+Ops: conv2d (zero padding), 2x2/stride-2 max pooling, linear, sigmoid
+(input clamped to [-40, 40]), channel concatenation, max-feature-map,
 reshape/flatten, and a weighted BCE loss.
 
 Tie rules: MFM routes the gradient to the first half when the halves are
@@ -194,7 +194,7 @@ def _wrap(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
 # layers
 # --------------------------------------------------------------------------
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int, oh: int, ow: int) -> np.ndarray:
+def _im2col(x: np.ndarray, kh: int, kw: int, padding: int, oh: int, ow: int) -> np.ndarray:
     """(N, C*kh*kw, oh*ow) columns of ``x`` zero-padded by ``padding``."""
     n, c, h, w = x.shape
     if padding:
@@ -205,7 +205,7 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int, oh: int,
     cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
     for i in range(kh):
         for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
+            cols[:, :, i, j] = xp[:, :, i : i + oh, j : j + ow]
     return cols.reshape(n, c * kh * kw, oh * ow)
 
 
@@ -244,27 +244,25 @@ def _add_batch_sum(node: _Node, parts: np.ndarray, shape: tuple[int, ...]) -> No
         node.accumulate(part.sum(axis=1).reshape(shape))
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation: x (N,C,H,W), weight (F,C,kh,kw), bias (F,).
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 0) -> Tensor:
+    """Stride-1 cross-correlation: x (N,C,H,W), weight (F,C,kh,kw), bias (F,).
 
     Backward rebuilds the columns from the input for the weight gradient,
     adds the weight and bias gradients into the leaves sample by sample
     (``_add_batch_sum``), and folds the whole column gradient back into the
     input gradient; the graph keeps the input only when the weight needs a
     gradient."""
-    if stride not in (1, 2):
-        raise ValueError("stride must be 1 or 2")
     n, c, h, w = x.data.shape
     f, wc, kh, kw = weight.data.shape
     if wc != c:
         raise ValueError(f"conv2d channel mismatch: input {c}, weight {wc}")
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (w + 2 * padding - kw) // stride + 1
+    oh = h + 2 * padding - kh + 1
+    ow = w + 2 * padding - kw + 1
     if oh < 1 or ow < 1:
         raise ValueError("conv2d output would be empty")
 
     _use_one_blas_thread()
-    out = np.matmul(weight.data.reshape(f, c * kh * kw)[None], _im2col(x.data, kh, kw, stride, padding, oh, ow))
+    out = np.matmul(weight.data.reshape(f, c * kh * kw)[None], _im2col(x.data, kh, kw, padding, oh, ow))
     out += bias.data[None, :, None]
     xn, wn, bn = x._node, weight._node, bias._node
     xd = x.data if wn is not None else None
@@ -273,7 +271,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     def backward(grad):
         g = grad.reshape(n, f, oh * ow)
         if wn is not None:
-            dw = np.matmul(g, _im2col(xd, kh, kw, stride, padding, oh, ow).transpose(0, 2, 1))
+            dw = np.matmul(g, _im2col(xd, kh, kw, padding, oh, ow).transpose(0, 2, 1))
             _add_batch_sum(wn, dw.reshape(n, -1, 1), wd.shape)
         if bn is not None:
             _add_batch_sum(bn, g, (f,))
@@ -282,7 +280,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
             dxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=dtype)
             for i in range(kh):
                 for j in range(kw):
-                    dxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += dcols[:, :, i, j]
+                    dxp[:, :, i : i + oh, j : j + ow] += dcols[:, :, i, j]
             dx = dxp[:, :, padding : padding + h, padding : padding + w] if padding else dxp
             xn.accumulate(dx)
 

@@ -163,13 +163,9 @@ def lr_train(
     return LrModel(weights=w, bias=b, standardizer=standardizer, l2=l2)
 
 
-def lr_score(model: LrModel, x: np.ndarray) -> np.ndarray | float:
-    """Probability of bonafide: sigmoid(w . standardize(x) + b)."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    xs = model.standardizer.apply(x.reshape(1, -1) if single else x)
-    scores = _sigmoid(xs @ model.weights + model.bias)
-    return float(scores[0]) if single else scores
+def lr_score(model: LrModel, x: np.ndarray) -> np.ndarray:
+    """Probability of bonafide per row: sigmoid(w . standardize(x) + b)."""
+    return _sigmoid(model.standardizer.apply(x) @ model.weights + model.bias)
 
 
 @dataclass
@@ -214,13 +210,10 @@ def svm_train(
     return SvmModel(weights=w, bias=b, c=c, standardizer=standardizer)
 
 
-def svm_score(model: SvmModel, x: np.ndarray) -> np.ndarray | float:
-    """Raw signed margin w . standardize(x) + b (positive = bonafide)."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    xs = model.standardizer.apply(x.reshape(1, -1) if single else x)
-    margins = xs @ model.weights + model.bias
-    return float(margins[0]) if single else margins
+def svm_score(model: SvmModel, x: np.ndarray) -> np.ndarray:
+    """Raw signed margin per row, w . standardize(x) + b (positive =
+    bonafide)."""
+    return model.standardizer.apply(x) @ model.weights + model.bias
 
 
 @dataclass(frozen=True)
@@ -240,10 +233,8 @@ def score_normalize_fit(scores: Sequence[float]) -> ScoreNormalizer:
     return ScoreNormalizer(lo=float(scores.min()), hi=float(scores.max()))
 
 
-def score_normalize_apply(norm: ScoreNormalizer, scores) -> np.ndarray | float:
-    arr = np.asarray(scores, dtype=np.float64)
-    out = np.clip((arr - norm.lo) / (norm.hi - norm.lo), 0.0, 1.0)
-    return float(out) if np.isscalar(scores) or out.ndim == 0 else out
+def score_normalize_apply(norm: ScoreNormalizer, scores: np.ndarray) -> np.ndarray:
+    return np.clip((np.asarray(scores, dtype=np.float64) - norm.lo) / (norm.hi - norm.lo), 0.0, 1.0)
 
 
 def fuse_mean(scores: np.ndarray | Sequence[float]) -> np.ndarray | float:

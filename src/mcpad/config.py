@@ -18,7 +18,7 @@ import yaml
 
 from .classical import LrConfig, SvmConfig
 from .codec import ConfigError, build, coerce, plain
-from .dataset import ATTACK_CATEGORIES, AttackType, SynthConfig
+from .dataset import AttackType, SynthConfig
 from .features.haralick import GlcmConfig
 from .features.iqm import IQM_NAMES
 from .features.lbp import LbpConfig
@@ -31,23 +31,6 @@ from .preprocess import AlignTargets
 class PathsConfig:
     data_root: str = "runs/data"
     out_root: str = "runs/out"
-
-
-# The synth and mccnn sections are the YAML views of SynthConfig and
-# McCnnConfig: labels stay strings, and the seed, the BPCER target and the
-# pretrain switch are set at run level (see synth_config, mccnn_config).
-@dataclass(frozen=True)
-class SynthSection:
-    bonafide_clients: int = 16
-    attack_instruments: dict[str, int] = field(
-        default_factory=lambda: {cat.value: 4 for cat in ATTACK_CATEGORIES}
-    )
-    frames_per_sample: int = 20
-    image_size: int = 80
-    signal_channels: tuple[str, ...] = ("depth", "thermal")
-    noise_level: float = 6.0
-    thermal_offset: float = 3000.0
-    samples_per_client: int = 1
 
 
 @dataclass(frozen=True)
@@ -78,6 +61,9 @@ class ClassifiersSection:
     svm: SvmConfig = field(default_factory=SvmConfig)
 
 
+# Kept apart from McCnnConfig, whose .mcnn echo carries seed, bpcer_target,
+# beta1, beta2 and adam_eps: the run and the protocol set the first two, the
+# Adam constants keep their defaults, and pretrain is a run-level switch.
 @dataclass(frozen=True)
 class MccnnSection:
     channels: tuple[str, ...] = ("gray", "depth", "infrared", "thermal")
@@ -104,7 +90,7 @@ class ProtocolSection:
 class RunConfig:
     seed: int = 0
     paths: PathsConfig = field(default_factory=PathsConfig)
-    synth: SynthSection = field(default_factory=SynthSection)
+    synth: SynthConfig = field(default_factory=SynthConfig)
     preprocess: PreprocessSection = field(default_factory=PreprocessSection)
     features: FeaturesSection = field(default_factory=FeaturesSection)
     classifiers: ClassifiersSection = field(default_factory=ClassifiersSection)
@@ -150,9 +136,9 @@ def load_config(
         cfg = RunConfig()
     else:
         try:
-            raw = yaml.safe_load(Path(path).read_text())
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}") from None
+            raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from None
         except yaml.YAMLError as exc:
             raise ConfigError(f"config parse error: {exc}") from None
         if raw is None:
@@ -177,9 +163,8 @@ def load_config(
 
 
 def validate_config(cfg: RunConfig) -> None:
-    """Checks that span sections: the synth and MC-CNN domain configs must
-    build, the protocol must be known, and the IQM measures must exist."""
-    synth_config(cfg)
+    """Checks that span sections: the MC-CNN domain config must build, the
+    protocol must be known, and the IQM measures must exist."""
     mccnn_config(cfg)
     name = cfg.protocol.name
     if name != "grandtest":
@@ -195,10 +180,6 @@ def validate_config(cfg: RunConfig) -> None:
 # domain configs
 # --------------------------------------------------------------------------
 
-def synth_config(cfg: RunConfig) -> SynthConfig:
-    return build(SynthConfig, {**plain(cfg.synth), "seed": cfg.seed}, "config.synth")
-
-
 def align_targets(cfg: RunConfig) -> AlignTargets:
     t = cfg.preprocess.targets
     if t.left_eye is None or t.right_eye is None or t.mouth is None:
@@ -206,13 +187,11 @@ def align_targets(cfg: RunConfig) -> AlignTargets:
     return AlignTargets(tuple(t.left_eye), tuple(t.right_eye), tuple(t.mouth), cfg.preprocess.out_size)
 
 
-def mccnn_config(cfg: RunConfig, channels: Sequence[str] | None = None) -> McCnnConfig:
+def mccnn_config(cfg: RunConfig) -> McCnnConfig:
     """The network config: the ``mccnn`` section (less the run-level
     ``pretrain``) with the run seed and the protocol's BPCER target."""
     data = plain(cfg.mccnn)
     del data["pretrain"]
-    if channels is not None:
-        data["channels"] = list(channels)
     data.update(seed=cfg.seed, bpcer_target=cfg.protocol.bpcer_target)
     return build(McCnnConfig, data, "config.mccnn")
 

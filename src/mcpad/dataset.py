@@ -101,10 +101,6 @@ class SampleMeta:
         if not 1 <= self.session_id <= 7:
             raise ValueError("session_id must be in 1..7")
 
-    @property
-    def is_bonafide(self) -> bool:
-        return self.label == LABEL_BONAFIDE
-
 
 @dataclass
 class MultiChannelSample:
@@ -228,9 +224,6 @@ class Manifest:
     def by_id(self, sample_id: str) -> ManifestEntry:
         return self._by_id[sample_id]
 
-    def client_ids(self) -> set[int]:
-        return {e.meta.client_id for e in self.entries}
-
 
 def save_manifest(manifest: Manifest, path: str | Path) -> None:
     path = Path(path)
@@ -298,21 +291,23 @@ def sample_frames(frame_count: int, n: int) -> list[int]:
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Controls for the synthetic multi-channel dataset.
+    """Controls for the synthetic multi-channel dataset; also the ``synth``
+    section of the run configuration (the seed is the run's).
 
     Bonafide and attack renders differ only in ``signal_channels``; every
     other channel is drawn from one class-independent distribution.
     """
 
-    bonafide_clients: int
-    attack_instruments: dict[AttackType, int]
+    bonafide_clients: int = 16
+    attack_instruments: dict[AttackType, int] = field(
+        default_factory=lambda: {cat: 4 for cat in ATTACK_CATEGORIES}
+    )
     frames_per_sample: int = 20
     image_size: int = 80
     signal_channels: frozenset[ChannelId] = frozenset({ChannelId.DEPTH, ChannelId.THERMAL})
     noise_level: float = 6.0
     thermal_offset: float = 3000.0
     samples_per_client: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if self.bonafide_clients < 1:
@@ -465,9 +460,9 @@ def _landmark_lines(cfg: SynthConfig, params: _ClientParams, seed_key: tuple) ->
     return lines
 
 
-def synth_generate(cfg: SynthConfig, out_dir: str | Path) -> Manifest:
+def synth_generate(cfg: SynthConfig, seed: int, out_dir: str | Path) -> Manifest:
     """Write containers + landmark sidecars under ``out_dir`` and return the
-    manifest. Deterministic function of the config (same seed, same bytes)."""
+    manifest. Deterministic function of the config and the seed."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -483,7 +478,7 @@ def synth_generate(cfg: SynthConfig, out_dir: str | Path) -> Manifest:
 
     entries = []
     for client_id, category, cat_index in roster:
-        params = _client_params(cfg.seed, client_id)
+        params = _client_params(seed, client_id)
         is_attack = category is not AttackType.NONE
         tag = category.value if is_attack else LABEL_BONAFIDE
         for k in range(cfg.samples_per_client):
@@ -501,14 +496,14 @@ def synth_generate(cfg: SynthConfig, out_dir: str | Path) -> Manifest:
                 frames = []
                 for frame_idx in range(cfg.frames_per_sample):
                     rng = np.random.default_rng(
-                        np.random.SeedSequence((cfg.seed, 29, client_id, k, frame_idx, ch.value))
+                        np.random.SeedSequence((seed, 29, client_id, k, frame_idx, ch.value))
                     )
                     frames.append(_render_channel(ch, cfg, params, variant, cat_index, rng))
                 channels[ch] = np.stack(frames)
             sample = MultiChannelSample(meta=meta, channels=channels)
             container = out_dir / f"{sample_id}.mcpd"
             write_sample(sample, container)
-            lm_lines = _landmark_lines(cfg, params, (cfg.seed, 31, client_id, k))
+            lm_lines = _landmark_lines(cfg, params, (seed, 31, client_id, k))
             atomic_write(container.with_suffix(".landmarks"), "\n".join(lm_lines) + "\n")
             entries.append(ManifestEntry(sample_id, container.resolve(), meta))
 

@@ -186,10 +186,6 @@ def make_grandtest(
     return ProtocolSpec(name=name, assignment=assignment, left_out=None)
 
 
-def loo_protocol_name(attack: AttackType) -> str:
-    return f"LOO_{attack.value}"
-
-
 def make_loo(
     manifest: Manifest,
     attack: AttackType,
@@ -222,7 +218,7 @@ def make_loo(
         n_train, n_dev = largest_remainder(len(clients), (0.5, 0.5))
         client_split.update(_split_clients(clients, (n_train, n_dev, 0), rng))
     assignment = {e.sample_id: client_split[e.meta.client_id] for e in manifest}
-    return ProtocolSpec(name=loo_protocol_name(attack), assignment=assignment, left_out=attack)
+    return ProtocolSpec(name=f"LOO_{attack.value}", assignment=assignment, left_out=attack)
 
 
 def save_protocol(spec: ProtocolSpec, path: str | Path) -> None:
@@ -248,10 +244,6 @@ def threshold_from_bonafide(bonafide_scores: np.ndarray, target: float = 0.01) -
         raise MetricError("no bonafide scores to anchor the threshold")
     k = int(math.floor(target * n + 1e-9))
     return float(scores[min(k, n - 1)])
-
-
-def threshold_at_bpcer(dev_scores: Scores, target: float = 0.01) -> float:
-    return threshold_from_bonafide(dev_scores.score[dev_scores.bonafide], target)
 
 
 @dataclass(frozen=True)
@@ -345,7 +337,7 @@ def build_report(
     bpcer_target: float = 0.01,
     protocol: str = "grandtest",
 ) -> MetricsReport:
-    tau = threshold_at_bpcer(dev_scores, bpcer_target)
+    tau = threshold_from_bonafide(dev_scores.score[dev_scores.bonafide], bpcer_target)
     return MetricsReport(
         protocol=protocol,
         bpcer_target=bpcer_target,

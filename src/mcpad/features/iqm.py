@@ -43,11 +43,11 @@ def gaussian_kernel(size: int = GAUSS_SIZE, sigma: float = GAUSS_SIGMA) -> np.nd
     return kernel / kernel.sum()
 
 
-def smooth(image: np.ndarray, kernel: np.ndarray | None = None) -> np.ndarray:
-    """2-D correlation with mirrored (edge-inclusive) borders over the last
-    two axes of ``(..., H, W)``."""
+def smooth(image: np.ndarray) -> np.ndarray:
+    """2-D correlation with ``gaussian_kernel()`` over the last two axes of
+    ``(..., H, W)``, with mirrored (edge-inclusive) borders."""
     img = np.asarray(image, dtype=np.float64)
-    k = gaussian_kernel() if kernel is None else kernel
+    k = gaussian_kernel()
     kh, kw = k.shape
     py, px = kh // 2, kw // 2
     h, w = img.shape[-2:]

@@ -147,9 +147,9 @@ def _he_init(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
 
 
-def init_backbone(cfg: McCnnConfig, seed: int | None = None) -> dict[str, dict[str, np.ndarray]]:
-    """Fresh backbone parameter blocks (deterministic from the seed)."""
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed if seed is None else seed, 97)))
+def init_backbone(cfg: McCnnConfig) -> dict[str, dict[str, np.ndarray]]:
+    """Fresh backbone parameter blocks (deterministic from ``cfg.seed``)."""
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 97)))
     return {
         group: {name: _he_init(rng, shape) for name, shape in shapes.items()}
         for group, shapes in _group_shapes(cfg).items()
@@ -258,8 +258,6 @@ def branch_forward(model: McCnnModel, channel: ChannelId, frames: np.ndarray) ->
     all N rows."""
     cfg = model.config
     arr = np.asarray(frames, dtype=model.dtype)
-    if arr.ndim == 2:
-        arr = arr[None]
     size = cfg.input_size
     if arr.ndim != 3 or arr.shape[1:] != (size, size) or not len(arr):
         raise ValueError(f"expected a nonempty batch of {size}x{size} frames, got {arr.shape}")
@@ -377,8 +375,10 @@ def _adam_epochs(
 ) -> Iterator[tuple[int, float]]:
     """Adam on the class-weighted BCE of ``batch_prob(idx, flips)`` over
     mini-batches of a per-epoch permutation seeded by (seed, epoch), with
-    one flip coin per sample per epoch. Yields (epoch, mean batch loss)
-    after each epoch."""
+    one flip coin per sample per epoch. Yields (epoch, train loss) after
+    each epoch: the unweighted mean of its batch losses, so a short last
+    batch counts as much as a full one, and a one-class batch's loss is half
+    its plain BCE (``batch_class_weights`` gives its class the weight 1/2)."""
     b1, b2 = cfg.beta1, cfg.beta2
     m = [np.zeros_like(p.data) for p in params]
     v = [np.zeros_like(p.data) for p in params]
@@ -428,9 +428,11 @@ def train(
 ) -> TrainResult:
     """Train DSU copies of the adapt set plus the head with Adam; the best
     epoch is the first with the lowest dev ACER (percent) at the threshold
-    set on dev bonafide scores for the BPCER target. The result carries
-    the returned model's dev scores: the selected epoch's, or, when no epoch
-    was selected, one ``predict`` over dev with the final weights.
+    set on dev bonafide scores for the BPCER target. A ``history`` record
+    (a ``history.csv`` row) holds the epoch's ``train_loss`` as
+    ``_adam_epochs`` defines it, ``dev_acer`` and ``dev_tau``. The result
+    carries the returned model's dev scores: the selected epoch's, or, when
+    no epoch was selected, one ``predict`` over dev with the final weights.
 
     Branches with no trainable blocks (the gray reference, or every branch
     when the adapt set is empty) are frozen, so their embeddings are
@@ -491,15 +493,14 @@ def pretrain_reference(
     gray_frames: np.ndarray,
     labels: np.ndarray,
     cfg: McCnnConfig,
-    epochs: int | None = None,
 ) -> tuple[dict[str, dict[str, np.ndarray]], list[float]]:
     """Stage-1 surrogate for face-recognition pretraining: a gray-only
     single-branch network with a temporary 1-node head trained on the PAD
-    labels. Returns (backbone blocks, per-epoch mean loss)."""
+    labels for ``cfg.pretrain_epochs``. Returns (backbone blocks, per-epoch
+    mean loss)."""
     labels = np.asarray(labels)
     if not ((labels == 1).any() and (labels == 0).any()):
         raise FitError("pretraining needs both classes")
-    epochs = cfg.pretrain_epochs if epochs is None else epochs
     backbone = init_backbone(cfg)
     pre_cfg = dataclass_replace(cfg, channels=(ChannelId.GRAY,), adapt=frozenset())
     proxy = McCnnModel(pre_cfg, {
@@ -517,7 +518,8 @@ def pretrain_reference(
         return ad.reshape(ad.sigmoid(ad.linear(emb, head_w, head_b)), (-1,))
 
     params = [t for _, t in proxy.trainable()] + [head_w, head_b]
-    losses = [loss for _, loss in _adam_epochs(params, labels, cfg, cfg.seed + 1, epochs, batch_prob)]
+    epochs = _adam_epochs(params, labels, cfg, cfg.seed + 1, cfg.pretrain_epochs, batch_prob)
+    losses = [loss for _, loss in epochs]
     return {group: {name: proxy.params[f"shared.{group}.{name}"].data for name in block}
             for group, block in backbone.items()}, losses
 
@@ -567,14 +569,9 @@ def load_model(path: str | Path) -> McCnnModel:
     extra = set(blocks) - set(shapes)
     if missing or extra:
         raise ValueError(f"model blocks mismatch (missing {sorted(missing)}, extra {sorted(extra)})")
-    backbone: dict[str, dict[str, np.ndarray]] = {}
+    params = {}
     for key, shape in shapes.items():
         if blocks[key].shape != shape:
             raise ValueError(f"model block {key}: shape {blocks[key].shape}, expected {shape}")
-        kind, *group, name = key.split(".")
-        if kind == "shared":
-            backbone.setdefault(group[0], {})[name] = blocks[key]
-    model = build_model(cfg, backbone)
-    for name, tensor in model.params.items():
-        tensor.data = blocks[name]
-    return model
+        params[key] = Tensor(blocks[key], requires_grad=not key.startswith("shared."))
+    return McCnnModel(config=cfg, params=params)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import classical, mccnn
-from .config import RunConfig, align_targets, mccnn_config, synth_config, write_lock
+from .config import RunConfig, align_targets, mccnn_config, write_lock
 from .dataset import (
     AttackType,
     ChannelId,
@@ -60,12 +60,6 @@ class ValidationError(ValueError):
 
 EXTRACTORS = ("lbp", "iqm", "rdwt-haralick")
 PIPELINES = ("iqm-lbp-lr", "rdwt-haralick-svm")
-
-_EXTRACTOR_CHANNELS = {
-    "lbp": (ChannelId.DEPTH, ChannelId.INFRARED, ChannelId.THERMAL),
-    "rdwt-haralick": (ChannelId.GRAY, ChannelId.DEPTH, ChannelId.INFRARED, ChannelId.THERMAL),
-    "iqm": (ChannelId.COLOR,),
-}
 
 _PIPELINE_LAYOUT = {
     "iqm-lbp-lr": {
@@ -122,7 +116,7 @@ def feature_table_path(cfg: RunConfig, split: str, channel: ChannelId, extractor
 def cmd_synth(cfg: RunConfig) -> Manifest:
     root = data_root(cfg)
     samples = root / "samples"
-    manifest = synth_generate(synth_config(cfg), samples)
+    manifest = synth_generate(cfg.synth, cfg.seed, samples)
     save_manifest(manifest, root / "manifest.csv")
     write_lock(root, cfg, "synth")
     return manifest
@@ -183,20 +177,20 @@ def _load_proc(cfg: RunConfig) -> tuple[Manifest, ProtocolSpec]:
 # --------------------------------------------------------------------------
 
 def _extract_one(args) -> tuple[list[int], dict[str, np.ndarray]]:
-    """Per-sample feature worker: returns (frame indices,
-    {channel-label: (F, dim) features})."""
-    cfg, extractor, sample_path, raw_path, channels = args
+    """Per-sample feature worker on the raw sample (iqm) or the preprocessed
+    one: returns (frame indices, {channel-label: (F, dim) features})."""
+    cfg, extractor, path, channels = args
     out: dict[str, np.ndarray] = {}
     if extractor == "iqm":
-        raw = read_sample(raw_path)
-        landmarks = load_landmarks(landmarks_path(raw_path))
+        raw = read_sample(path)
+        landmarks = load_landmarks(landmarks_path(path))
         frame_count = raw.frame_count(next(iter(raw.channels)))
         indices = sample_frames(frame_count, cfg.preprocess.frames)
         stack, _ = align_color(raw, landmarks, align_targets(cfg), frame_indices=indices)
         out[ChannelId.COLOR.label] = iqm_features(stack, measures=cfg.features.iqm_measures)
         return list(range(stack.shape[0])), out
 
-    sample = read_sample(sample_path)
+    sample = read_sample(path)
     frames = None
     for ch in channels:
         stack = sample.channels[ch]
@@ -211,7 +205,8 @@ def _extract_one(args) -> tuple[list[int], dict[str, np.ndarray]]:
 def cmd_extract(cfg: RunConfig, extractor: str, jobs: int = 1) -> None:
     if extractor not in EXTRACTORS:
         raise ValidationError(f"unknown extractor {extractor!r} (choose from {EXTRACTORS})")
-    channels = _EXTRACTOR_CHANNELS[extractor]
+    channels = tuple(ch for layout in _PIPELINE_LAYOUT.values()
+                     for ch, ext in layout["channels"] if ext == extractor)
     proc_manifest, protocol = _load_proc(cfg)
     raw_manifest = None
     if extractor == "iqm":
@@ -219,9 +214,11 @@ def cmd_extract(cfg: RunConfig, extractor: str, jobs: int = 1) -> None:
 
     tasks = []
     for entry in proc_manifest:
-        raw_path = raw_manifest.by_id(entry.sample_id).path if raw_manifest else None
-        target_path = raw_path if extractor == "iqm" else entry.path
-        tasks.append((cfg, extractor, str(target_path), str(raw_path) if raw_path else None, channels))
+        try:
+            path = entry.path if raw_manifest is None else raw_manifest.by_id(entry.sample_id).path
+        except KeyError:
+            raise ValidationError(f"raw manifest lacks processed sample {entry.sample_id!r}") from None
+        tasks.append((cfg, extractor, str(path), channels))
 
     workers = min(jobs, len(tasks))  # a fork-started pool launches every worker at the first submit
     if workers > 1:
@@ -256,7 +253,10 @@ def _attack_codes(manifest: Manifest, rows: list[tuple[str, int]]) -> np.ndarray
     """Attack code (index into ``ATTACK_TYPES``, 0 = bonafide) of each
     ``(sample_id, frame_idx)`` row."""
     code = {e.sample_id: ATTACK_TYPES.index(e.meta.attack_type) for e in manifest}
-    return np.array([code[sid] for sid, _ in rows], dtype=np.int64)
+    try:
+        return np.array([code[sid] for sid, _ in rows], dtype=np.int64)
+    except KeyError as exc:
+        raise ValidationError(f"sample {exc.args[0]!r} is not in the preprocessed manifest") from None
 
 
 def cmd_train_baseline(cfg: RunConfig, pipeline: str) -> Path:

@@ -95,9 +95,9 @@ class MadParams:
             raise ValueError("span must be positive")
 
 
-def estimate_similarity(src: Landmarks, dst: AlignTargets) -> tuple[np.ndarray, float]:
+def estimate_similarity(src: Landmarks, dst: AlignTargets) -> np.ndarray:
     """Least-squares similarity (scale+rotation+translation) mapping the
-    source landmarks onto the targets. Returns (2x3 matrix, RMS residual)."""
+    source landmarks onto the targets, as a 2x3 matrix."""
     p = src.points()
     q = dst.points()
     # Model: u = a*x - b*y + tx ; v = b*x + a*y + ty, unknowns (a, b, tx, ty).
@@ -114,26 +114,19 @@ def estimate_similarity(src: Landmarks, dst: AlignTargets) -> tuple[np.ndarray, 
         raise GeometryError("source landmarks have (near-)zero spread")
     theta, *_ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
     a, b, tx, ty = theta
-    matrix = np.array([[a, -b, tx], [b, a, ty]], dtype=np.float64)
-    mapped = p @ matrix[:, :2].T + matrix[:, 2]
-    residual = float(np.sqrt(np.mean(np.sum((mapped - q) ** 2, axis=1))))
-    return matrix, residual
+    return np.array([[a, -b, tx], [b, a, ty]], dtype=np.float64)
 
 
 def warp(frames: np.ndarray, transforms: np.ndarray, out_size: int) -> np.ndarray:
     """Resample frames ``(F, H, W[, C])`` through the inverses of their 2x3
-    source->target ``transforms`` ``(F, 2, 3)``; one frame with a ``(2, 3)``
-    transform is the same call without the leading axis. Bilinear, and
-    out-of-bounds taps read 0. Each frame's sampling grid is built once and
-    gathers all of its planes. Integer inputs are rounded back to their
-    dtype. A non-finite or singular transform raises ``GeometryError``."""
+    source->target ``transforms`` ``(F, 2, 3)``. Bilinear, and out-of-bounds
+    taps read 0. Each frame's sampling grid is built once and gathers all of
+    its planes. Integer inputs are rounded back to their dtype. A non-finite
+    or singular transform raises ``GeometryError``."""
     transforms = np.asarray(transforms, dtype=np.float64)
     img = np.asarray(frames)
-    single = transforms.ndim == 2
-    if single:
-        transforms, img = transforms[None], img[None]
     if transforms.ndim != 3 or transforms.shape[1:] != (2, 3):
-        raise ValueError("transforms must be (F, 2, 3), or (2, 3) for one frame")
+        raise ValueError("transforms must be (F, 2, 3)")
     if img.ndim not in (3, 4) or img.shape[0] != transforms.shape[0]:
         raise ValueError("frames must be (F, H, W[, C]) with one transform per frame")
     if not np.isfinite(transforms).all():
@@ -179,9 +172,7 @@ def warp(frames: np.ndarray, transforms: np.ndarray, out_size: int) -> np.ndarra
             np.clip(np.rint(acc, out=acc), info.min, info.max, out=acc)
         dest[...] = acc.T.reshape(out_size, out_size, depth)
 
-    if img.ndim == 3:
-        out = out[..., 0]
-    return out[0] if single else out
+    return out[..., 0] if img.ndim == 3 else out
 
 
 def to_gray(rgb: np.ndarray) -> np.ndarray:
@@ -300,7 +291,7 @@ def _kept_frames(
 
 
 def _transforms(landmarks: Mapping[int, Landmarks], kept: list[int], targets: AlignTargets) -> np.ndarray:
-    return np.stack([estimate_similarity(landmarks[i], targets)[0] for i in kept])
+    return np.stack([estimate_similarity(landmarks[i], targets) for i in kept])
 
 
 def preprocess_sample(

@@ -134,19 +134,17 @@ def block_bytes(model: McCnnModel) -> dict[str, bytes]:
     return {name: np.asarray(t.data, dtype="<f4").tobytes() for name, t in model.params.items()}
 
 
-def conv2d_im2col(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation through one im2col matrix that the graph keeps for
+def conv2d_im2col(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 0) -> Tensor:
+    """Stride-1 cross-correlation through one im2col matrix that the graph keeps for
     the weight gradient; the input gradient is one matmul into columns
     folded back tap by tap (col2im); the weight and bias gradients are
     numpy's sums over the whole batch."""
-    if stride not in (1, 2):
-        raise ValueError("stride must be 1 or 2")
     n, c, h, w = x.data.shape
     f, wc, kh, kw = weight.data.shape
     if wc != c:
         raise ValueError(f"conv2d channel mismatch: input {c}, weight {wc}")
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (w + 2 * padding - kw) // stride + 1
+    oh = h + 2 * padding - kh + 1
+    ow = w + 2 * padding - kw + 1
     if oh < 1 or ow < 1:
         raise ValueError("conv2d output would be empty")
 
@@ -154,7 +152,7 @@ def conv2d_im2col(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padd
     cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.data.dtype)
     for i in range(kh):
         for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
+            cols[:, :, i, j] = xp[:, :, i : i + oh, j : j + ow]
     cols2 = cols.reshape(n, c * kh * kw, oh * ow)
     w2 = weight.data.reshape(f, c * kh * kw)
     out = np.matmul(w2[None], cols2)
@@ -174,7 +172,7 @@ def conv2d_im2col(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padd
             dxp = np.zeros(padded_shape, dtype=x.data.dtype)
             for i in range(kh):
                 for j in range(kw):
-                    dxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += dcols[:, :, i, j]
+                    dxp[:, :, i : i + oh, j : j + ow] += dcols[:, :, i, j]
             dx = dxp[:, :, padding : padding + h, padding : padding + w] if padding else dxp
             x.accumulate(dx)
 
@@ -293,7 +291,7 @@ def preprocess_sample_frames(
     gray_frames = []
     extra: dict[ChannelId, list[np.ndarray]] = {ch: [] for ch in _NONCOLOR if ch in raw.channels}
     for i in kept:
-        matrix, _ = estimate_similarity(landmarks[i], targets)
+        matrix = estimate_similarity(landmarks[i], targets)
         gray_frames.append(warp_frame(to_gray(raw.channels[ChannelId.COLOR][i]), matrix, size))
         for ch, acc in extra.items():
             warped = warp_frame(raw.channels[ch][i], matrix, size)

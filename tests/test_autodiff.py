@@ -159,10 +159,9 @@ class TestKernelsMatchReference:
 
 @st.composite
 def _conv_cases(draw):
-    """Random-valued conv inputs: (x, weight, bias, stride, padding) as
-    arrays, with odd and even H/W and every kernel size up to 5x5."""
+    """Random-valued conv inputs: (x, weight, bias, padding) as arrays,
+    with odd and even H/W and every kernel size up to 5x5."""
     dtype = draw(st.sampled_from([np.float32, np.float64]))
-    stride = draw(st.sampled_from([1, 2]))
     padding = draw(st.integers(0, 2))
     kh, kw = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     h = max(1, kh - 2 * padding) + draw(st.integers(0, 6))
@@ -172,7 +171,7 @@ def _conv_cases(draw):
     x = rng.normal(size=(n, c, h, w)).astype(dtype)
     weight = rng.normal(size=(f, c, kh, kw)).astype(dtype)
     bias = rng.normal(size=f).astype(dtype)
-    return x, weight, bias, stride, padding
+    return x, weight, bias, padding
 
 
 class TestConvMatchesIm2col:
@@ -186,12 +185,12 @@ class TestConvMatchesIm2col:
         """conv2d adds its weight and bias gradients into the leaves sample
         by sample where numpy's batch sum does the same, and the oracle
         takes numpy's sums, single-filter and one-weight convs included."""
-        x, weight, bias, stride, padding = case
+        x, weight, bias, padding = case
 
         def run(op):
             leaves = (Tensor(x.copy(), requires_grad=x_grad), Tensor(weight.copy(), requires_grad=w_grad),
                       Tensor(bias.copy(), requires_grad=w_grad))
-            out = op(*leaves, stride=stride, padding=padding)
+            out = op(*leaves, padding=padding)
             if out._backward is not None:
                 grad = np.random.default_rng(seed).normal(size=out.shape).astype(x.dtype)
                 out._backward(grad)
@@ -242,12 +241,6 @@ class TestConv:
         out = ad.conv2d(x, w, b)
         assert np.allclose(out.data, 27.0)  # 9 * 3 everywhere in the valid region
 
-    def test_stride_two_shape(self, rng):
-        x = Tensor(rng.normal(size=(2, 3, 8, 8)))
-        w = Tensor(rng.normal(size=(4, 3, 3, 3)))
-        b = Tensor(np.zeros(4))
-        assert ad.conv2d(x, w, b, stride=2, padding=1).data.shape == (2, 4, 4, 4)
-
     def test_channel_mismatch(self, rng):
         with pytest.raises(ValueError):
             ad.conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))), Tensor(np.zeros(1)))
@@ -256,10 +249,10 @@ class TestConv:
         x = ad.parameter(rng.normal(size=(2, 2, 5, 5)))
         w = ad.parameter(rng.normal(size=(3, 2, 3, 3)) * 0.5)
         b = ad.parameter(rng.normal(size=3))
-        target = rng.normal(size=(2, 3 * 9))
+        target = rng.normal(size=(2, 3 * 25))
 
         def loss():
-            return mse_loss(ad.flatten(ad.conv2d(x, w, b, stride=2, padding=1)), target)
+            return mse_loss(ad.flatten(ad.conv2d(x, w, b, padding=1)), target)
 
         assert check_gradients(loss, [x, w, b]) < 1e-6
 

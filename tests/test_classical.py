@@ -70,7 +70,7 @@ class TestLogisticRegression:
         x, y = blobs(rng)
         std = standardize_fit(x, y, POP_ALL)
         model = LrModel(np.zeros(2), 0.0, std, 0.1)
-        assert lr_score(model, x[0]) == pytest.approx(0.5)
+        assert np.array_equal(lr_score(model, x), np.full(len(x), 0.5))
 
     def test_separable_blobs_reach_full_accuracy(self, rng):
         x, y = blobs(rng)
@@ -123,7 +123,7 @@ class TestSvm:
     def test_raw_margin(self):
         std = Standardizer(np.zeros(2), np.ones(2), POP_ALL)
         model = SvmModel(np.array([1.0, 0.0]), 0.0, 1.0, std)
-        assert svm_score(model, np.array([2.0, 0.0])) == pytest.approx(2.0)
+        assert svm_score(model, np.array([[2.0, 0.0], [-1.0, 5.0]])).tolist() == [2.0, -1.0]
 
     def test_label_swap_flips_boundary(self, rng):
         x, y = blobs(rng, n=40)
@@ -148,12 +148,11 @@ class TestSvm:
 class TestScoreNormalizer:
     def test_midpoint(self):
         norm = score_normalize_fit([0.0, 10.0])
-        assert score_normalize_apply(norm, 5.0) == pytest.approx(0.5)
+        assert score_normalize_apply(norm, np.array([5.0])).tolist() == [0.5]
 
     def test_clamped(self):
         norm = score_normalize_fit([0.0, 10.0])
-        assert score_normalize_apply(norm, 20.0) == 1.0
-        assert score_normalize_apply(norm, -3.0) == 0.0
+        assert score_normalize_apply(norm, np.array([20.0, -3.0])).tolist() == [1.0, 0.0]
 
     def test_degenerate_rejected(self):
         with pytest.raises(FitError):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -10,11 +11,11 @@ from mcpad.config import (
     config_digest,
     load_config,
     mccnn_config,
-    synth_config,
     to_canonical_json,
     write_lock,
 )
-from mcpad.dataset import AttackType, ChannelId
+from mcpad.codec import plain
+from mcpad.dataset import AttackType, ChannelId, SynthConfig
 
 
 class TestLoading:
@@ -105,20 +106,40 @@ class TestDomainChecksAtLoad:
 
 class TestAdapters:
     def test_synth_config(self):
-        cfg = load_config(None, overrides=["seed=4"], env={})
-        sc = synth_config(cfg)
-        assert sc.seed == 4
-        assert ChannelId.DEPTH in sc.signal_channels
-        assert all(isinstance(k, AttackType) for k in sc.attack_instruments)
+        """The synth section is the generator's own config; the seed stays
+        at run level."""
+        cfg = load_config(None, overrides=["seed=4", "synth.attack_instruments={print: 2}"], env={})
+        assert isinstance(cfg.synth, SynthConfig)
+        assert cfg.seed == 4 and "seed" not in plain(cfg.synth)
+        assert ChannelId.DEPTH in cfg.synth.signal_channels
+        assert cfg.synth.attack_instruments == {AttackType.PRINT: 2}
 
     def test_mccnn_config_channel_override(self):
-        cfg = load_config(None, env={})
-        net = mccnn_config(cfg, channels=["gray"])
+        cfg = load_config(None, overrides=["mccnn.channels=[gray]"], env={})
+        net = mccnn_config(cfg)
         assert net.channels == (ChannelId.GRAY,)
         assert net.adapt == frozenset({"C1", "B1"})
 
 
+DEFAULT_DIGEST = "63c9d868f44a18f0425e0cd9e58f6591e17ca88520816f062f37ca8fee9eff04"
+
+
 class TestDigestsAndLocks:
+    def test_default_digest_and_lock_golden(self, tmp_path):
+        cfg = load_config(None, env={})
+        assert config_digest(cfg) == DEFAULT_DIGEST
+        lock = write_lock(tmp_path, cfg, "synth").read_bytes()
+        assert hashlib.sha256(lock).hexdigest() == (
+            "bd949a63b8b2c86e0959872cd438bce4c5f799fb647b5a1e0e4090fce121c91d"
+        )
+
+    def test_signal_channels_lock_sorted(self):
+        """``synth.signal_channels`` is a set: any listing order locks as
+        the sorted labels."""
+        cfg = load_config(None, overrides=["synth.signal_channels=[thermal, depth]"], env={})
+        assert plain(cfg.synth)["signal_channels"] == ["depth", "thermal"]
+        assert config_digest(cfg) == DEFAULT_DIGEST
+
     def test_digest_stable(self):
         a, b = RunConfig(), RunConfig()
         assert config_digest(a) == config_digest(b)
@@ -160,6 +181,17 @@ class TestCliSurface:
 
     def test_bad_override_exits_2(self):
         assert main(["synth", "--set", "nope=1"]) == 2
+
+    @pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+    def test_unreadable_config_exits_2(self, kind, tmp_path, capsys):
+        config = tmp_path
+        if kind == "non-utf8":
+            config = tmp_path / "c.yaml"
+            config.write_bytes(b"seed: 1\n# \xff\xfe\n")
+        with pytest.raises(ConfigError, match="cannot read config file"):
+            load_config(config, env={})
+        assert main(["synth", "--config", str(config)]) == 2
+        assert "cannot read config file" in capsys.readouterr().err
 
     def test_digest_printed(self, tmp_path, capsys):
         main(["eval", "--protocol", "grandtest", "x.csv", "y.csv",

@@ -165,9 +165,8 @@ class TestManifest:
             attack_instruments={AttackType.PRINT: 1},
             frames_per_sample=2,
             image_size=32,
-            seed=3,
         )
-        manifest = synth_generate(cfg, tmp_path / "d")
+        manifest = synth_generate(cfg, 3, tmp_path / "d")
         save_manifest(manifest, tmp_path / "d" / "manifest.csv")
         loaded = load_manifest(tmp_path / "d" / "manifest.csv")
         assert [e.sample_id for e in loaded] == [e.sample_id for e in manifest]
@@ -206,12 +205,11 @@ class TestSynth:
             attack_instruments={AttackType.PRINT: 6, AttackType.REPLAY: 6},
             frames_per_sample=1,
             image_size=24,
-            seed=0,
         )
-        manifest = synth_generate(cfg, tmp_path / "d")
-        assert len(manifest.client_ids()) == 21
-        bona = {e.meta.client_id for e in manifest if e.meta.is_bonafide}
-        att = {e.meta.client_id for e in manifest if not e.meta.is_bonafide}
+        manifest = synth_generate(cfg, 0, tmp_path / "d")
+        assert len({e.meta.client_id for e in manifest}) == 21
+        bona = {e.meta.client_id for e in manifest if e.meta.attack_type is AttackType.NONE}
+        att = {e.meta.client_id for e in manifest if e.meta.attack_type is not AttackType.NONE}
         assert not bona & att
         per_cat = {}
         for e in manifest:
@@ -224,10 +222,10 @@ class TestSynth:
             attack_instruments={AttackType.REPLAY: 2},
             frames_per_sample=2,
             image_size=24,
-            seed=11,
         )
-        m1 = synth_generate(cfg, tmp_path / "a")
-        m2 = synth_generate(cfg, tmp_path / "b")
+        seed = 11
+        m1 = synth_generate(cfg, seed, tmp_path / "a")
+        m2 = synth_generate(cfg, seed, tmp_path / "b")
         for e1, e2 in zip(m1, m2):
             assert e1.sample_id == e2.sample_id
             assert e1.path.read_bytes() == e2.path.read_bytes()
@@ -243,21 +241,21 @@ class TestSynth:
             attack_instruments={AttackType.PRINT: 1},
             frames_per_sample=1,
             image_size=24,
-            seed=5,
         )
-        manifest = synth_generate(cfg, tmp_path / "d")
-        attack_entry = next(e for e in manifest if not e.meta.is_bonafide)
+        seed = 5
+        manifest = synth_generate(cfg, seed, tmp_path / "d")
+        attack_entry = next(e for e in manifest if e.meta.attack_type is not AttackType.NONE)
         sample = read_sample(attack_entry.path, meta=attack_entry.meta)
-        params = _client_params(cfg.seed, attack_entry.meta.client_id)
+        params = _client_params(seed, attack_entry.meta.client_id)
         for ch in (ChannelId.COLOR, ChannelId.INFRARED):
             rng = np.random.default_rng(
-                np.random.SeedSequence((cfg.seed, 29, attack_entry.meta.client_id, 0, 0, ch.value))
+                np.random.SeedSequence((seed, 29, attack_entry.meta.client_id, 0, 0, ch.value))
             )
             rendered = _render_channel(ch, cfg, params, False, 0, rng)
             assert np.array_equal(sample.channels[ch][0], rendered)
         # and the signal channel did use the attack variant
         rng = np.random.default_rng(
-            np.random.SeedSequence((cfg.seed, 29, attack_entry.meta.client_id, 0, 0, ChannelId.DEPTH.value))
+            np.random.SeedSequence((seed, 29, attack_entry.meta.client_id, 0, 0, ChannelId.DEPTH.value))
         )
         bona_render = _render_channel(ChannelId.DEPTH, cfg, params, False, 0, rng)
         assert not np.array_equal(sample.channels[ChannelId.DEPTH][0], bona_render)

@@ -15,12 +15,10 @@ from mcpad.evaluation import (
     compute_metrics,
     largest_remainder,
     load_scores,
-    loo_protocol_name,
     make_grandtest,
     make_loo,
     roc,
     save_scores,
-    threshold_at_bpcer,
     threshold_from_bonafide,
     write_metrics_csv,
     write_per_pai_csv,
@@ -47,6 +45,15 @@ def toy_scores():
         entry(0.9),
         entry(0.8),
     )
+
+
+def dev_threshold(dev, target=0.01):
+    """The threshold ``build_report`` sets on the dev table."""
+    return build_report(dev, dev, target).threshold
+
+
+def is_bonafide(entry):
+    return entry.meta.attack_type is AttackType.NONE
 
 
 def toy_manifest(bonafide=9, per_category=None):
@@ -85,7 +92,7 @@ class TestGrandtest:
         spec = make_grandtest(manifest, seed=1)
         bona_splits = {}
         for e in manifest:
-            if e.meta.is_bonafide:
+            if is_bonafide(e):
                 bona_splits.setdefault(spec.split_of(e.sample_id), set()).add(e.meta.client_id)
         assert [len(bona_splits[s]) for s in ("train", "dev", "eval")] == [3, 3, 3]
 
@@ -104,7 +111,7 @@ class TestGrandtest:
         spec = make_grandtest(manifest, seed=0)
         counts = {"train": set(), "dev": set(), "eval": set()}
         for e in manifest:
-            if e.meta.is_bonafide:
+            if is_bonafide(e):
                 counts[spec.split_of(e.sample_id)].add(e.meta.client_id)
         assert [len(counts[s]) for s in ("train", "dev", "eval")] == [4, 3, 3]
 
@@ -132,12 +139,12 @@ class TestLoo:
             split = spec.split_of(e.sample_id)
             if e.meta.attack_type is AttackType.PRINT:
                 assert split == "eval"
-            elif not e.meta.is_bonafide:
+            elif not is_bonafide(e):
                 assert split in ("train", "dev")
         eval_entries = [e for e in manifest if spec.split_of(e.sample_id) == "eval"]
-        assert any(e.meta.is_bonafide for e in eval_entries)
+        assert any(is_bonafide(e) for e in eval_entries)
         assert all(
-            e.meta.is_bonafide or e.meta.attack_type is AttackType.PRINT for e in eval_entries
+            is_bonafide(e) or e.meta.attack_type is AttackType.PRINT for e in eval_entries
         )
 
     def test_other_categories_stay_in_train_dev(self):
@@ -146,7 +153,7 @@ class TestLoo:
         cats = {
             e.meta.attack_type.value
             for e in manifest
-            if not e.meta.is_bonafide and spec.split_of(e.sample_id) in ("train", "dev")
+            if not is_bonafide(e) and spec.split_of(e.sample_id) in ("train", "dev")
         }
         assert cats == {"replay", "rigidmask"}
 
@@ -156,7 +163,8 @@ class TestLoo:
             make_loo(manifest, AttackType.GLASSES)
 
     def test_seven_protocol_names(self):
-        names = {loo_protocol_name(cat) for cat in ATTACK_CATEGORIES}
+        manifest = toy_manifest(per_category={cat.value: 2 for cat in ATTACK_CATEGORIES})
+        names = {make_loo(manifest, cat).name for cat in ATTACK_CATEGORIES}
         assert names == {
             "LOO_glasses", "LOO_fakehead", "LOO_print", "LOO_replay",
             "LOO_rigidmask", "LOO_flexiblemask", "LOO_papermask",
@@ -177,24 +185,24 @@ class TestLoo:
 class TestThreshold:
     def test_hundred_scores(self):
         dev = table(*[entry(v / 100) for v in range(1, 101)])
-        tau = threshold_at_bpcer(dev, 0.01)
+        tau = dev_threshold(dev, 0.01)
         assert tau == pytest.approx(0.02)
         below = sum(1 for s in dev.score if s < tau)
         assert below / dev.score.size == pytest.approx(0.01)
 
     def test_target_zero(self):
         dev = table(*[entry(v / 10) for v in range(1, 11)])
-        assert threshold_at_bpcer(dev, 0.0) == pytest.approx(0.1)
+        assert dev_threshold(dev, 0.0) == pytest.approx(0.1)
 
     def test_all_equal(self):
         dev = table(*[entry(0.7)] * 5)
-        tau = threshold_at_bpcer(dev, 0.01)
+        tau = dev_threshold(dev, 0.01)
         assert tau == 0.7
         assert sum(1 for s in dev.score if s < tau) == 0
 
     def test_no_bonafide(self):
         with pytest.raises(MetricError):
-            threshold_at_bpcer(table(entry(0.5, "print")))
+            dev_threshold(table(entry(0.5, "print")))
 
     @given(data=st.data())
     def test_bpcer_never_exceeds_target(self, data):

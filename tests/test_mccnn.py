@@ -517,12 +517,33 @@ class TestDevScores:
         assert np.array_equal(result.dev_scores, predict(result.model, data.dev_x))
 
 
+class TestTrainLoss:
+    def test_unweighted_mean_of_batch_losses(self):
+        """``train_loss`` averages the batch losses with equal weight, and a
+        one-class batch's weighted BCE is half its plain BCE. At learning
+        rate 0 every probability stays 1/2: the batch of four (both classes)
+        loses log 2 and the one-sample last batch log 2 / 2, so the epoch
+        reads 0.75 log 2 (a frame-weighted mean would read 0.9 log 2)."""
+        cfg = mini_config(batch_size=4, learning_rate=0.0, flip_prob=0.0)
+        labels = np.array([1, 1, 0, 0, 0])
+        weight, bias = ad.parameter(np.zeros((1, 1))), ad.parameter(np.zeros(1))
+
+        def batch_prob(idx, flips):
+            logits = ad.linear(Tensor(np.zeros((len(idx), 1))), weight, bias)
+            return ad.reshape(ad.sigmoid(logits), (-1,))
+
+        epochs = list(mccnn._adam_epochs([weight, bias], labels, cfg, 0, 3, batch_prob))
+        assert [epoch for epoch, _ in epochs] == [0, 1, 2]
+        for _, loss in epochs:
+            assert loss == pytest.approx(0.75 * np.log(2.0), rel=1e-12)
+
+
 class TestPretraining:
     def test_backbone_shapes(self):
-        cfg = mini_config()
+        cfg = mini_config(pretrain_epochs=2)
         rng = np.random.default_rng(7)
         x, y = separable_frames(rng, 24, 16)
-        backbone, losses = pretrain_reference(x, y, cfg, epochs=2)
+        backbone, losses = pretrain_reference(x, y, cfg)
         reference = init_backbone(cfg)
         assert set(backbone) == set(GROUPS)
         for group in GROUPS:
@@ -531,18 +552,18 @@ class TestPretraining:
         assert len(losses) == 2
 
     def test_loss_halves_on_separable_set(self):
-        cfg = mini_config(input_size=16)
+        cfg = mini_config(input_size=16, pretrain_epochs=25)
         rng = np.random.default_rng(8)
         x, y = separable_frames(rng, 48, 16)
-        _, losses = pretrain_reference(x, y, cfg, epochs=25)
+        _, losses = pretrain_reference(x, y, cfg)
         assert losses[-1] <= 0.5 * losses[0]
 
     def test_same_seed_byte_identical(self):
-        cfg = mini_config()
+        cfg = mini_config(pretrain_epochs=1)
         rng = np.random.default_rng(9)
         x, y = separable_frames(rng, 16, 16)
-        b1, _ = pretrain_reference(x, y, cfg, epochs=1)
-        b2, _ = pretrain_reference(x, y, cfg, epochs=1)
+        b1, _ = pretrain_reference(x, y, cfg)
+        b2, _ = pretrain_reference(x, y, cfg)
         for group in GROUPS:
             for name in b1[group]:
                 assert np.array_equal(b1[group][name], b2[group][name])
@@ -617,12 +638,11 @@ class TestEndToEndSynthetic:
             frames_per_sample=6,
             image_size=20,
             signal_channels=frozenset({DEPTH}),
-            seed=21,
         )
         import tempfile
 
         with tempfile.TemporaryDirectory() as tmp:
-            manifest = synth_generate(cfg, tmp)
+            manifest = synth_generate(cfg, 21, tmp)
             from mcpad.preprocess import AlignTargets, landmarks_path, load_landmarks, preprocess_sample
 
             targets = AlignTargets.for_size(16)
@@ -631,7 +651,7 @@ class TestEndToEndSynthetic:
                 raw = read_sample(entry.path, meta=entry.meta)
                 processed, _ = preprocess_sample(raw, load_landmarks(landmarks_path(entry.path)), targets)
                 frames.append(frames_to_input(processed.channels[DEPTH]))
-                labels.extend([1 if entry.meta.is_bonafide else 0] * processed.frame_count(DEPTH))
+                labels.extend([int(entry.meta.attack_type is AttackType.NONE)] * processed.frame_count(DEPTH))
         x = np.concatenate(frames)
         y = np.array(labels)
         net = mini_config(channels=(DEPTH,), input_size=16, epochs=6, seed=2)

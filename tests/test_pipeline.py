@@ -192,12 +192,12 @@ class TestNonSignalChannels:
         x_train, rows_train = read_feature_table(fdir / "train_infrared_lbp.mcfv")
         x_eval, rows_eval = read_feature_table(fdir / "eval_infrared_lbp.mcfv")
         manifest = load_manifest(root / "out" / "proc" / "manifest.csv")
-        lookup = {e.sample_id: 1 if e.meta.is_bonafide else 0 for e in manifest}
+        lookup = {e.sample_id: int(e.meta.label == "bonafide") for e in manifest}
         y_train = np.array([lookup[sid] for sid, _ in rows_train])
         y_eval = np.array([lookup[sid] for sid, _ in rows_eval])
         std = standardize_fit(x_train, y_train, POP_BONAFIDE_ONLY, degenerate_scale=1.0)
         model = lr_train(x_train, y_train, standardizer=std)
-        accuracy = float(((np.asarray(lr_score(model, x_eval)) >= 0.5).astype(int) == y_eval).mean())
+        accuracy = float(((lr_score(model, x_eval) >= 0.5).astype(int) == y_eval).mean())
         sigma = 0.5 / np.sqrt(len(y_eval))
         assert abs(accuracy - 0.5) <= 3 * sigma + 1e-9
 

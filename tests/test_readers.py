@@ -1,7 +1,8 @@
 """Every binary reader rejects a cut file and trailing bytes with a typed
 ``FormatError`` carrying the byte offset; the score-file, manifest and
 landmarks readers name the file and line of a malformed row; the CLI reports
-these, and a sample whose frames are all dropped, without a traceback."""
+these, a sample whose frames are all dropped, and a stale artifact that
+names a sample its manifest lacks, without a traceback."""
 
 import re
 
@@ -14,7 +15,8 @@ from mcpad import classical, mccnn
 from mcpad.classical import LrModel, ScoreNormalizer, Standardizer, POP_ALL
 from mcpad.cli import main
 from mcpad.dataset import (
-    ChannelId, FormatError, MultiChannelSample, load_manifest, read_sample, write_sample,
+    ChannelId, FormatError, Manifest, MultiChannelSample, load_manifest, read_sample,
+    save_manifest, write_sample,
 )
 from mcpad.evaluation import load_scores
 from mcpad.features.io import read_feature_table, rows_sidecar, write_feature_table
@@ -254,3 +256,46 @@ class TestCliReportsWithoutTraceback:
         err = capsys.readouterr().err
         assert code == 1
         assert f"sample {first.sample_id}: all frames dropped" in err and "Traceback" not in err
+
+    @staticmethod
+    def _preprocessed_run(tmp_path):
+        """synth -> preprocess on a tiny roster with one bonafide client to
+        spare for grandtest; returns the CLI arguments."""
+        config = tmp_path / "config.yaml"
+        config.write_text("\n".join([
+            f"paths: {{data_root: {tmp_path / 'data'}, out_root: {tmp_path / 'out'}}}",
+            "synth: {bonafide_clients: 4, attack_instruments: {print: 3}, frames_per_sample: 2,"
+            " image_size: 40}",
+            "preprocess: {out_size: 32, frames: 2}",
+        ]))
+        args = ["--config", str(config)]
+        assert main(["synth", *args]) == 0
+        assert main(["preprocess", *args]) == 0
+        return args
+
+    @staticmethod
+    def _drop_first(manifest_path):
+        """Rewrite a manifest without its first sample; returns that id."""
+        manifest = load_manifest(manifest_path)
+        dropped = manifest.entries[0].sample_id
+        save_manifest(Manifest(manifest.entries[1:]), manifest_path)
+        return dropped
+
+    def test_iqm_extract_names_sample_missing_from_raw_manifest(self, tmp_path, capsys):
+        args = self._preprocessed_run(tmp_path)
+        dropped = self._drop_first(tmp_path / "data" / "manifest.csv")
+        capsys.readouterr()
+        code = main(["extract", "--extractor", "iqm", *args])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert repr(dropped) in err and "Traceback" not in err
+
+    def test_train_baseline_names_sample_missing_from_processed_manifest(self, tmp_path, capsys):
+        args = self._preprocessed_run(tmp_path)
+        assert main(["extract", "--extractor", "rdwt-haralick", *args]) == 0
+        dropped = self._drop_first(tmp_path / "out" / "proc" / "manifest.csv")
+        capsys.readouterr()
+        code = main(["train-baseline", "--pipeline", "rdwt-haralick-svm", *args])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert repr(dropped) in err and "Traceback" not in err
