@@ -27,10 +27,13 @@ trunk's cost. ``test_dsu_branch_trunk`` runs the trunk as the network does:
 one DSU branch (depth, adapt set {C1, B1}) forward through
 ``branch_forward`` and backward from its embedding, batch 32.
 
-The training step is one forward, weighted BCE and backward of the
-4-channel network (gray through the frozen shared blocks, the others through
-trainable DSU copies). Each step drops its graph before the next forward
-runs, as training does. The ``extra_info`` of the step and of the DSU branch
+The training step, the DSU branch and the predict case take 8-bit frames,
+as the pipeline does: each step maps its uint8 batch through
+``frames_to_input`` before the network reads it, and ``predict`` maps each
+batch of rows itself. The training step is one forward, weighted BCE and
+backward of the 4-channel network (gray through the frozen shared blocks,
+the others through trainable DSU copies). Each step drops its graph before
+the next forward runs, as training does. The ``extra_info`` of the step and of the DSU branch
 records the wall and process CPU time (``time.process_time``, every thread)
 of each timed step, the minor page faults of each (``ru_minflt``), which
 count the fresh memory the step touches, and, from three more steps run
@@ -56,7 +59,7 @@ import pytest
 import mcpad.autodiff as ad
 from mcpad.autodiff import Tensor
 from mcpad.dataset import ChannelId
-from mcpad.mccnn import McCnnConfig, branch_forward, build_model, forward, predict
+from mcpad.mccnn import McCnnConfig, branch_forward, build_model, forward, frames_to_input, predict
 
 BATCH = 32
 # group: (input shape, weight shape, padding, input needs grad, weight needs grad)
@@ -158,12 +161,14 @@ def test_linear_emb_bwd(benchmark):
     _run_backward(benchmark, ad.linear(x, weight, bias), (x,))
 
 
+def _frames_8bit(cfg, n, seed):
+    rng = np.random.default_rng(seed)
+    return {ch: rng.integers(0, 256, (n, cfg.input_size, cfg.input_size), dtype=np.uint8) for ch in cfg.channels}
+
+
 def _default_model_and_frames(seed):
     cfg = McCnnConfig()
-    rng = np.random.default_rng(seed)
-    frames = {ch: rng.uniform(-1, 1, (BATCH, cfg.input_size, cfg.input_size)).astype(np.float32)
-              for ch in cfg.channels}
-    return build_model(cfg), frames
+    return build_model(cfg), _frames_8bit(cfg, BATCH, seed)
 
 
 def _forward_backward_steps(benchmark, run_forward, params):
@@ -212,14 +217,18 @@ def _training_step(benchmark):
     model, frames = _default_model_and_frames(3)
     labels = np.arange(BATCH) % 2
     params = [t for _, t in model.trainable()]
-    _forward_backward_steps(benchmark, lambda: ad.weighted_bce(forward(model, frames), labels), params)
+
+    def run_forward():
+        return ad.weighted_bce(forward(model, {ch: frames_to_input(f) for ch, f in frames.items()}), labels)
+
+    _forward_backward_steps(benchmark, run_forward, params)
 
 
 def test_dsu_branch_trunk(benchmark):
     model, frames = _default_model_and_frames(3)
     depth = ChannelId.DEPTH
     params = [t for key, t in model.trainable() if key.startswith("dsu.depth.")]
-    _forward_backward_steps(benchmark, lambda: branch_forward(model, depth, frames[depth]), params)
+    _forward_backward_steps(benchmark, lambda: branch_forward(model, depth, frames_to_input(frames[depth])), params)
 
 
 def test_training_step_4ch(benchmark):
@@ -240,9 +249,7 @@ def test_training_step_4ch_all_blas_threads(benchmark):
 def test_predict_4ch(benchmark):
     cfg = McCnnConfig()
     model = build_model(cfg)
-    rng = np.random.default_rng(4)
-    frames = {ch: rng.uniform(-1, 1, (30, cfg.input_size, cfg.input_size)).astype(np.float32)
-              for ch in cfg.channels}
+    frames = _frames_8bit(cfg, 30, 4)
     wall, cpu, faults = [], [], []
 
     def call():

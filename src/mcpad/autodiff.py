@@ -29,7 +29,8 @@ arrays its backward reads, taken in forward:
   linear    its input when the weight needs a gradient, and its weight;
   maxpool2d the first tap, in window scan order, that equals each window's
             maximum (uint8; a NaN window takes its last tap);
-  mfm       the ``first >= second`` mask of the channel halves (bool);
+  mfm       the ``first >= second`` mask of the channel halves, bit-packed
+            (``np.packbits``, one bit per output element);
   sigmoid   its output and the inside-the-clamp mask;
   weighted_bce  the clamped probabilities, targets and clamp mask.
 An array a closure keeps must not be changed in place between the forward
@@ -379,10 +380,11 @@ def mfm(x: Tensor) -> Tensor:
     xn = x._node
     if xn is None:
         return Tensor(out)
-    take_first = x.data[:, :k] >= x.data[:, k:]
-    shape, dtype = x.data.shape, x.data.dtype
+    packed = np.packbits(x.data[:, :k] >= x.data[:, k:])
+    shape, half, dtype = x.data.shape, out.shape, x.data.dtype
 
     def backward(grad):
+        take_first = np.unpackbits(packed, count=grad.size).view(bool).reshape(half)
         dx = np.empty(shape, dtype=dtype)
         np.multiply(grad, take_first, out=dx[:, :k])
         np.multiply(grad, ~take_first, out=dx[:, k:])

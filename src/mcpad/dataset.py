@@ -14,6 +14,7 @@ Manifest format: CSV with header ``sample_id,path,client_id,label,attack_type,se
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import os
 import struct
@@ -359,9 +360,18 @@ def _client_params(seed: int, client_id: int) -> _ClientParams:
     )
 
 
-def _face_maps(size: int, p: _ClientParams) -> tuple[np.ndarray, np.ndarray]:
-    """Return (face, bump): face has eye/mouth dips, bump is the smooth blob."""
+@functools.cache
+def _unit_grid(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (ys, xs) pixel coordinates of a ``size`` frame, divided by
+    ``size``; built once per size."""
     ys, xs = np.mgrid[0:size, 0:size].astype(np.float64) / size
+    ys.flags.writeable = xs.flags.writeable = False
+    return ys, xs
+
+
+def _face_map(size: int, p: _ClientParams) -> np.ndarray:
+    """A client's face in [0, 1]: a smooth blob with eye and mouth dips."""
+    ys, xs = _unit_grid(size)
     bump = np.exp(-(((xs - p.cx) ** 2) / (2 * p.sigma_x**2) + ((ys - p.cy) ** 2) / (2 * p.sigma_y**2)))
     face = bump.copy()
     eye_y = p.cy - 0.07
@@ -369,7 +379,7 @@ def _face_maps(size: int, p: _ClientParams) -> tuple[np.ndarray, np.ndarray]:
         face -= 0.45 * np.exp(-(((xs - ex) ** 2) + ((ys - eye_y) ** 2)) / (2 * 0.03**2))
     mouth_y = p.cy + 0.18
     face -= 0.35 * np.exp(-(((xs - p.cx) ** 2) / (2 * 0.06**2) + ((ys - mouth_y) ** 2) / (2 * 0.025**2)))
-    return np.clip(face, 0.0, 1.0), bump
+    return np.clip(face, 0.0, 1.0)
 
 
 def _stripes(size: int, category_index: int, phase: float) -> np.ndarray:
@@ -382,14 +392,14 @@ def _render_channel(
     channel: ChannelId,
     cfg: SynthConfig,
     params: _ClientParams,
+    face: np.ndarray,
     attack_variant: bool,
     category_index: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Render one frame of one channel; ``attack_variant`` is only ever true
-    for channels in ``signal_channels``."""
+    """Render one frame of one channel from the client's ``_face_map``;
+    ``attack_variant`` is only ever true for channels in ``signal_channels``."""
     size = cfg.image_size
-    face, bump = _face_maps(size, params)
     noise = cfg.noise_level
 
     if channel is ChannelId.COLOR:
@@ -412,7 +422,7 @@ def _render_channel(
         return np.clip(np.rint(frame), 0, 255).astype(np.uint8)
 
     if channel is ChannelId.DEPTH:
-        ys, xs = np.mgrid[0:size, 0:size].astype(np.float64) / size
+        ys, xs = _unit_grid(size)
         if attack_variant:
             # Flat presentation: unit-strength tilted plane with a
             # category-specific surface texture.
@@ -479,6 +489,7 @@ def synth_generate(cfg: SynthConfig, seed: int, out_dir: str | Path) -> Manifest
     entries = []
     for client_id, category, cat_index in roster:
         params = _client_params(seed, client_id)
+        face = _face_map(cfg.image_size, params)
         is_attack = category is not AttackType.NONE
         tag = category.value if is_attack else LABEL_BONAFIDE
         for k in range(cfg.samples_per_client):
@@ -498,7 +509,7 @@ def synth_generate(cfg: SynthConfig, seed: int, out_dir: str | Path) -> Manifest
                     rng = np.random.default_rng(
                         np.random.SeedSequence((seed, 29, client_id, k, frame_idx, ch.value))
                     )
-                    frames.append(_render_channel(ch, cfg, params, variant, cat_index, rng))
+                    frames.append(_render_channel(ch, cfg, params, face, variant, cat_index, rng))
                 channels[ch] = np.stack(frames)
             sample = MultiChannelSample(meta=meta, channels=channels)
             container = out_dir / f"{sample_id}.mcpd"

@@ -159,8 +159,9 @@ def haralick13(matrix: np.ndarray) -> np.ndarray:
     hx = -_rowsum(px * _log2_masked(px))
     hy = -_rowsum(py * _log2_masked(py))
     pxy = px[:, :, None] * py[:, None, :]
-    hxy1 = -_rowsum(p * _log2_masked(pxy))
-    hxy2 = -_rowsum(pxy * _log2_masked(pxy))
+    log_pxy = _log2_masked(pxy)
+    hxy1 = -_rowsum(p * log_pxy)
+    hxy2 = -_rowsum(pxy * log_pxy)
     denom = np.maximum(hx, hy)
     flat = denom <= _EPS
     imc1 = np.where(flat, 0.0, (entropy - hxy1) / np.where(flat, 1.0, denom))

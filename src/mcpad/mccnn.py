@@ -23,6 +23,14 @@ sample at a time, so the block size changes no output byte. EMB and the
 head do not run in blocks: they run over every row of the batch, and
 ``PREDICT_BATCH`` and ``EMBED_CHUNK`` keep their row counts, because the
 row count of a matmul can change its output bytes.
+Frames stay 8-bit (uint8, as ``preprocess`` writes them) until they enter
+the network: ``TrainData`` (and so ``train``), ``pretrain_reference`` and
+``predict`` take uint8 stacks and raise ``ValueError`` on any other dtype.
+Each training batch, ``PREDICT_BATCH`` of scored rows or ``EMBED_CHUNK`` of
+embedded rows goes through ``frames_to_input`` just before
+``branch_forward``, which, like ``forward``, takes the mapped floats. The
+mapping is elementwise, so where it runs changes no output byte, and a split
+held as uint8 takes a quarter of its float32 bytes.
 ``McCnnModel.params`` is keyed by the model file's block names
 (``shared.C1.conv_w``, ``dsu.depth.C1.conv_w``, ``head.fc1_w``), so saving,
 loading and the trainable list walk one dict. Scoring (``predict``, also the
@@ -122,8 +130,17 @@ class McCnnConfig:
 
 
 def frames_to_input(stack: np.ndarray) -> np.ndarray:
-    """Map 8-bit frames to roughly [-1, 1] floats."""
-    return ((np.asarray(stack, dtype=np.float32) - INPUT_SHIFT) / INPUT_SCALE).astype(np.float32)
+    """Map 8-bit frames to roughly [-1, 1] float32 network input."""
+    out = np.subtract(stack, INPUT_SHIFT, dtype=np.float32)
+    out /= INPUT_SCALE
+    return out
+
+
+def _require_8bit(frames: Mapping[ChannelId, np.ndarray]) -> None:
+    for channel, stack in frames.items():
+        dtype = np.asarray(stack).dtype
+        if dtype != np.uint8:
+            raise ValueError(f"{channel.label} frames must be uint8, got {dtype}")
 
 
 # --------------------------------------------------------------------------
@@ -298,10 +315,12 @@ def predict(
     frames: Mapping[ChannelId, np.ndarray],
     embeddings: Mapping[ChannelId, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Probability of bonafide per frame, computed through ``model.frozen()``
-    so no op builds a graph. ``embeddings`` may hold precomputed (N, E)
-    branch outputs for some channels; their frames are then not read."""
+    """Probability of bonafide per uint8 frame, computed through
+    ``model.frozen()`` so no op builds a graph. ``embeddings`` may hold
+    precomputed (N, E) branch outputs for some channels; their frames are
+    then not read."""
     _check_channels(model, frames)
+    _require_8bit(frames)
     embeddings = embeddings or {}
     view = model.frozen()
     n = next(iter(frames.values())).shape[0]
@@ -309,7 +328,8 @@ def predict(
     for lo in range(0, n, PREDICT_BATCH):
         rows = slice(lo, lo + PREDICT_BATCH)
         parts = [
-            Tensor(embeddings[ch][rows]) if ch in embeddings else branch_forward(view, ch, frames[ch][rows])
+            Tensor(embeddings[ch][rows]) if ch in embeddings
+            else branch_forward(view, ch, frames_to_input(frames[ch][rows]))
             for ch in model.config.channels
         ]
         scores[rows] = _head(view, parts).data
@@ -342,10 +362,16 @@ def flip_decision(seed: int, epoch: int, sample_index: int, prob: float) -> bool
 
 @dataclass
 class TrainData:
+    """Train and dev splits: uint8 (N, S, S) frames per channel, labels."""
+
     train_x: dict[ChannelId, np.ndarray]
     train_y: np.ndarray
     dev_x: dict[ChannelId, np.ndarray]
     dev_y: np.ndarray
+
+    def __post_init__(self):
+        _require_8bit(self.train_x)
+        _require_8bit(self.dev_x)
 
 
 @dataclass
@@ -358,11 +384,12 @@ class TrainResult:
 
 
 def _flipped(stack: np.ndarray, idx: np.ndarray, flips: np.ndarray) -> np.ndarray:
-    """Copy of ``stack[idx]`` with the ``flips`` rows mirrored left-right."""
-    frames = np.array(stack[idx])
+    """Network input of the uint8 ``stack[idx]`` with the ``flips`` rows
+    mirrored left-right."""
+    frames = stack[idx]
     if flips.any():
         frames[flips] = frames[flips][..., ::-1]
-    return frames
+    return frames_to_input(frames)
 
 
 def _adam_epochs(
@@ -413,11 +440,16 @@ def _adam_epochs(
         yield epoch, total / max(batches, 1)
 
 
-def _embed_frozen(model: McCnnModel, channel: ChannelId, frames: np.ndarray) -> np.ndarray:
+def _embed_frozen(model: McCnnModel, channel: ChannelId, frames: np.ndarray, flip: bool = False) -> np.ndarray:
+    """(N, E) branch outputs of the uint8 ``frames``, each mirrored
+    left-right when ``flip``, mapped and run ``EMBED_CHUNK`` rows at a time."""
     n = frames.shape[0]
     out = np.empty((n, model.config.embedding_dim), dtype=model.dtype)
     for lo in range(0, n, EMBED_CHUNK):
-        out[lo : lo + EMBED_CHUNK] = branch_forward(model, channel, frames[lo : lo + EMBED_CHUNK]).data
+        chunk = frames[lo : lo + EMBED_CHUNK]
+        out[lo : lo + EMBED_CHUNK] = branch_forward(
+            model, channel, frames_to_input(chunk[..., ::-1] if flip else chunk)
+        ).data
     return out
 
 
@@ -444,10 +476,7 @@ def train(
     frozen = {ch for ch in cfg.channels if ch is ChannelId.GRAY or not cfg.adapt}
     emb_plain = {ch: _embed_frozen(model, ch, data.train_x[ch]) for ch in frozen}
     if cfg.flip_prob > 0.0:
-        emb_flip = {
-            ch: _embed_frozen(model, ch, np.ascontiguousarray(data.train_x[ch][..., ::-1]))
-            for ch in frozen
-        }
+        emb_flip = {ch: _embed_frozen(model, ch, data.train_x[ch], flip=True) for ch in frozen}
     else:
         emb_flip = emb_plain
     dev_emb = {ch: _embed_frozen(model, ch, data.dev_x[ch]) for ch in frozen}
@@ -496,8 +525,9 @@ def pretrain_reference(
 ) -> tuple[dict[str, dict[str, np.ndarray]], list[float]]:
     """Stage-1 surrogate for face-recognition pretraining: a gray-only
     single-branch network with a temporary 1-node head trained on the PAD
-    labels for ``cfg.pretrain_epochs``. Returns (backbone blocks, per-epoch
-    mean loss)."""
+    labels (``gray_frames`` uint8) for ``cfg.pretrain_epochs``. Returns
+    (backbone blocks, per-epoch mean loss)."""
+    _require_8bit({ChannelId.GRAY: gray_frames})
     labels = np.asarray(labels)
     if not ((labels == 1).any() and (labels == 0).any()):
         raise FitError("pretraining needs both classes")
@@ -511,10 +541,8 @@ def pretrain_reference(
     head_w = ad.parameter(_he_init(head_rng, (1, pre_cfg.embedding_dim)).astype(np.float32))
     head_b = ad.parameter(np.zeros(1, dtype=np.float32))
 
-    frames = np.asarray(gray_frames)
-
     def batch_prob(idx: np.ndarray, flips: np.ndarray) -> Tensor:
-        emb = branch_forward(proxy, ChannelId.GRAY, _flipped(frames, idx, flips))
+        emb = branch_forward(proxy, ChannelId.GRAY, _flipped(gray_frames, idx, flips))
         return ad.reshape(ad.sigmoid(ad.linear(emb, head_w, head_b)), (-1,))
 
     params = [t for _, t in proxy.trainable()] + [head_w, head_b]

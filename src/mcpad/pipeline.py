@@ -360,6 +360,8 @@ class _SplitArrays:
 def _split_arrays(
     cfg: RunConfig, manifest: Manifest, protocol: ProtocolSpec, channels, split: str
 ) -> _SplitArrays:
+    """The 8-bit frames of ``channels`` for every sample of ``split``, in
+    manifest order; ``mccnn`` maps them to network input batch by batch."""
     stacks: dict[ChannelId, list[np.ndarray]] = {ch: [] for ch in channels}
     rows = []
     for entry in manifest:
@@ -368,7 +370,7 @@ def _split_arrays(
         sample = read_sample(entry.path, meta=entry.meta)
         count = sample.frame_count(channels[0])
         for ch in channels:
-            stacks[ch].append(mccnn.frames_to_input(sample.channels[ch]))
+            stacks[ch].append(sample.channels[ch])
         rows.extend((entry.sample_id, i) for i in range(count))
     if not rows:
         raise ValidationError(f"split {split!r} is empty")

@@ -11,7 +11,12 @@ takes numpy's sums over the batch for its weight and bias gradients;
 ``branch_forward_whole_batch`` is ``mccnn.branch_forward`` with the
 C1 -> B1 -> G1 trunk run over the whole batch in one pass through
 ``conv2d_im2col``; the blocked trunk must match its embedding and gradients
-byte for byte. ``bilinear_sample`` and ``lbp_code`` are the per-pixel forms
+byte for byte. ``train_float``, ``predict_float`` and
+``pretrain_reference_float`` are the MC-CNN's training and scoring as they
+ran on float frames that ``frames_to_input`` mapped up front (a whole split
+at a time); ``train``, ``predict`` and ``pretrain_reference``, which take
+8-bit frames and map each batch, must match their model bytes, scores and
+history byte for byte. ``bilinear_sample`` and ``lbp_code`` are the per-pixel forms
 of ``warp``'s and ``lbp_code_map``'s sampling. ``warp_frame``, ``mad_fit_frame``,
 ``mad_normalize_frame`` and ``preprocess_sample_frames`` are the one-frame,
 one-channel preprocessing that the stack forms of ``warp``, ``mad_fit``,
@@ -26,6 +31,7 @@ with numpy's OpenBLAS on more threads than the one autodiff sets.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Callable, Mapping, Sequence
 
@@ -45,7 +51,18 @@ from mcpad.features.iqm import (
     gaussian_kernel,
 )
 from mcpad.features.lbp import LbpConfig, neighbor_offsets, uniform_table
-from mcpad.mccnn import McCnnModel, batch_class_weights, forward
+from mcpad import mccnn
+from mcpad.evaluation import error_rates, threshold_from_bonafide
+from mcpad.mccnn import (
+    McCnnConfig,
+    McCnnModel,
+    TrainResult,
+    batch_class_weights,
+    branch_forward,
+    build_model,
+    forward,
+    init_backbone,
+)
 from mcpad.preprocess import (
     _NONCOLOR,
     AlignTargets,
@@ -189,6 +206,113 @@ def branch_forward_whole_batch(model: McCnnModel, channel: ChannelId, frames: np
         x = ad.maxpool2d(ad.mfm(conv2d_im2col(x, block["conv_w"], block["conv_b"], padding=padding)))
     emb = model.block(channel, "EMB")
     return ad.mfm(ad.linear(ad.flatten(x), emb["lin_w"], emb["lin_b"]))
+
+
+def _flipped_float(stack: np.ndarray, idx: np.ndarray, flips: np.ndarray) -> np.ndarray:
+    frames = np.array(stack[idx])
+    if flips.any():
+        frames[flips] = frames[flips][..., ::-1]
+    return frames
+
+
+def _embed_float(model: McCnnModel, channel: ChannelId, frames: np.ndarray) -> np.ndarray:
+    chunk = mccnn.EMBED_CHUNK
+    out = np.empty((frames.shape[0], model.config.embedding_dim), dtype=model.dtype)
+    for lo in range(0, frames.shape[0], chunk):
+        out[lo : lo + chunk] = branch_forward(model, channel, frames[lo : lo + chunk]).data
+    return out
+
+
+def predict_float(
+    model: McCnnModel,
+    frames: Mapping[ChannelId, np.ndarray],
+    embeddings: Mapping[ChannelId, np.ndarray] | None = None,
+) -> np.ndarray:
+    """``mccnn.predict`` over float frames, ``PREDICT_BATCH`` rows a pass."""
+    embeddings = embeddings or {}
+    view = model.frozen()
+    n = next(iter(frames.values())).shape[0]
+    scores = np.empty(n, dtype=np.float64)
+    for lo in range(0, n, mccnn.PREDICT_BATCH):
+        rows = slice(lo, lo + mccnn.PREDICT_BATCH)
+        parts = [
+            Tensor(embeddings[ch][rows]) if ch in embeddings else branch_forward(view, ch, frames[ch][rows])
+            for ch in model.config.channels
+        ]
+        scores[rows] = mccnn._head(view, parts).data
+    return scores
+
+
+def train_float(
+    train_x: Mapping[ChannelId, np.ndarray],
+    train_y: np.ndarray,
+    dev_x: Mapping[ChannelId, np.ndarray],
+    dev_y: np.ndarray,
+    cfg: McCnnConfig,
+    backbone=None,
+) -> TrainResult:
+    """``mccnn.train`` over float frames: frozen branches embed the whole
+    split and its mirrored copy, and each batch is a float copy with its
+    flipped rows mirrored."""
+    model = build_model(cfg, backbone)
+    frozen = {ch for ch in cfg.channels if ch is ChannelId.GRAY or not cfg.adapt}
+    emb_plain = {ch: _embed_float(model, ch, train_x[ch]) for ch in frozen}
+    emb_flip = emb_plain
+    if cfg.flip_prob > 0.0:
+        emb_flip = {ch: _embed_float(model, ch, np.ascontiguousarray(train_x[ch][..., ::-1])) for ch in frozen}
+    dev_emb = {ch: _embed_float(model, ch, dev_x[ch]) for ch in frozen}
+
+    def batch_prob(idx, flips):
+        parts = []
+        for ch in cfg.channels:
+            if ch in frozen:
+                parts.append(Tensor(np.where(flips[:, None], emb_flip[ch][idx], emb_plain[ch][idx])))
+            else:
+                parts.append(branch_forward(model, ch, _flipped_float(train_x[ch], idx, flips)))
+        return mccnn._head(model, parts)
+
+    trainable = [t for _, t in model.trainable()]
+    result = TrainResult(model=model)
+    best_snapshot, best_acer = None, float("inf")
+    for epoch, loss in mccnn._adam_epochs(trainable, train_y, cfg, cfg.seed, cfg.epochs, batch_prob):
+        scores = predict_float(model, dev_x, dev_emb)
+        dev_tau = threshold_from_bonafide(scores[dev_y == 1], cfg.bpcer_target)
+        apcer, bpcer = error_rates(scores, dev_y == 1, dev_tau)
+        dev_acer = (apcer + bpcer) / 2.0
+        result.history.append({"epoch": epoch, "train_loss": loss, "dev_acer": dev_acer, "dev_tau": dev_tau})
+        if dev_acer < best_acer:
+            best_acer, result.best_epoch, result.dev_scores = dev_acer, epoch, scores
+            best_snapshot = [t.data.copy() for t in trainable]
+    if best_snapshot is not None:
+        for tensor, snap in zip(trainable, best_snapshot):
+            tensor.data = snap
+    else:
+        result.dev_scores = predict_float(model, dev_x, dev_emb)
+    result.best_dev_acer = best_acer
+    return result
+
+
+def pretrain_reference_float(gray_frames: np.ndarray, labels: np.ndarray, cfg: McCnnConfig):
+    """``mccnn.pretrain_reference`` over float gray frames."""
+    backbone = init_backbone(cfg)
+    pre_cfg = dataclasses.replace(cfg, channels=(ChannelId.GRAY,), adapt=frozenset())
+    proxy = McCnnModel(pre_cfg, {
+        f"shared.{group}.{name}": ad.parameter(np.array(arr, dtype=np.float32))
+        for group, block in backbone.items() for name, arr in block.items()
+    })
+    head_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 103)))
+    head_w = ad.parameter(mccnn._he_init(head_rng, (1, pre_cfg.embedding_dim)).astype(np.float32))
+    head_b = ad.parameter(np.zeros(1, dtype=np.float32))
+
+    def batch_prob(idx, flips):
+        emb = branch_forward(proxy, ChannelId.GRAY, _flipped_float(gray_frames, idx, flips))
+        return ad.reshape(ad.sigmoid(ad.linear(emb, head_w, head_b)), (-1,))
+
+    params = [t for _, t in proxy.trainable()] + [head_w, head_b]
+    losses = [loss for _, loss in mccnn._adam_epochs(params, labels, cfg, cfg.seed + 1, cfg.pretrain_epochs,
+                                                    batch_prob)]
+    return {group: {name: proxy.params[f"shared.{group}.{name}"].data for name in block}
+            for group, block in backbone.items()}, losses
 
 
 def bilinear_sample(frame: np.ndarray, x: float, y: float) -> float:

@@ -156,6 +156,22 @@ class TestKernelsMatchReference:
         assert np.array_equal(out.data, ref_out)
         assert t.grad.tobytes() == ref_backward(grad).tobytes()
 
+    @pytest.mark.parametrize("shape", [(1, 2, 3, 3), (3, 6, 5, 7), (5, 6)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_mfm_packed_mask_with_ragged_last_byte(self, rng, shape, dtype):
+        """MFM keeps its mask bit-packed; at 9, 315 and 15 output elements
+        the last byte is partly filled, and the gradient still equals the
+        bool-mask oracle's byte for byte."""
+        x = rng.integers(-2, 3, size=shape).astype(dtype)  # ties are common
+        ref_out, ref_backward = _reference_mfm(x)
+        assert ref_out.size % 8 != 0
+        t = ad.parameter(x)
+        out = ad.mfm(t)
+        grad = rng.normal(size=ref_out.shape).astype(dtype)
+        out._backward(grad)
+        assert np.array_equal(out.data, ref_out)
+        assert t.grad.tobytes() == ref_backward(grad).tobytes()
+
 
 @st.composite
 def _conv_cases(draw):

@@ -234,7 +234,7 @@ class TestSynth:
         # With signal in depth+thermal, the color/infrared render path never
         # consults the class, so regenerating an attack sample's color frame
         # through the bonafide variant is bit-identical.
-        from mcpad.dataset import _client_params, _render_channel
+        from mcpad.dataset import _client_params, _face_map, _render_channel
 
         cfg = SynthConfig(
             bonafide_clients=1,
@@ -247,17 +247,18 @@ class TestSynth:
         attack_entry = next(e for e in manifest if e.meta.attack_type is not AttackType.NONE)
         sample = read_sample(attack_entry.path, meta=attack_entry.meta)
         params = _client_params(seed, attack_entry.meta.client_id)
+        face = _face_map(cfg.image_size, params)
         for ch in (ChannelId.COLOR, ChannelId.INFRARED):
             rng = np.random.default_rng(
                 np.random.SeedSequence((seed, 29, attack_entry.meta.client_id, 0, 0, ch.value))
             )
-            rendered = _render_channel(ch, cfg, params, False, 0, rng)
+            rendered = _render_channel(ch, cfg, params, face, False, 0, rng)
             assert np.array_equal(sample.channels[ch][0], rendered)
         # and the signal channel did use the attack variant
         rng = np.random.default_rng(
             np.random.SeedSequence((seed, 29, attack_entry.meta.client_id, 0, 0, ChannelId.DEPTH.value))
         )
-        bona_render = _render_channel(ChannelId.DEPTH, cfg, params, False, 0, rng)
+        bona_render = _render_channel(ChannelId.DEPTH, cfg, params, face, False, 0, rng)
         assert not np.array_equal(sample.channels[ChannelId.DEPTH][0], bona_render)
 
     def test_zero_clients_rejected(self):

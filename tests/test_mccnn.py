@@ -44,6 +44,9 @@ from oracles import (
     conv2d_im2col,
     grad_check,
     mse_loss,
+    predict_float,
+    pretrain_reference_float,
+    train_float,
 )
 
 GRAY = ChannelId.GRAY
@@ -65,8 +68,13 @@ def mini_config(**kw):
     return McCnnConfig(**base)
 
 
+def eight_bit(x):
+    """The uint8 frames whose ``frames_to_input`` is nearest ``x``."""
+    return np.clip(np.rint(x * mccnn.INPUT_SCALE + mccnn.INPUT_SHIFT), 0, 255).astype(np.uint8)
+
+
 def separable_frames(rng, n, size, signal=True):
-    """Gray frames where class 1 has a centered bright square."""
+    """8-bit gray frames where class 1 has a centered bright square."""
     x = rng.normal(0, 0.2, (n, size, size)).astype(np.float32)
     y = rng.integers(0, 2, n)
     if signal:
@@ -74,7 +82,11 @@ def separable_frames(rng, n, size, signal=True):
         for i in range(n):
             if y[i] == 1:
                 x[i, q : 3 * q, q : 3 * q] += 1.0
-    return x, y
+    return eight_bit(x), y
+
+
+def mapped(frames):
+    return {ch: frames_to_input(stack) for ch, stack in frames.items()}
 
 
 class TestConfig:
@@ -284,6 +296,33 @@ class TestTrunkBlocks:
         assert model.params["dsu.depth.C1.conv_w"].grad is not None
         assert peak < c1_output
 
+    def test_dsu_branch_graph_bytes_at_batch_32(self):
+        """The bytes that one DSU branch's forward leaves in the graph at the
+        default configuration, batch 32, stay under what the shapes call for:
+        the float32 C1 and B1 conv inputs (their weights train), one bit per
+        MFM output, one uint8 pooling tap per pooled value, and 4 KiB per
+        graph node. One byte per MFM output (2.4 MB more) exceeds it."""
+        cfg = McCnnConfig()
+        n, s, b, e = 32, cfg.input_size, cfg.base_width, cfg.embedding_dim
+        model = build_model(cfg)
+        frames = np.random.default_rng(0).integers(0, 256, (n, s, s), dtype=np.uint8)
+        branch_forward(model, DEPTH, frames_to_input(frames[:2]))  # first-call set-up outside the trace
+        mfm_outputs = [n * b * s * s, n * b * (s // 2) ** 2, n * (3 * b // 2) * (s // 4) ** 2, n * e]
+        pooled = [n * b * (s // 2) ** 2, n * b * (s // 4) ** 2, n * (3 * b // 2) * (s // 8) ** 2]
+        conv_inputs = 4 * (n * s * s + pooled[0])
+        blocks = -(-n // trunk_block_samples(cfg, np.float32))
+        nodes = 9 * blocks + 4  # conv, MFM and pool per group and block; concat, flatten, EMB, MFM
+        bound = conv_inputs + sum(-(-m // 8) for m in mfm_outputs) + sum(pooled) + 4096 * nodes
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            emb = branch_forward(model, DEPTH, frames_to_input(frames))
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert emb.requires_grad
+        assert kept < bound
+
 
 class TestPredict:
     """Scoring runs through a frozen view of the model: the same arrays, no
@@ -292,21 +331,21 @@ class TestPredict:
     def _model_and_frames(self, rng, dtype=np.float32):
         cfg = mini_config(channels=(GRAY, DEPTH, ChannelId.INFRARED))
         model = build_model(cfg, dtype=dtype)
-        frames = {ch: rng.normal(size=(5, 16, 16)).astype(dtype) for ch in cfg.channels}
+        frames = {ch: rng.integers(0, 256, size=(5, 16, 16), dtype=np.uint8) for ch in cfg.channels}
         return model, frames
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_equals_forward_bit_for_bit(self, rng, dtype):
         model, frames = self._model_and_frames(rng, dtype)
         assert model.trainable() and model.block(DEPTH, "C1")["conv_w"].requires_grad
-        assert np.array_equal(predict(model, frames), forward(model, frames).data)
+        assert np.array_equal(predict(model, frames), forward(model, mapped(frames)).data)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_equals_forward_over_several_trunk_blocks(self, rng, dtype, monkeypatch):
         model, frames = self._model_and_frames(rng, dtype)
         monkeypatch.setattr(mccnn, "TRUNK_BLOCK_BYTES", 2 * 8 * 16 * 16 * np.dtype(dtype).itemsize)
         assert trunk_block_samples(model.config, dtype) == 2  # 5 frames in 3 blocks
-        assert np.array_equal(predict(model, frames), forward(model, frames).data)
+        assert np.array_equal(predict(model, frames), forward(model, mapped(frames)).data)
 
     def test_builds_no_graph(self, rng, monkeypatch):
         model, frames = self._model_and_frames(rng)
@@ -337,6 +376,59 @@ class TestPredict:
         for name, tensor in view.params.items():
             assert np.shares_memory(tensor.data, model.params[name].data), name
         assert view.trainable() == []
+
+
+class TestEightBitFrames:
+    """Training and scoring take the uint8 frames that ``preprocess`` writes
+    and map each batch to network input; they equal the float path that
+    mapped whole splits up front (``oracles.train_float``) byte for byte."""
+
+    @pytest.mark.parametrize("call", ["TrainData", "train", "predict", "pretrain_reference"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.uint16])
+    def test_other_dtypes_rejected(self, call, dtype):
+        cfg = mini_config()
+        x, y = separable_frames(np.random.default_rng(2), 8, 16)
+        other = x.astype(dtype)
+        with pytest.raises(ValueError, match="frames must be uint8"):
+            if call == "TrainData":
+                TrainData({GRAY: x, DEPTH: x}, y, {GRAY: x, DEPTH: other}, y)
+            elif call == "train":
+                train(TrainData({GRAY: x, DEPTH: other}, y, {GRAY: x, DEPTH: x}, y), cfg)
+            elif call == "predict":
+                predict(build_model(cfg), {GRAY: x, DEPTH: other})
+            else:
+                pretrain_reference(other, y, cfg)
+
+    # Small chunks so that embedding, scoring and flipping run over ragged
+    # chunks of the 24 train and 30 dev frames.
+    @pytest.mark.parametrize("adapt", [frozenset({"C1", "B1"}), frozenset()])
+    def test_train_and_predict_equal_float_oracle(self, monkeypatch, adapt):
+        monkeypatch.setattr(mccnn, "EMBED_CHUNK", 7)
+        monkeypatch.setattr(mccnn, "PREDICT_BATCH", 9)
+        rng = np.random.default_rng(31)
+        x, y = separable_frames(rng, 24, 16)
+        xd, yd = separable_frames(rng, 30, 16)
+        depth, depth_dev = np.ascontiguousarray(x[:, ::-1]), np.ascontiguousarray(xd[:, ::-1])
+        cfg = mini_config(adapt=adapt, epochs=3)
+        backbone = init_backbone(cfg)
+        train_x, dev_x = {GRAY: x, DEPTH: depth}, {GRAY: xd, DEPTH: depth_dev}
+        result = train(TrainData(train_x, y, dev_x, yd), cfg, backbone)
+        ref = train_float(mapped(train_x), y, mapped(dev_x), yd, cfg, backbone)
+        assert block_bytes(result.model) == block_bytes(ref.model)
+        assert result.history == ref.history
+        assert (result.best_epoch, result.best_dev_acer) == (ref.best_epoch, ref.best_dev_acer)
+        assert result.dev_scores.tobytes() == ref.dev_scores.tobytes()
+        assert predict(result.model, dev_x).tobytes() == predict_float(ref.model, mapped(dev_x)).tobytes()
+
+    def test_pretrain_equals_float_oracle(self):
+        cfg = mini_config(pretrain_epochs=2)
+        x, y = separable_frames(np.random.default_rng(32), 20, 16)
+        backbone, losses = pretrain_reference(x, y, cfg)
+        ref_backbone, ref_losses = pretrain_reference_float(frames_to_input(x), y, cfg)
+        assert losses == ref_losses
+        for group in GROUPS:
+            for name, arr in backbone[group].items():
+                assert arr.tobytes() == ref_backbone[group][name].tobytes(), (group, name)
 
 
 class TestWeightsAndLoss:
@@ -405,7 +497,7 @@ class TestTraining:
 
     def test_single_class_rejected(self, rng):
         cfg = mini_config()
-        x = rng.normal(size=(8, 16, 16)).astype(np.float32)
+        x = rng.integers(0, 256, size=(8, 16, 16), dtype=np.uint8)
         with pytest.raises(FitError):
             train(TrainData({GRAY: x, DEPTH: x}, np.ones(8, dtype=int),
                             {GRAY: x, DEPTH: x}, np.ones(8, dtype=int)), cfg)
@@ -570,7 +662,8 @@ class TestPretraining:
 
     def test_single_class_rejected(self, rng):
         with pytest.raises(FitError):
-            pretrain_reference(rng.normal(size=(8, 16, 16)), np.ones(8, dtype=int), mini_config())
+            pretrain_reference(rng.integers(0, 256, size=(8, 16, 16), dtype=np.uint8), np.ones(8, dtype=int),
+                               mini_config())
 
 
 class TestSerialization:
@@ -650,7 +743,7 @@ class TestEndToEndSynthetic:
             for entry in manifest:
                 raw = read_sample(entry.path, meta=entry.meta)
                 processed, _ = preprocess_sample(raw, load_landmarks(landmarks_path(entry.path)), targets)
-                frames.append(frames_to_input(processed.channels[DEPTH]))
+                frames.append(processed.channels[DEPTH])
                 labels.extend([int(entry.meta.attack_type is AttackType.NONE)] * processed.frame_count(DEPTH))
         x = np.concatenate(frames)
         y = np.array(labels)

@@ -180,6 +180,28 @@ class TestMccnnChain:
             assert (tmp_path / f"{split}.csv").read_bytes() == saved, split
 
 
+    def test_split_arrays_keep_8bit_frames(self, small_run, tmp_path):
+        """The MC-CNN splits hold the uint8 frames that ``preprocess`` wrote;
+        ``mccnn`` maps them to network input batch by batch."""
+        import shutil
+
+        from mcpad.pipeline import _load_proc, _split_arrays
+
+        root, config = small_run
+        shutil.copytree(root / "out" / "proc", tmp_path / "proc")
+        cfg = load_config(config, [f"paths.out_root={tmp_path}"])
+        manifest, protocol = _load_proc(cfg)
+        channels = (ChannelId.GRAY, ChannelId.DEPTH, ChannelId.INFRARED, ChannelId.THERMAL)
+        for split in ("train", "dev", "eval"):
+            data = _split_arrays(cfg, manifest, protocol, channels, split)
+            for channel in channels:
+                stack = data.frames[channel]
+                assert stack.dtype == np.uint8 and stack.shape == (len(data.rows), 32, 32), (split, channel)
+            sample_id, index = data.rows[0]
+            sample = read_sample(manifest.by_id(sample_id).path)
+            assert np.array_equal(data.frames[ChannelId.DEPTH][0], sample.channels[ChannelId.DEPTH][index])
+
+
 class TestNonSignalChannels:
     def test_classifier_on_non_signal_channel_is_chance(self, small_run):
         """Channels outside signal_channels carry no class information: a
@@ -265,7 +287,7 @@ class TestJobs:
             return {p.name: p.read_bytes() for p in sorted(tables.glob("*_lbp.mcfv*"))}
 
         model = build_model(McCnnConfig(channels=(ChannelId.GRAY,), input_size=16, embedding_dim=8, base_width=4))
-        predict(model, {ChannelId.GRAY: np.zeros((4, 16, 16), dtype=np.float32)})
+        predict(model, {ChannelId.GRAY: np.zeros((4, 16, 16), dtype=np.uint8)})
         cmd_extract(cfg, "lbp", jobs=1)
         serial = outputs()
         cmd_extract(cfg, "lbp", jobs=2)
