@@ -1,5 +1,6 @@
 """Micro-benchmarks of the stacked IQM and LBP extractors, each beside the
-one-frame oracle looped over the same stack, for the ratio.
+one-frame oracle looped over the same stack, for the ratio, and of a whole
+``cmd_extract rdwt-haralick`` on a small roster.
 
     PYTHONPATH=src python -m pytest benches --benchmark-only
 
@@ -7,16 +8,26 @@ one-frame oracle looped over the same stack, for the ratio.
 not collect this directory. Stacks are 64x64 frames, the aligned size of the
 default configuration: 2 frames (one sample at the benchmark's scale) and 20
 frames (one sample at the default scale).
+
+A function called in a tight loop reuses the memory it freed on the last
+call, so those loops cannot show the allocator returning freed temporaries
+to the OS between samples. The ``cmd_extract`` case runs the stage on six
+samples of two 64 px frames after one warm-up run, as a pipeline process
+runs its second chain, and records in ``extra_info`` the minor page faults
+(``ru_minflt``) of every run, the second run's apart.
 """
 
+import resource
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mcpad.config import load_config
 from mcpad.features.iqm import iqm_features
 from mcpad.features.lbp import LbpConfig, lbp_histogram
+from mcpad.pipeline import cmd_extract, cmd_preprocess, cmd_synth
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from oracles import iqm_frame, lbp_histogram_frame  # noqa: E402
@@ -53,3 +64,28 @@ def test_lbp_frame_oracle_loop(benchmark, gray):
     cfg = LbpConfig()
     hist = benchmark(lambda: np.stack([lbp_histogram_frame(frame, cfg) for frame in gray]))
     assert np.array_equal(hist, lbp_histogram(gray, cfg))
+
+
+@pytest.fixture(scope="module")
+def roster(tmp_path_factory):
+    root = tmp_path_factory.mktemp("roster")
+    cfg = load_config(None, [
+        "synth.bonafide_clients=3", "synth.attack_instruments={print: 3}", "synth.frames_per_sample=2",
+        f"paths.data_root={root / 'data'}", f"paths.out_root={root / 'out'}",
+    ], env={})
+    cmd_synth(cfg)
+    cmd_preprocess(cfg)
+    return cfg
+
+
+def test_extract_rdwt_haralick(benchmark, roster):
+    faults = []
+
+    def run():
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        cmd_extract(roster, "rdwt-haralick")
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+
+    benchmark.pedantic(run, rounds=5, iterations=1, warmup_rounds=1)
+    benchmark.extra_info["minflt_per_run"] = faults[:]
+    benchmark.extra_info["minflt_second_run"] = faults[1]

@@ -53,9 +53,11 @@ def smooth(image: np.ndarray) -> np.ndarray:
     h, w = img.shape[-2:]
     padded = np.pad(img, [(0, 0)] * (img.ndim - 2) + [(py, py), (px, px)], mode="symmetric")
     out = np.zeros_like(img)
+    term = np.empty_like(img)
     for i in range(kh):
         for j in range(kw):
-            out += k[i, j] * padded[..., i : i + h, j : j + w]
+            np.multiply(padded[..., i : i + h, j : j + w], k[i, j], out=term)
+            out += term
     return out
 
 
