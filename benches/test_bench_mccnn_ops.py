@@ -39,7 +39,11 @@ of each timed step, the minor page faults of each (``ru_minflt``), which
 count the fresh memory the step touches, and, from three more steps run
 after the timed ones (tracing slows every allocation), the ``tracemalloc``
 peak (MB) and the bytes (MB) that the forward leaves in the graph: traced
-memory after the forward less that before it.
+memory after the forward less that before it. That graph holds the float32
+inputs of the convs whose weights train, one bit per MFM output and two bits
+per pooled value (the first-hit tap of each window). The models of these
+cases are built from ``init_backbone(cfg)``, as ``train-mccnn`` builds one
+without pretraining.
 
 The predict case scores 30 frames of each of the 4 channels through the
 default model's frozen view, as per-epoch dev scoring and the pipeline's
@@ -59,7 +63,7 @@ import pytest
 import mcpad.autodiff as ad
 from mcpad.autodiff import Tensor
 from mcpad.dataset import ChannelId
-from mcpad.mccnn import McCnnConfig, branch_forward, build_model, forward, frames_to_input, predict
+from mcpad.mccnn import McCnnConfig, branch_forward, build_model, forward, frames_to_input, init_backbone, predict
 
 BATCH = 32
 # group: (input shape, weight shape, padding, input needs grad, weight needs grad)
@@ -168,7 +172,7 @@ def _frames_8bit(cfg, n, seed):
 
 def _default_model_and_frames(seed):
     cfg = McCnnConfig()
-    return build_model(cfg), _frames_8bit(cfg, BATCH, seed)
+    return build_model(cfg, init_backbone(cfg)), _frames_8bit(cfg, BATCH, seed)
 
 
 def _forward_backward_steps(benchmark, run_forward, params):
@@ -248,7 +252,7 @@ def test_training_step_4ch_all_blas_threads(benchmark):
 
 def test_predict_4ch(benchmark):
     cfg = McCnnConfig()
-    model = build_model(cfg)
+    model = build_model(cfg, init_backbone(cfg))
     frames = _frames_8bit(cfg, 30, 4)
     wall, cpu, faults = [], [], []
 

@@ -28,7 +28,9 @@ arrays its backward reads, taken in forward:
             are rebuilt from it), and its weight;
   linear    its input when the weight needs a gradient, and its weight;
   maxpool2d the first tap, in window scan order, that equals each window's
-            maximum (uint8; a NaN window takes its last tap);
+            maximum (a NaN window takes its last tap), as two bit-packed
+            planes of its index (``np.packbits``, two bits per output
+            element);
   mfm       the ``first >= second`` mask of the channel halves, bit-packed
             (``np.packbits``, one bit per output element);
   sigmoid   its output and the inside-the-clamp mask;
@@ -316,20 +318,25 @@ def maxpool2d(x: Tensor) -> Tensor:
     xn = x._node
     if xn is None:
         return Tensor(out)
-    # first hit = 3 - (how many of the first three taps are at or after
-    # it); a NaN window equals no tap and takes the last
-    seen = tap(x.data, 0, 0) == out
-    first = seen.astype(np.uint8)
-    for i, j in _POOL_TAPS[1:-1]:
-        seen |= tap(x.data, i, j) == out
-        first += seen
-    np.subtract(len(_POOL_TAPS) - 1, first, out=first)
-    shape, dtype = x.data.shape, x.data.dtype
+    # The first hit t (0-3) as two bit-planes: high = t >= 2 = not (e00 or
+    # e01), low = t odd = not e00 and (e01 or not e10), where eij says that
+    # tap (i, j) equals the maximum. A NaN window equals no tap and takes 3.
+    e00 = tap(x.data, 0, 0) == out
+    e01 = tap(x.data, 0, 1) == out
+    low = tap(x.data, 1, 0) != out
+    low |= e01
+    np.greater(low, e00, out=low)
+    e01 |= e00
+    np.logical_not(e01, out=e01)
+    high, low = np.packbits(e01), np.packbits(low)
+    shape, dtype, pooled = x.data.shape, x.data.dtype, out.shape
 
     def backward(grad):
+        hi, lo = (np.unpackbits(p, count=grad.size).view(bool).reshape(pooled) for p in (high, low))
+        not_hi, not_lo = ~hi, ~lo
         dx = np.zeros(shape, dtype=dtype)
-        for t, (i, j) in enumerate(_POOL_TAPS):
-            _select_into(tap(dx, i, j), grad, first == t)
+        for (i, j), hit in zip(_POOL_TAPS, (not_hi & not_lo, not_hi & lo, hi & not_lo, hi & lo)):
+            _select_into(tap(dx, i, j), grad, hit)
         xn.accumulate(dx)
 
     return _wrap(out, (x,), backward)

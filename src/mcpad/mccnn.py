@@ -35,7 +35,10 @@ held as uint8 takes a quarter of its float32 bytes.
 (``shared.C1.conv_w``, ``dsu.depth.C1.conv_w``, ``head.fc1_w``), so saving,
 loading and the trainable list walk one dict. Scoring (``predict``, also the
 per-epoch dev scores) runs through a frozen view of the same arrays and
-builds no autodiff graph.
+builds no autodiff graph. ``build_model`` copies a backbone's blocks into a
+new model, and ``train`` trains the model it is given in place, so a caller
+that saves the initial model and then trains it (as ``pipeline`` does)
+holds one copy of the parameters while training runs.
 
 Model files: magic "MCNN", version u8, u32 config-JSON length, JSON config
 echo, u32 block count, then per block u16 name length + name, u8 ndim,
@@ -234,14 +237,14 @@ class McCnnModel:
 
 def build_model(
     cfg: McCnnConfig,
-    backbone: Mapping[str, Mapping[str, np.ndarray]] | None = None,
+    backbone: Mapping[str, Mapping[str, np.ndarray]],
     dtype=np.float32,
 ) -> McCnnModel:
-    """Assemble a model: shared blocks are frozen copies of the backbone,
-    adapted non-gray channels get trainable DSU copies, the head trains.
-    Training runs float32; pass float64 for finite-difference checks."""
-    if backbone is None:
-        backbone = init_backbone(cfg)
+    """Assemble a model from backbone blocks (``init_backbone`` or
+    ``pretrain_reference``): shared blocks are frozen copies of the
+    backbone, adapted non-gray channels get trainable DSU copies, the head
+    trains. Training runs float32; pass float64 for finite-difference
+    checks."""
     for group, expected in _group_shapes(cfg).items():
         for name, shape in expected.items():
             got = np.asarray(backbone[group][name]).shape
@@ -453,26 +456,26 @@ def _embed_frozen(model: McCnnModel, channel: ChannelId, frames: np.ndarray, fli
     return out
 
 
-def train(
-    data: TrainData,
-    cfg: McCnnConfig,
-    backbone: Mapping[str, Mapping[str, np.ndarray]] | None = None,
-) -> TrainResult:
-    """Train DSU copies of the adapt set plus the head with Adam; the best
-    epoch is the first with the lowest dev ACER (percent) at the threshold
-    set on dev bonafide scores for the BPCER target. A ``history`` record
-    (a ``history.csv`` row) holds the epoch's ``train_loss`` as
-    ``_adam_epochs`` defines it, ``dev_acer`` and ``dev_tau``. The result
-    carries the returned model's dev scores: the selected epoch's, or, when
-    no epoch was selected, one ``predict`` over dev with the final weights.
+def train(data: TrainData, cfg: McCnnConfig, model: McCnnModel) -> TrainResult:
+    """Train ``model``'s trainable blocks (the DSU copies of the adapt set
+    and the head) in place with Adam and return it in the result; ``cfg``
+    must be ``model.config`` (``ValueError`` otherwise). The best epoch is
+    the first with the lowest dev ACER (percent) at the threshold set on dev
+    bonafide scores for the BPCER target, and the model is left with that
+    epoch's weights. A ``history`` record (a ``history.csv`` row) holds the epoch's
+    ``train_loss`` as ``_adam_epochs`` defines it, ``dev_acer`` and
+    ``dev_tau``. The result carries the returned model's dev scores: the
+    selected epoch's, or, when no epoch was selected, one ``predict`` over
+    dev with the final weights.
 
     Branches with no trainable blocks (the gray reference, or every branch
     when the adapt set is empty) are frozen, so their embeddings are
     precomputed once per flip variant instead of per step.
     """
+    if model.config != cfg:
+        raise ValueError("the model was built for another configuration")
     if not ((data.train_y == 1).any() and (data.train_y == 0).any()):
         raise FitError("training split needs both classes")
-    model = build_model(cfg, backbone)
     frozen = {ch for ch in cfg.channels if ch is ChannelId.GRAY or not cfg.adapt}
     emb_plain = {ch: _embed_frozen(model, ch, data.train_x[ch]) for ch in frozen}
     if cfg.flip_prob > 0.0:

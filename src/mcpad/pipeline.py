@@ -10,7 +10,6 @@ import csv
 import ctypes
 import functools
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -269,6 +268,9 @@ def cmd_extract(cfg: RunConfig, extractor: str, jobs: int = 1) -> None:
 
     workers = min(jobs, len(tasks))  # a fork-started pool launches every worker at the first submit
     if workers > 1:
+        # imported here: a single-job process never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_extract_one, tasks))
     else:
@@ -457,8 +459,9 @@ def cmd_train_mccnn(cfg: RunConfig) -> Path:
 
     out = mccnn_out_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
-    init_model = mccnn.build_model(net_cfg, backbone)
-    mccnn.save_model(init_model, out / "init.mcnn")
+    model = mccnn.build_model(net_cfg, backbone)
+    del backbone  # the model holds its own copy; training runs on it in place
+    mccnn.save_model(model, out / "init.mcnn")
 
     result = mccnn.train(
         mccnn.TrainData(
@@ -468,7 +471,7 @@ def cmd_train_mccnn(cfg: RunConfig) -> Path:
             dev_y=dev_data.labels,
         ),
         net_cfg,
-        backbone,
+        model,
     )
     mccnn.save_model(result.model, out / "model.mcnn")
 

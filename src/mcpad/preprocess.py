@@ -118,7 +118,7 @@ def estimate_similarity(src: Landmarks, dst: AlignTargets) -> np.ndarray:
 
 
 def warp(frames: np.ndarray, transforms: np.ndarray, out_size: int) -> np.ndarray:
-    """Resample frames ``(F, H, W[, C])`` through the inverses of their 2x3
+    """Resample frames ``(F, H, W, C)`` through the inverses of their 2x3
     source->target ``transforms`` ``(F, 2, 3)``. Bilinear, and out-of-bounds
     taps read 0. Each frame's sampling grid is built once and gathers all of
     its planes. Integer inputs are rounded back to their dtype. A non-finite
@@ -127,8 +127,8 @@ def warp(frames: np.ndarray, transforms: np.ndarray, out_size: int) -> np.ndarra
     img = np.asarray(frames)
     if transforms.ndim != 3 or transforms.shape[1:] != (2, 3):
         raise ValueError("transforms must be (F, 2, 3)")
-    if img.ndim not in (3, 4) or img.shape[0] != transforms.shape[0]:
-        raise ValueError("frames must be (F, H, W[, C]) with one transform per frame")
+    if img.ndim != 4 or img.shape[0] != transforms.shape[0]:
+        raise ValueError("frames must be (F, H, W, C) with one transform per frame")
     if not np.isfinite(transforms).all():
         raise GeometryError("transform must be finite")
     try:
@@ -138,8 +138,7 @@ def warp(frames: np.ndarray, transforms: np.ndarray, out_size: int) -> np.ndarra
     if not np.isfinite(inv).all():
         raise GeometryError("transform is singular")
 
-    planes = img if img.ndim == 4 else img[..., None]
-    count, h, w, depth = planes.shape
+    count, h, w, depth = img.shape
     info = np.iinfo(img.dtype) if np.issubdtype(img.dtype, np.integer) else None
     out = np.empty((count, out_size, out_size, depth), dtype=np.float64 if info is None else img.dtype)
     xs, ys = np.meshgrid(np.arange(out_size, dtype=np.float64),
@@ -147,7 +146,7 @@ def warp(frames: np.ndarray, transforms: np.ndarray, out_size: int) -> np.ndarra
     grid = np.stack([xs.ravel(), ys.ravel()])
     acc = np.empty((depth, out_size * out_size), dtype=np.float64)
     term = np.empty_like(acc)
-    for frame, matrix, lin_inv, dest in zip(planes, transforms, inv, out):
+    for frame, matrix, lin_inv, dest in zip(img, transforms, inv, out):
         # One sampling grid per frame. A pixel's planes are one row, so each
         # tap is one ``take`` of every plane; integer values enter the
         # float64 sums exactly, as gathered.
@@ -171,8 +170,7 @@ def warp(frames: np.ndarray, transforms: np.ndarray, out_size: int) -> np.ndarra
         if info is not None:
             np.clip(np.rint(acc, out=acc), info.min, info.max, out=acc)
         dest[...] = acc.T.reshape(out_size, out_size, depth)
-
-    return out[..., 0] if img.ndim == 3 else out
+    return out
 
 
 def to_gray(rgb: np.ndarray) -> np.ndarray:

@@ -249,7 +249,7 @@ def train_float(
     dev_x: Mapping[ChannelId, np.ndarray],
     dev_y: np.ndarray,
     cfg: McCnnConfig,
-    backbone=None,
+    backbone,
 ) -> TrainResult:
     """``mccnn.train`` over float frames: frozen branches embed the whole
     split and its mirrored copy, and each batch is a float copy with its

@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 import mcpad.autodiff as ad
 from mcpad.autodiff import Tensor
 from mcpad.dataset import ChannelId
-from mcpad.mccnn import McCnnConfig, branch_forward, build_model, forward
+from mcpad.mccnn import McCnnConfig, branch_forward, build_model, forward, init_backbone
 
 from oracles import at_blas_threads, check_gradients, conv2d_im2col, mse_loss
 
@@ -137,6 +137,34 @@ class TestKernelsMatchReference:
         expected = ref_backward(grad)
         assert t.grad.dtype == expected.dtype
         assert t.grad.tobytes() == expected.tobytes()
+
+    @given(data=st.data())
+    def test_maxpool2d_tap_bits_with_signed_zeros_and_nans(self, data):
+        """The first-hit tap, kept as two bit-planes, routes the gradient as
+        the reference does over pooled counts that are not multiples of 8,
+        with +0.0/-0.0 ties (equal, so the first tap wins) and NaN windows,
+        which equal no tap and send the gradient to the last; the reference
+        takes a NaN window's first NaN, so it runs with those windows set
+        to a last-tap maximum."""
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+        shape = data.draw(
+            st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(2, 9), st.integers(2, 9))
+            .filter(lambda s: s[0] * s[1] * (s[2] // 2) * (s[3] // 2) % 8)
+        )
+        x = data.draw(arrays(dtype, shape, elements=st.sampled_from([-0.0, 0.0, 1.0, np.nan])))
+        t = ad.parameter(x)
+        out = ad.maxpool2d(t)
+        ref_out, _ = _reference_maxpool2d(x)
+        assert np.array_equal(out.data, ref_out, equal_nan=True)
+        nan_window = np.isnan(out.data)
+        last_wins = x.copy()
+        h2, w2 = shape[2] // 2, shape[3] // 2
+        for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            last_wins[:, :, i : 2 * h2 : 2, j : 2 * w2 : 2][nan_window] = float((i, j) == (1, 1))
+        _, ref_backward = _reference_maxpool2d(last_wins)
+        grad = data.draw(arrays(dtype, out.data.shape, elements=_small_ints(-3, 3)))
+        out._backward(grad)
+        assert t.grad.tobytes() == ref_backward(grad).tobytes()
 
     def test_maxpool2d_nan_window_routes_to_last_tap(self):
         x = np.array([[[[np.nan, 5.0, 1.0, 1.0], [2.0, 3.0, 1.0, 1.0]]]])
@@ -421,7 +449,7 @@ class TestRetention:
     def test_trainable_branch_frees_conv_and_mfm_outputs(self, rng, monkeypatch):
         cfg = McCnnConfig(channels=(ChannelId.GRAY, ChannelId.DEPTH), input_size=16, embedding_dim=8,
                           base_width=4, adapt=frozenset({"C1", "B1", "G1"}), batch_size=4, seed=0)
-        model = build_model(cfg)
+        model = build_model(cfg, init_backbone(cfg))
         outputs = {"conv2d": [], "mfm": []}
 
         def recording(name):
@@ -476,7 +504,7 @@ class TestRetention:
     def test_backward_leaves_gradients_on_leaves_only(self, rng):
         cfg = McCnnConfig(channels=(ChannelId.GRAY, ChannelId.DEPTH), input_size=16, embedding_dim=8,
                           base_width=4, adapt=frozenset({"C1", "B1"}), batch_size=4, seed=0)
-        model = build_model(cfg)
+        model = build_model(cfg, init_backbone(cfg))
         frames = {ch: rng.uniform(-1, 1, (4, 16, 16)).astype(np.float32) for ch in cfg.channels}
         loss = ad.weighted_bce(forward(model, frames), np.array([1, 0, 1, 0]))
         loss.backward()

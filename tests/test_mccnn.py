@@ -89,6 +89,11 @@ def mapped(frames):
     return {ch: frames_to_input(stack) for ch, stack in frames.items()}
 
 
+def fresh_model(cfg, dtype=np.float32):
+    """A model built from ``cfg``'s seeded backbone."""
+    return build_model(cfg, init_backbone(cfg), dtype)
+
+
 class TestConfig:
     def test_head_input_dimension(self):
         cfg = McCnnConfig()
@@ -102,7 +107,7 @@ class TestConfig:
         ]
         for channels in subsets:
             cfg = mini_config(channels=channels)
-            model = build_model(cfg)
+            model = fresh_model(cfg)
             frames = {ch: rng.normal(size=(2, 16, 16)) for ch in channels}
             p = forward(model, frames).data
             assert p.shape == (2,) and np.all((p > 0) & (p < 1))
@@ -120,14 +125,14 @@ class TestConfig:
 class TestForward:
     def test_embedding_length(self, rng):
         cfg = mini_config()
-        model = build_model(cfg)
+        model = fresh_model(cfg)
         for ch in cfg.channels:
             emb = branch_forward(model, ch, rng.normal(size=(3, 16, 16)))
             assert emb.data.shape == (3, cfg.embedding_dim)
 
     def test_unadapted_branches_share_function(self, rng):
         cfg = mini_config(adapt=frozenset())
-        model = build_model(cfg)
+        model = fresh_model(cfg)
         frame = rng.normal(size=(2, 16, 16))
         gray = branch_forward(model, GRAY, frame).data
         depth = branch_forward(model, DEPTH, frame).data
@@ -140,14 +145,14 @@ class TestForward:
             train_x={GRAY: x, DEPTH: x}, train_y=y,
             dev_x={GRAY: x[:8], DEPTH: x[:8]}, dev_y=y[:8],
         )
-        result = train(data, cfg)
+        result = train(data, cfg, fresh_model(cfg))
         frame = rng.normal(size=(1, 16, 16))
         gray = branch_forward(result.model, GRAY, frame).data
         depth = branch_forward(result.model, DEPTH, frame).data
         assert not np.array_equal(gray, depth)
 
     def test_frozen_forward_keeps_no_graph(self, rng, monkeypatch):
-        model = build_model(mini_config())
+        model = fresh_model(mini_config())
         activations = []
         mfm = ad.mfm
 
@@ -169,13 +174,13 @@ class TestForward:
         assert activations[7]() is depth.data
 
     def test_missing_channel_rejected(self, rng):
-        model = build_model(mini_config())
+        model = fresh_model(mini_config())
         for run in (forward, predict):
             with pytest.raises(ValueError, match="missing channels"):
                 run(model, {GRAY: rng.normal(size=(1, 16, 16))})
 
     def test_probability_range(self, rng):
-        model = build_model(mini_config())
+        model = fresh_model(mini_config())
         frames = {ch: rng.normal(size=(5, 16, 16)) for ch in model.config.channels}
         p = forward(model, frames).data
         assert p.ndim == 1 and p.shape == (5,)
@@ -188,13 +193,13 @@ def _trunk_model(kind: str, dtype, seed: int):
     proxy that ``pretrain_reference`` trains."""
     if kind == "pretrain":
         cfg = mini_config(channels=(GRAY,), adapt=frozenset(), seed=seed)
-        model = build_model(cfg, dtype=dtype)
+        model = fresh_model(cfg, dtype=dtype)
         for key, tensor in model.params.items():
             if key.startswith("shared."):
                 model.params[key] = ad.parameter(tensor.data)
         return model
     adapt = {"C1B1": {"C1", "B1"}, "none": set(), "all": set(GROUPS)}[kind]
-    return build_model(mini_config(adapt=frozenset(adapt), seed=seed), dtype=dtype)
+    return fresh_model(mini_config(adapt=frozenset(adapt), seed=seed), dtype=dtype)
 
 
 class TestTrunkBlocks:
@@ -269,7 +274,7 @@ class TestTrunkBlocks:
                              ids=["empty", "0-d", "4-d"])
     def test_bad_batch_rejected(self, frames):
         with pytest.raises(ValueError, match="nonempty batch"):
-            branch_forward(build_model(mini_config()), GRAY, frames)
+            branch_forward(fresh_model(mini_config()), GRAY, frames)
 
     def test_default_block_size(self):
         assert trunk_block_samples(McCnnConfig(), np.float32) == 2
@@ -281,7 +286,7 @@ class TestTrunkBlocks:
         the whole batch's C1 conv output, so no batch-sized trunk array is
         ever alive."""
         cfg = McCnnConfig()
-        model = build_model(cfg)
+        model = fresh_model(cfg)
         frames = np.random.default_rng(0).uniform(-1, 1, (32, 64, 64)).astype(np.float32)
         targets = np.zeros((32, cfg.embedding_dim), dtype=np.float32)
         branch_forward(model, DEPTH, frames[:2])  # first-call set-up outside the trace
@@ -300,11 +305,12 @@ class TestTrunkBlocks:
         """The bytes that one DSU branch's forward leaves in the graph at the
         default configuration, batch 32, stay under what the shapes call for:
         the float32 C1 and B1 conv inputs (their weights train), one bit per
-        MFM output, one uint8 pooling tap per pooled value, and 4 KiB per
-        graph node. One byte per MFM output (2.4 MB more) exceeds it."""
+        MFM output, two bits of pooling tap per pooled value, and 4 KiB per
+        graph node. One byte per MFM output (2.4 MB more) or per pooled value
+        (0.53 MB more) exceeds it."""
         cfg = McCnnConfig()
         n, s, b, e = 32, cfg.input_size, cfg.base_width, cfg.embedding_dim
-        model = build_model(cfg)
+        model = fresh_model(cfg)
         frames = np.random.default_rng(0).integers(0, 256, (n, s, s), dtype=np.uint8)
         branch_forward(model, DEPTH, frames_to_input(frames[:2]))  # first-call set-up outside the trace
         mfm_outputs = [n * b * s * s, n * b * (s // 2) ** 2, n * (3 * b // 2) * (s // 4) ** 2, n * e]
@@ -312,7 +318,8 @@ class TestTrunkBlocks:
         conv_inputs = 4 * (n * s * s + pooled[0])
         blocks = -(-n // trunk_block_samples(cfg, np.float32))
         nodes = 9 * blocks + 4  # conv, MFM and pool per group and block; concat, flatten, EMB, MFM
-        bound = conv_inputs + sum(-(-m // 8) for m in mfm_outputs) + sum(pooled) + 4096 * nodes
+        taps = sum(-(-m // 4) for m in pooled)  # two bits per pooled value
+        bound = conv_inputs + sum(-(-m // 8) for m in mfm_outputs) + taps + 4096 * nodes
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -330,7 +337,7 @@ class TestPredict:
 
     def _model_and_frames(self, rng, dtype=np.float32):
         cfg = mini_config(channels=(GRAY, DEPTH, ChannelId.INFRARED))
-        model = build_model(cfg, dtype=dtype)
+        model = fresh_model(cfg, dtype=dtype)
         frames = {ch: rng.integers(0, 256, size=(5, 16, 16), dtype=np.uint8) for ch in cfg.channels}
         return model, frames
 
@@ -393,9 +400,9 @@ class TestEightBitFrames:
             if call == "TrainData":
                 TrainData({GRAY: x, DEPTH: x}, y, {GRAY: x, DEPTH: other}, y)
             elif call == "train":
-                train(TrainData({GRAY: x, DEPTH: other}, y, {GRAY: x, DEPTH: x}, y), cfg)
+                train(TrainData({GRAY: x, DEPTH: other}, y, {GRAY: x, DEPTH: x}, y), cfg, fresh_model(cfg))
             elif call == "predict":
-                predict(build_model(cfg), {GRAY: x, DEPTH: other})
+                predict(fresh_model(cfg), {GRAY: x, DEPTH: other})
             else:
                 pretrain_reference(other, y, cfg)
 
@@ -412,7 +419,7 @@ class TestEightBitFrames:
         cfg = mini_config(adapt=adapt, epochs=3)
         backbone = init_backbone(cfg)
         train_x, dev_x = {GRAY: x, DEPTH: depth}, {GRAY: xd, DEPTH: depth_dev}
-        result = train(TrainData(train_x, y, dev_x, yd), cfg, backbone)
+        result = train(TrainData(train_x, y, dev_x, yd), cfg, build_model(cfg, backbone))
         ref = train_float(mapped(train_x), y, mapped(dev_x), yd, cfg, backbone)
         assert block_bytes(result.model) == block_bytes(ref.model)
         assert result.history == ref.history
@@ -451,13 +458,13 @@ class TestWeightsAndLoss:
 class TestGradCheck:
     def test_mini_model_under_tolerance(self, rng):
         cfg = mini_config(input_size=8, embedding_dim=4, base_width=2)
-        model = build_model(cfg, dtype=np.float64)
+        model = fresh_model(cfg, dtype=np.float64)
         frames = {ch: rng.normal(size=(2, 8, 8)) for ch in cfg.channels}
         assert grad_check(model, frames, np.array([1, 0])) < 1e-3
 
     def test_zero_input_batch_defined(self):
         cfg = mini_config(input_size=8, embedding_dim=4, base_width=2, adapt=frozenset())
-        model = build_model(cfg, dtype=np.float64)
+        model = fresh_model(cfg, dtype=np.float64)
         frames = {ch: np.zeros((2, 8, 8)) for ch in cfg.channels}
         err = grad_check(model, frames, np.array([1, 0]))
         assert np.isfinite(err)
@@ -468,13 +475,13 @@ class TestTraining:
         cfg = mini_config(epochs=2, adapt=frozenset({"C1"}))
         rng = np.random.default_rng(3)
         x, y = separable_frames(rng, 24, 16)
-        backbone = init_backbone(cfg)
-        before = block_bytes(build_model(cfg, backbone))
+        model = fresh_model(cfg)
+        before = block_bytes(model)
         data = TrainData(
             train_x={GRAY: x, DEPTH: x}, train_y=y,
             dev_x={GRAY: x[:8], DEPTH: x[:8]}, dev_y=y[:8],
         )
-        result = train(data, cfg, backbone)
+        result = train(data, cfg, model)
         after = block_bytes(result.model)
         for name in before:
             if name.startswith("shared."):
@@ -486,10 +493,10 @@ class TestTraining:
         cfg = mini_config(epochs=1, adapt=frozenset())
         rng = np.random.default_rng(4)
         x, y = separable_frames(rng, 16, 16)
-        backbone = init_backbone(cfg)
-        before = block_bytes(build_model(cfg, backbone))
+        model = fresh_model(cfg)
+        before = block_bytes(model)
         result = train(
-            TrainData({GRAY: x, DEPTH: x}, y, {GRAY: x[:4], DEPTH: x[:4]}, y[:4]), cfg, backbone
+            TrainData({GRAY: x, DEPTH: x}, y, {GRAY: x[:4], DEPTH: x[:4]}, y[:4]), cfg, model
         )
         after = block_bytes(result.model)
         changed = {name for name in before if after[name] != before[name]}
@@ -500,15 +507,15 @@ class TestTraining:
         x = rng.integers(0, 256, size=(8, 16, 16), dtype=np.uint8)
         with pytest.raises(FitError):
             train(TrainData({GRAY: x, DEPTH: x}, np.ones(8, dtype=int),
-                            {GRAY: x, DEPTH: x}, np.ones(8, dtype=int)), cfg)
+                            {GRAY: x, DEPTH: x}, np.ones(8, dtype=int)), cfg, fresh_model(cfg))
 
     def test_deterministic_scores(self):
         cfg = mini_config(epochs=2)
         rng = np.random.default_rng(5)
         x, y = separable_frames(rng, 24, 16)
         data = TrainData({GRAY: x, DEPTH: x}, y, {GRAY: x[:8], DEPTH: x[:8]}, y[:8])
-        r1 = train(data, cfg)
-        r2 = train(data, cfg)
+        r1 = train(data, cfg, fresh_model(cfg))
+        r2 = train(data, cfg, fresh_model(cfg))
         s1 = predict(r1.model, {GRAY: x, DEPTH: x})
         s2 = predict(r2.model, {GRAY: x, DEPTH: x})
         assert np.array_equal(s1, s2)
@@ -529,7 +536,7 @@ class TestTraining:
         rng = np.random.default_rng(6)
         x, y = separable_frames(rng, 12, 16)
         frames = {ch: x for ch in cfg.channels}
-        train(TrainData(frames, y, {ch: x[:4] for ch in cfg.channels}, y[:4]), cfg)
+        train(TrainData(frames, y, {ch: x[:4] for ch in cfg.channels}, y[:4]), cfg, fresh_model(cfg))
         # one coin per (epoch, sample): no duplicates regardless of channel count
         assert len(calls) == len(set(calls)) == 12
 
@@ -551,7 +558,7 @@ class TestBlasThreads:
         data = TrainData({GRAY: x, DEPTH: depth}, y, {GRAY: x[:8], DEPTH: depth[:8]}, y[:8])
 
         def run():
-            result = train(data, cfg)
+            result = train(data, cfg, fresh_model(cfg))
             scores = predict(result.model, {GRAY: x, DEPTH: depth})
             return block_bytes(result.model), result.history, result.best_epoch, scores.tobytes()
 
@@ -566,7 +573,7 @@ class TestEpochSelection:
         x, y = separable_frames(rng, 32, 16, signal=False)
         xd, yd = separable_frames(rng, 16, 16, signal=False)
         cfg = mini_config(seed=1, learning_rate=3e-3, epochs=6)
-        result = train(TrainData({GRAY: x, DEPTH: x}, y, {GRAY: xd, DEPTH: xd}, yd), cfg)
+        result = train(TrainData({GRAY: x, DEPTH: x}, y, {GRAY: xd, DEPTH: xd}, yd), cfg, fresh_model(cfg))
         acers = [record["dev_acer"] for record in result.history]
         assert len(set(acers)) > 1 and acers.count(min(acers)) > 1
         assert all(0.0 <= a <= 100.0 for a in acers) and max(acers) > 1.0  # percent
@@ -594,7 +601,7 @@ class TestDevScores:
     def test_equal_predict_over_dev(self, adapt):
         data = self._data(200)
         cfg = mini_config(adapt=adapt, epochs=2)
-        result = train(data, cfg)
+        result = train(data, cfg, fresh_model(cfg))
         assert result.model.dtype == np.float32 and result.best_epoch >= 0
         assert result.dev_scores.dtype == np.float64
         assert np.array_equal(result.dev_scores, predict(result.model, data.dev_x))
@@ -604,7 +611,8 @@ class TestDevScores:
 
         monkeypatch.setattr(mod, "error_rates", lambda scores, bona, tau: (float("nan"),) * 2)
         data = self._data(20)
-        result = train(data, mini_config(epochs=2))
+        cfg = mini_config(epochs=2)
+        result = train(data, cfg, fresh_model(cfg))
         assert result.best_epoch == -1
         assert np.array_equal(result.dev_scores, predict(result.model, data.dev_x))
 
@@ -669,7 +677,7 @@ class TestPretraining:
 class TestSerialization:
     def test_round_trip(self, tmp_path, rng):
         cfg = mini_config()
-        model = build_model(cfg)
+        model = fresh_model(cfg)
         save_model(model, tmp_path / "m.mcnn")
         loaded = load_model(tmp_path / "m.mcnn")
         assert loaded.config == cfg
@@ -682,13 +690,13 @@ class TestSerialization:
         rng = np.random.default_rng(5)
         x, y = separable_frames(rng, 24, 16)
         frames = {GRAY: x, DEPTH: x}
-        result = train(TrainData(frames, y, {GRAY: x[:8], DEPTH: x[:8]}, y[:8]), cfg)
+        result = train(TrainData(frames, y, {GRAY: x[:8], DEPTH: x[:8]}, y[:8]), cfg, fresh_model(cfg))
         save_model(result.model, tmp_path / "m.mcnn")
         loaded = load_model(tmp_path / "m.mcnn")
         assert np.array_equal(predict(loaded, frames), predict(result.model, frames))
 
     def test_incomplete_config_echo_rejected(self, tmp_path):
-        save_model(build_model(mini_config()), tmp_path / "m.mcnn")
+        save_model(fresh_model(mini_config()), tmp_path / "m.mcnn")
         blob = (tmp_path / "m.mcnn").read_bytes()
         (length,) = struct.unpack_from("<I", blob, 5)
         echo = json.loads(blob[9 : 9 + length])
@@ -700,7 +708,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("change, block", [("missing", "dsu.depth.B1.conv_b"), ("extra", "head.fc3_w")])
     def test_block_set_mismatch_rejected(self, tmp_path, change, block):
-        model = build_model(mini_config())
+        model = fresh_model(mini_config())
         if change == "missing":
             del model.params[block]
         else:
@@ -748,6 +756,6 @@ class TestEndToEndSynthetic:
         x = np.concatenate(frames)
         y = np.array(labels)
         net = mini_config(channels=(DEPTH,), input_size=16, epochs=6, seed=2)
-        result = train(TrainData({DEPTH: x}, y, {DEPTH: x}, y), net)
+        result = train(TrainData({DEPTH: x}, y, {DEPTH: x}, y), net, fresh_model(net))
         scores = predict(result.model, {DEPTH: x})
         assert scores[y == 1].min() > scores[y == 0].max()

@@ -186,6 +186,49 @@ class TestMccnnChain:
             saved = (run_dir / f"scores_{split}.csv").read_bytes()
             assert (tmp_path / f"{split}.csv").read_bytes() == saved, split
 
+    def test_training_the_saved_init_model_reproduces_the_run(self, small_run, tmp_path):
+        """``train`` on the chain's splits, from the ``init.mcnn`` that
+        ``train-mccnn`` saved, rewrites its ``model.mcnn``, ``scores_dev.csv``
+        and ``history.csv`` byte for byte (the pretraining rows of the
+        history come from ``pretrain_reference`` on the train split); a
+        model built for another configuration is refused."""
+        import dataclasses
+        import shutil
+
+        from mcpad import mccnn
+        from mcpad.config import mccnn_config
+        from mcpad.evaluation import Scores, save_scores
+        from mcpad.pipeline import _load_proc, _split_arrays, mccnn_out_dir
+
+        root, config = small_run
+        out = tmp_path / "out"
+        shutil.copytree(root / "out" / "proc", out / "proc")
+        assert main(["train-mccnn", "--config", str(config), "--set", f"paths.out_root={out}"]) == 0
+        cfg = load_config(config, [f"paths.out_root={out}"])
+        run_dir = mccnn_out_dir(cfg)
+        net_cfg = mccnn_config(cfg)
+        manifest, protocol = _load_proc(cfg)
+        train_split, dev_split = (_split_arrays(cfg, manifest, protocol, net_cfg.channels, split)
+                                  for split in ("train", "dev"))
+        data = mccnn.TrainData(train_split.frames, train_split.labels, dev_split.frames, dev_split.labels)
+        model = mccnn.load_model(run_dir / "init.mcnn")
+        with pytest.raises(ValueError):
+            mccnn.train(data, dataclasses.replace(net_cfg, epochs=1), model)
+        result = mccnn.train(data, net_cfg, model)
+        _, pretrain_losses = mccnn.pretrain_reference(
+            train_split.frames[ChannelId.GRAY], train_split.labels, net_cfg
+        )
+
+        mccnn.save_model(result.model, tmp_path / "model.mcnn")
+        save_scores(Scores.from_rows(dev_split.rows, result.dev_scores, dev_split.attack),
+                    tmp_path / "scores_dev.csv")
+        history = ["epoch,train_loss,dev_acer,dev_tau"]
+        history += [f"pretrain_{i},{loss!r},," for i, loss in enumerate(pretrain_losses)]
+        history += [f"{r['epoch']},{r['train_loss']!r},{r['dev_acer']!r},{r['dev_tau']!r}"
+                    for r in result.history]
+        (tmp_path / "history.csv").write_text("\n".join(history) + "\n")
+        for name in ("model.mcnn", "scores_dev.csv", "history.csv"):
+            assert (tmp_path / name).read_bytes() == (run_dir / name).read_bytes(), name
 
     def test_split_arrays_keep_8bit_frames(self, small_run, tmp_path):
         """The MC-CNN splits hold the uint8 frames that ``preprocess`` wrote;
@@ -273,17 +316,28 @@ class TestJobs:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recorder)
         samples = len(load_manifest(root / "out" / "proc" / "manifest.csv").entries)
         pipeline.cmd_extract(cfg, "lbp", jobs=10 * samples)
         pipeline.cmd_extract(cfg, "lbp", jobs=2)
         assert requested == [samples, 2]
 
+    def test_cli_import_leaves_out_multiprocessing(self):
+        """A single-job stage starts no pool, so importing the CLI in a fresh
+        interpreter loads neither ``multiprocessing`` nor the process pool."""
+        import mcpad
+
+        env = {**os.environ, "PYTHONPATH": str(Path(mcpad.__file__).resolve().parents[1])}
+        probe = ("import sys, mcpad.cli; "
+                 "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+        run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        assert run.stdout.strip() == "[]"
+
     def test_jobs_after_predict(self, small_run):
         """Extract workers forked after a predict, which leaves numpy's
         OpenBLAS on one thread in this process, write the serial loop's
         bytes."""
-        from mcpad.mccnn import McCnnConfig, build_model, predict
+        from mcpad.mccnn import McCnnConfig, build_model, init_backbone, predict
         from mcpad.pipeline import cmd_extract, features_dir
 
         _, config = small_run
@@ -293,7 +347,8 @@ class TestJobs:
         def outputs():
             return {p.name: p.read_bytes() for p in sorted(tables.glob("*_lbp.mcfv*"))}
 
-        model = build_model(McCnnConfig(channels=(ChannelId.GRAY,), input_size=16, embedding_dim=8, base_width=4))
+        net_cfg = McCnnConfig(channels=(ChannelId.GRAY,), input_size=16, embedding_dim=8, base_width=4)
+        model = build_model(net_cfg, init_backbone(net_cfg))
         predict(model, {ChannelId.GRAY: np.zeros((4, 16, 16), dtype=np.uint8)})
         cmd_extract(cfg, "lbp", jobs=1)
         serial = outputs()

@@ -129,7 +129,7 @@ class TestMccnnModel:
     @pytest.fixture
     def saved(self, tmp_path):
         path = tmp_path / "m.mcnn"
-        mccnn.save_model(mccnn.build_model(TINY_MCCNN), path)
+        mccnn.save_model(mccnn.build_model(TINY_MCCNN, mccnn.init_backbone(TINY_MCCNN)), path)
         return path, path.read_bytes()
 
     def test_cut_inside_header(self, tmp_path):
@@ -161,7 +161,7 @@ class TestMccnnModel:
     def test_block_shape_mismatch_names_block(self, tmp_path, block, shape):
         # a well-formed file whose block disagrees with the echoed config
         # fails at load, not later inside predict
-        model = mccnn.build_model(TINY_MCCNN)
+        model = mccnn.build_model(TINY_MCCNN, mccnn.init_backbone(TINY_MCCNN))
         expected = model.params[block].data.shape
         model.params[block].data = np.zeros(shape, dtype=np.float32)
         path = tmp_path / "m.mcnn"
