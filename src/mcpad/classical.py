@@ -237,12 +237,14 @@ def score_normalize_apply(norm: ScoreNormalizer, scores: np.ndarray) -> np.ndarr
     return np.clip((np.asarray(scores, dtype=np.float64) - norm.lo) / (norm.hi - norm.lo), 0.0, 1.0)
 
 
-def fuse_mean(scores: np.ndarray | Sequence[float]) -> np.ndarray | float:
-    """Arithmetic mean of per-algorithm normalized scores over the last axis:
-    one fused score for a ``(C,)`` list, one per row for an ``(N, C)`` array."""
+def fuse_mean(scores: np.ndarray) -> np.ndarray:
+    """Arithmetic mean of per-algorithm normalized scores ``(N, C)``: one
+    fused score per row."""
     arr = np.asarray(scores, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ValueError("expected (N, C) scores")
     if arr.size == 0:
-        raise ValueError("cannot fuse an empty score list")
+        raise ValueError("cannot fuse an empty score table")
     if arr.min() < 0.0 or arr.max() > 1.0:
         raise ValueError("fusion inputs must lie in [0, 1]")
     return arr.mean(axis=-1)

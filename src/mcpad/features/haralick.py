@@ -54,7 +54,8 @@ def quantize(region: np.ndarray, levels: int, value_range=None) -> np.ndarray:
     q *= levels
     np.floor(q, out=q)
     np.clip(q, 0, levels - 1, out=q)
-    q *= valid
+    if not valid.all():
+        q *= valid
     return q.astype(np.int64)
 
 

@@ -9,8 +9,10 @@ IEEE TIP 2014).
 ``iqm_features`` works on stacks: frames ``(..., H, W, 3)`` give measure
 vectors ``(..., len(measures))``, and a single frame is the stack with no
 batch axes. I and R are stacked as one pair, and each intermediate (the
-Laplacians, one 2-D FFT, one gradient, the smoothed Harris products) is
-computed once for the whole pair and shared by every measure that reads it.
+Laplacians, one 2-D FFT, one gradient) is computed once for the whole pair
+and shared by every measure that reads it. The Harris corners of I and of
+R are counted in two calls, so the smoothed gradient products, the largest
+temporary, cover one image of the pair at a time.
 Every per-frame sum adds one contiguous ``H*W`` run (``_framesum``), the
 order ``np.sum`` uses on that frame alone, so each frame's vector is
 bit-identical to the one it gets on its own.
@@ -239,7 +241,7 @@ def _total_edge_difference(s: _Pair) -> np.ndarray:
 
 
 def _total_corner_difference(s: _Pair) -> np.ndarray:
-    ni, nr = _harris_corner_count(*s.gradients)
+    ni, nr = (_harris_corner_count(gx, gy) for gx, gy in zip(*s.gradients))
     return np.abs(ni - nr) / np.maximum(1.0, np.maximum(ni, nr))
 
 

@@ -6,6 +6,7 @@ bytes.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import ctypes
 import functools
@@ -30,6 +31,7 @@ from .dataset import (
 )
 from .evaluation import (
     ATTACK_TYPES,
+    SPLITS,
     ProtocolSpec,
     Scores,
     build_report,
@@ -248,6 +250,14 @@ def _extract_one(args) -> tuple[list[int], dict[str, np.ndarray]]:
 
 
 def cmd_extract(cfg: RunConfig, extractor: str, jobs: int = 1) -> None:
+    """Feature table and row sidecar of ``extractor`` for every split and
+    every channel that reads it.
+
+    Work and writes go split by split: the samples of one split run, in
+    manifest order, through the serial loop or the stage's one worker pool,
+    that split's table is written for every channel, and its rows are dropped
+    before the next split starts. The stage holds one split's rows at a time.
+    """
     if extractor not in EXTRACTORS:
         raise ValidationError(f"unknown extractor {extractor!r} (choose from {EXTRACTORS})")
     channels = tuple(ch for layout in _PIPELINE_LAYOUT.values()
@@ -258,39 +268,33 @@ def cmd_extract(cfg: RunConfig, extractor: str, jobs: int = 1) -> None:
     if extractor == "iqm":
         raw_manifest = load_manifest(_require(data_root(cfg) / "manifest.csv", "raw manifest"))
 
-    tasks = []
+    samples: dict[str, list[tuple[str, str]]] = {split: [] for split in SPLITS}
     for entry in proc_manifest:
         try:
             path = entry.path if raw_manifest is None else raw_manifest.by_id(entry.sample_id).path
         except KeyError:
             raise ValidationError(f"raw manifest lacks processed sample {entry.sample_id!r}") from None
-        tasks.append((cfg, extractor, str(path), channels))
-
-    workers = min(jobs, len(tasks))  # a fork-started pool launches every worker at the first submit
-    if workers > 1:
-        # imported here: a single-job process never loads multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_extract_one, tasks))
-    else:
-        results = [_extract_one(task) for task in tasks]
+        samples[protocol.split_of(entry.sample_id)].append((entry.sample_id, str(path)))
 
     out_dir = features_dir(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for ch in channels:
-        per_split: dict[str, tuple[list, list]] = {s: ([], []) for s in ("train", "dev", "eval")}
-        for entry, (frames, features) in zip(proc_manifest, results):
-            split = protocol.split_of(entry.sample_id)
-            table, rows = per_split[split]
-            table.append(features[ch.label])
-            rows.extend((entry.sample_id, fidx) for fidx in frames)
-        for split, (table, rows) in per_split.items():
-            if not table:
+    workers = min(jobs, len(proc_manifest))  # a fork-started pool launches every worker at the first submit
+    with contextlib.ExitStack() as stack:
+        run = map
+        if workers > 1:
+            # imported here: a single-job process never loads multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            run = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+        for split, split_samples in samples.items():
+            if not split_samples:
                 continue
-            write_feature_table(
-                feature_table_path(cfg, split, ch, extractor), np.concatenate(table), rows
-            )
+            results = list(run(_extract_one, [(cfg, extractor, path, channels) for _, path in split_samples]))
+            rows = [(sid, fidx) for (sid, _), (frames, _) in zip(split_samples, results) for fidx in frames]
+            for ch in channels:
+                table = np.concatenate([features.pop(ch.label) for _, features in results])
+                write_feature_table(feature_table_path(cfg, split, ch, extractor), table, rows)
+            del table  # not held while the next split runs
     write_lock(out_dir, cfg, f"extract:{extractor}")
 
 
@@ -444,11 +448,13 @@ def mccnn_out_dir(cfg: RunConfig) -> Path:
 
 def cmd_train_mccnn(cfg: RunConfig) -> Path:
     manifest, protocol = _load_proc(cfg)
+    for split in SPLITS:  # checked before training: eval is read only after it
+        if split not in protocol.assignment.values():
+            raise ValidationError(f"split {split!r} is empty")
     net_cfg = mccnn_config(cfg)
     load_channels = tuple(dict.fromkeys((*net_cfg.channels, ChannelId.GRAY)))
     train_data = _split_arrays(cfg, manifest, protocol, load_channels, "train")
     dev_data = _split_arrays(cfg, manifest, protocol, load_channels, "dev")
-    eval_data = _split_arrays(cfg, manifest, protocol, load_channels, "eval")
 
     if cfg.mccnn.pretrain:
         backbone, pretrain_losses = mccnn.pretrain_reference(
@@ -476,6 +482,7 @@ def cmd_train_mccnn(cfg: RunConfig) -> Path:
     mccnn.save_model(result.model, out / "model.mcnn")
 
     save_scores(Scores.from_rows(dev_data.rows, result.dev_scores, dev_data.attack), out / "scores_dev.csv")
+    eval_data = _split_arrays(cfg, manifest, protocol, net_cfg.channels, "eval")
     eval_scores = mccnn.predict(result.model, {ch: eval_data.frames[ch] for ch in net_cfg.channels})
     save_scores(Scores.from_rows(eval_data.rows, eval_scores, eval_data.attack), out / "scores_eval.csv")
 

@@ -168,27 +168,32 @@ class TestScoreNormalizer:
 
 class TestFusion:
     def test_mean(self):
-        assert fuse_mean([0.2, 0.4, 0.6, 0.8]) == pytest.approx(0.5)
+        assert fuse_mean([[0.2, 0.4, 0.6, 0.8], [0.0, 0.0, 1.0, 1.0]]) == pytest.approx([0.5, 0.5])
 
     def test_single_channel_identity(self):
-        assert fuse_mean([0.77]) == pytest.approx(0.77)
+        assert fuse_mean([[0.77], [0.1]]) == pytest.approx([0.77, 0.1])
 
     def test_equal_scores_fixed_point(self):
-        assert fuse_mean([0.3, 0.3, 0.3]) == pytest.approx(0.3)
+        assert fuse_mean([[0.3, 0.3, 0.3]]) == pytest.approx([0.3])
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            fuse_mean([])
+        for empty in (np.empty((0, 4)), np.empty((3, 0))):
+            with pytest.raises(ValueError):
+                fuse_mean(empty)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            fuse_mean([0.5, 1.5])
+            fuse_mean([[0.5, 1.5]])
+
+    def test_one_dimensional_rejected(self):
+        with pytest.raises(ValueError, match=r"\(N, C\)"):
+            fuse_mean([0.2, 0.4])
 
     @given(st.lists(st.floats(0, 1), min_size=1, max_size=8))
     def test_permutation_invariant_and_bounded(self, scores):
-        fused = fuse_mean(scores)
+        (fused,) = fuse_mean([scores])
         assert min(scores) - 1e-12 <= fused <= max(scores) + 1e-12
-        assert fuse_mean(list(reversed(scores))) == pytest.approx(fused)
+        assert fuse_mean([list(reversed(scores))]) == pytest.approx([fused])
 
 
 class TestSerialization:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,6 +8,9 @@ from hypothesis import strategies as st
 from mcpad.features.iqm import (
     IQM_NAMES,
     PSNR_CAP,
+    _harris_corner_count,
+    _Pair,
+    _total_corner_difference,
     gaussian_kernel,
     iqm_features,
     smooth,
@@ -162,3 +167,44 @@ class TestStackMatchesFrameOracle:
         stack = self.frames(5, 6, 8, 8, ["random"] * 6).reshape(2, 3, 8, 8, 3)
         flat = iqm_features(stack.reshape(6, 8, 8, 3))
         assert np.array_equal(iqm_features(stack), flat.reshape(2, 3, len(IQM_NAMES)))
+
+
+class TestCornersOneImageAtATime:
+    """``_total_corner_difference`` counts the corners of I and of R in two
+    calls; the stacked pair gives the same bytes at twice the temporaries."""
+
+    @staticmethod
+    def stacked(s):
+        ni, nr = _harris_corner_count(*s.gradients)
+        return np.abs(ni - nr) / np.maximum(1.0, np.maximum(ni, nr))
+
+    @staticmethod
+    def luminance(rng, kinds, h=17, w=23):
+        lum = rng.uniform(0.0, 255.0, (len(kinds), h, w))
+        for i, kind in enumerate(kinds):
+            if kind == "constant":
+                lum[i] = rng.integers(0, 256)
+        return lum
+
+    @pytest.mark.parametrize("kinds", [["random"] * 3, ["constant"] * 2, ["random", "constant", "random"]])
+    def test_equals_stacked_pair(self, rng, kinds):
+        s = _Pair(self.luminance(rng, kinds))
+        expected = self.stacked(s)
+        got = _total_corner_difference(s)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+    def test_peak_is_half_the_stacked_pair(self, rng):
+        s = _Pair(self.luminance(rng, ["random"] * 4, 64, 64))
+        s.gradients  # shared with other measures: allocated before either count
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn(s)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # the stacked pair peaked at 25 image-sized float64 arrays, the two
+        # calls at 12.7: the smoothed products of one image at a time
+        assert peak(_total_corner_difference) < 0.6 * peak(self.stacked)

@@ -335,6 +335,16 @@ class TestBatchedAgainstReference:
         hi = np.array([2.0, 5.0])[:, None, None]
         assert quantize(region, 4, (lo, hi)).tolist() == [[[0, 2, 3]], [[0, 0, 0]]]
 
+    def test_quantize_degenerate_range_maps_to_zero(self):
+        # the second band's values lie off its empty range, so only the
+        # zeroing of degenerate ranges keeps them at 0
+        region = np.array([[[0.0, 1.0, 2.0]], [[3.0, 7.0, 9.0]]])
+        lo = np.array([0.0, 5.0])[:, None, None]
+        hi = np.array([2.0, 5.0])[:, None, None]
+        assert quantize(region, 4, (lo, hi)).tolist() == [[[0, 2, 3]], [[0, 0, 0]]]
+        assert quantize(region[1], 4, (5.0, 5.0)).tolist() == [[0, 0, 0]]
+        assert quantize(region[1], 4, (9.0, 3.0)).tolist() == [[0, 0, 0]]
+
     def test_cells_too_small_for_offsets_rejected(self):
         # 8x8 frames on a 4x4 grid give 2x2 cells; a 2-row offset pairs nothing
         with pytest.raises(ValueError, match="too small for the configured offsets"):

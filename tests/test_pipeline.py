@@ -251,6 +251,53 @@ class TestMccnnChain:
             sample = read_sample(manifest.by_id(sample_id).path)
             assert np.array_equal(data.frames[ChannelId.DEPTH][0], sample.channels[ChannelId.DEPTH][index])
 
+    def test_eval_frames_read_after_training(self, small_run, tmp_path, monkeypatch):
+        """``train-mccnn`` reads the eval samples only once ``mccnn.train``
+        has returned, so they are not held beside the training graph."""
+        import shutil
+
+        from mcpad import mccnn, pipeline
+
+        root, config = small_run
+        shutil.copytree(root / "out" / "proc", tmp_path / "proc")
+        cfg = load_config(config, [f"paths.out_root={tmp_path}"])
+        manifest, protocol = pipeline._load_proc(cfg)
+        split_of = {str(e.path): protocol.split_of(e.sample_id) for e in manifest}
+        real_read, real_train = pipeline.read_sample, mccnn.train
+        events = []
+
+        def read_sample(path, *args, **kwargs):
+            events.append(split_of[str(path)])
+            return real_read(path, *args, **kwargs)
+
+        def train(*args, **kwargs):
+            events.append("trained")
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "read_sample", read_sample)
+        monkeypatch.setattr(mccnn, "train", train)
+        pipeline.cmd_train_mccnn(cfg)
+        trained = events.index("trained")
+        assert "eval" not in events[:trained] and "eval" in events[trained:]
+
+    def test_empty_split_exits_before_training(self, small_run, tmp_path, monkeypatch, capsys):
+        """An empty eval split still exits 2 before pretraining or any
+        epoch runs, although eval is read only after training."""
+        import shutil
+
+        from mcpad import mccnn
+
+        def never(*args, **kwargs):
+            raise AssertionError("training ran")
+
+        monkeypatch.setattr(mccnn, "pretrain_reference", never)
+        monkeypatch.setattr(mccnn, "train", never)
+        root, config = small_run
+        shutil.copytree(root / "out" / "proc", tmp_path / "proc")
+        overrides = ["--set", f"paths.out_root={tmp_path}", "--set", "protocol.ratios=[0.5, 0.5, 0.0]"]
+        assert main(["train-mccnn", "--config", str(config), *overrides]) == 2
+        assert "split 'eval' is empty" in capsys.readouterr().err
+
 
 class TestNonSignalChannels:
     def test_classifier_on_non_signal_channel_is_chance(self, small_run):
@@ -430,6 +477,90 @@ class TestFreedHeap:
         assert loads == [None]
         assert calls == ([(pipeline._M_MMAP_THRESHOLD, 32 << 20), (pipeline._M_TRIM_THRESHOLD, 128 << 20)]
                          if has_mallopt else [])
+
+
+@pytest.fixture(scope="module")
+def roster_many_frames(tmp_path_factory):
+    """Six preprocessed samples of 16 frames of 32 px, two to a split: the
+    feature rows are a large share of the extract heap."""
+    from mcpad import pipeline
+
+    root = tmp_path_factory.mktemp("many_frames")
+    cfg = load_config(None, [
+        "synth.bonafide_clients=3", "synth.attack_instruments={print: 3}", "synth.frames_per_sample=16",
+        "synth.image_size=40", "preprocess.out_size=32",
+        f"paths.data_root={root / 'data'}", f"paths.out_root={root / 'out'}",
+    ], env={})
+    pipeline.cmd_synth(cfg)
+    pipeline.cmd_preprocess(cfg)
+    return cfg
+
+
+class TestExtractSplitBySplit:
+    CHANNELS = (ChannelId.GRAY, ChannelId.DEPTH, ChannelId.INFRARED, ChannelId.THERMAL)
+
+    def test_heap_holds_one_split_of_rows(self, roster_many_frames):
+        """The heap peak of a serial ``extract rdwt-haralick`` stays under the
+        rows of the largest split plus the peak of extracting one sample on
+        its own. On this roster the bound is 5.6 MB and the stage peaks at
+        5.2 MB; holding every split's rows until the end, as it once did,
+        peaked at 6.9 MB."""
+        import tracemalloc
+        from collections import Counter
+
+        from mcpad import pipeline
+
+        cfg = roster_many_frames
+        manifest, protocol = pipeline._load_proc(cfg)
+        split_rows = Counter()
+        transient = 0
+        for entry in manifest:
+            tracemalloc.start()
+            try:
+                _, features = pipeline._extract_one((cfg, "rdwt-haralick", str(entry.path), self.CHANNELS))
+                transient = max(transient, tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            split_rows[protocol.split_of(entry.sample_id)] += sum(f.nbytes for f in features.values())
+        assert len(split_rows) == 3
+
+        tracemalloc.start()
+        try:
+            pipeline.cmd_extract(cfg, "rdwt-haralick")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < max(split_rows.values()) + transient, (peak, split_rows, transient)
+
+    def test_one_pool_runs_the_splits_in_turn(self, roster_many_frames, monkeypatch):
+        """With ``--jobs``, one pool runs the samples of train, then dev, then
+        eval, each split in manifest order."""
+        from mcpad import pipeline
+
+        cfg = roster_many_frames
+        manifest, protocol = pipeline._load_proc(cfg)
+        sample_of = {str(e.path): e.sample_id for e in manifest}
+        pools, calls = [], []
+
+        class Recorder:  # runs the tasks in this process: no worker starts
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                calls.append([sample_of[task[2]] for task in tasks])
+                return map(fn, tasks)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recorder)
+        pipeline.cmd_extract(cfg, "lbp", jobs=2)
+        assert pools == [2]
+        assert calls == [[e.sample_id for e in manifest if protocol.split_of(e.sample_id) == split]
+                         for split in ("train", "dev", "eval")]
 
 
 class TestCorruptInputs:
