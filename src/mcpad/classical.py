@@ -5,6 +5,13 @@ initialization, min-max score normalization, and mean fusion.
 Labels are encoded 1 = bonafide, 0 = attack throughout; higher scores mean
 more bonafide.
 
+Each classifier standardizes its features with the per-dimension mean and
+population std of its fit population: the bonafide training rows for
+logistic regression, all training rows for the SVM. A dimension whose std
+there is at most 1e-7 (constant over that population) is scaled by 1;
+histogram features carry bins the population never touches, and dividing
+those by a tiny std would turn them into train-set lookups.
+
 Model blobs: magic "MCLM", version u8, kind u8 (1=LR 2=SVM 3=normalizer),
 u32 dimension, parameters as little-endian float64.
 """
@@ -26,12 +33,10 @@ MODEL_VERSION = 1
 POP_BONAFIDE_ONLY = "bonafide_only"
 POP_ALL = "all"
 
-STD_FLOOR = 1e-8
-
 
 @dataclass(frozen=True)
 class LrConfig:
-    """Logistic-regression hyperparameters (defaults of :func:`lr_train`)."""
+    """Logistic-regression hyperparameters."""
 
     l2: float = 0.1
     epochs: int = 800
@@ -40,7 +45,7 @@ class LrConfig:
 
 @dataclass(frozen=True)
 class SvmConfig:
-    """Linear-SVM hyperparameters (defaults of :func:`svm_train`)."""
+    """Linear-SVM hyperparameters."""
 
     c: float = 1.0
     epochs: int = 500
@@ -64,20 +69,9 @@ class Standardizer:
         return (x - self.mean) / self.std
 
 
-def standardize_fit(
-    features: np.ndarray,
-    labels: np.ndarray,
-    population: str = POP_ALL,
-    degenerate_scale: float | None = None,
-) -> Standardizer:
-    """Per-dimension mean/std (population std, floored at 1e-8) over the
-    selected fit population.
-
-    ``degenerate_scale`` replaces the scale of (near-)constant dimensions
-    (std <= 1e-7) instead of the floor; histogram features can have bins the
-    fit population never touches, and dividing those by the floor turns them
-    into train-set lookups.
-    """
+def standardize_fit(features: np.ndarray, labels: np.ndarray, population: str) -> Standardizer:
+    """Per-dimension mean and population std over the selected fit
+    population; a dimension with std <= 1e-7 is scaled by 1."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     if population == POP_BONAFIDE_ONLY:
@@ -88,19 +82,21 @@ def standardize_fit(
         raise ValueError(f"unknown population tag {population!r}")
     if rows.shape[0] < 2:
         raise FitError("standardizer needs at least 2 rows in the fit population")
-    mean = rows.mean(axis=0)
-    raw_std = rows.std(axis=0)
-    std = np.maximum(raw_std, STD_FLOOR)
-    if degenerate_scale is not None:
-        std = np.where(raw_std <= 10.0 * STD_FLOOR, degenerate_scale, std)
-    return Standardizer(mean=mean, std=std, population=population)
+    std = rows.std(axis=0)
+    std = np.where(std <= 1e-7, 1.0, std)
+    return Standardizer(mean=rows.mean(axis=0), std=std, population=population)
 
 
-def _check_two_classes(labels: np.ndarray) -> np.ndarray:
-    labels = np.asarray(labels, dtype=np.float64)
-    if not ((labels == 1).any() and (labels == 0).any()):
+def _standardized(
+    features: np.ndarray, labels: np.ndarray, population: str
+) -> tuple[np.ndarray, np.ndarray, Standardizer]:
+    """(standardized features, float labels, standardizer fit on
+    ``population``); both classes must be present."""
+    y = np.asarray(labels, dtype=np.float64)
+    if not ((y == 1).any() and (y == 0).any()):
         raise FitError("training needs both classes")
-    return labels
+    standardizer = standardize_fit(features, labels, population)
+    return standardizer.apply(features), y, standardizer
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -119,18 +115,6 @@ class LrModel:
             raise ValueError("weight dimension must match the standardizer")
 
 
-def _lr_inputs(
-    features: np.ndarray, labels: np.ndarray, standardizer: Standardizer | None
-) -> tuple[np.ndarray, np.ndarray, Standardizer]:
-    """(standardized features, float labels, standardizer); the default
-    standardizer is fit on bonafide rows only."""
-    features = np.asarray(features, dtype=np.float64)
-    y = _check_two_classes(labels)
-    if standardizer is None:
-        standardizer = standardize_fit(features, labels, POP_BONAFIDE_ONLY)
-    return standardizer.apply(features), y, standardizer
-
-
 def _lr_descent(
     xs: np.ndarray, y: np.ndarray, l2: float, epochs: int, lr: float
 ) -> Iterator[tuple[np.ndarray, float]]:
@@ -147,20 +131,13 @@ def _lr_descent(
         yield w, b
 
 
-def lr_train(
-    features: np.ndarray,
-    labels: np.ndarray,
-    l2: float = LrConfig.l2,
-    epochs: int = LrConfig.epochs,
-    lr: float = LrConfig.learning_rate,
-    standardizer: Standardizer | None = None,
-) -> LrModel:
-    """Logistic regression by :func:`_lr_descent`; the default standardizer
-    is fit on bonafide rows only."""
-    xs, y, standardizer = _lr_inputs(features, labels, standardizer)
-    for w, b in _lr_descent(xs, y, l2, epochs, lr):
+def lr_train(features: np.ndarray, labels: np.ndarray, cfg: LrConfig = LrConfig()) -> LrModel:
+    """Logistic regression by :func:`_lr_descent` on features standardized
+    over the bonafide rows."""
+    xs, y, standardizer = _standardized(features, labels, POP_BONAFIDE_ONLY)
+    for w, b in _lr_descent(xs, y, cfg.l2, cfg.epochs, cfg.learning_rate):
         pass
-    return LrModel(weights=w, bias=b, standardizer=standardizer, l2=l2)
+    return LrModel(weights=w, bias=b, standardizer=standardizer, l2=cfg.l2)
 
 
 def lr_score(model: LrModel, x: np.ndarray) -> np.ndarray:
@@ -180,34 +157,24 @@ class SvmModel:
             raise ValueError("weight dimension must match the standardizer")
 
 
-def svm_train(
-    features: np.ndarray,
-    labels: np.ndarray,
-    c: float = SvmConfig.c,
-    epochs: int = SvmConfig.epochs,
-    lr: float = SvmConfig.learning_rate,
-    standardizer: Standardizer | None = None,
-) -> SvmModel:
+def svm_train(features: np.ndarray, labels: np.ndarray, cfg: SvmConfig = SvmConfig()) -> SvmModel:
     """Sub-gradient descent on (1/2)||w||^2 + C * mean hinge from zero init
-    with a 1/sqrt(t+1) step decay; bonafide -> +1, attack -> -1."""
-    features = np.asarray(features, dtype=np.float64)
-    y01 = _check_two_classes(labels)
+    with a 1/sqrt(t+1) step decay, on features standardized over all rows;
+    bonafide -> +1, attack -> -1."""
+    xs, y01, standardizer = _standardized(features, labels, POP_ALL)
     y = 2.0 * y01 - 1.0
-    if standardizer is None:
-        standardizer = standardize_fit(features, labels, POP_ALL)
-    xs = standardizer.apply(features)
     n, d = xs.shape
     w = np.zeros(d)
     b = 0.0
-    for t in range(epochs):
-        eta = lr / np.sqrt(t + 1.0)
+    for t in range(cfg.epochs):
+        eta = cfg.learning_rate / np.sqrt(t + 1.0)
         margins = y * (xs @ w + b)
         viol = margins < 1.0
-        grad_w = w - c * (xs[viol].T @ y[viol]) / n
-        grad_b = -c * float(y[viol].sum()) / n
+        grad_w = w - cfg.c * (xs[viol].T @ y[viol]) / n
+        grad_b = -cfg.c * float(y[viol].sum()) / n
         w -= eta * grad_w
         b -= eta * grad_b
-    return SvmModel(weights=w, bias=b, c=c, standardizer=standardizer)
+    return SvmModel(weights=w, bias=b, c=cfg.c, standardizer=standardizer)
 
 
 def svm_score(model: SvmModel, x: np.ndarray) -> np.ndarray:
@@ -263,28 +230,19 @@ _POPS = {code: pop for pop, code in _POP_CODES.items()}
 
 
 def save_model(model: LrModel | SvmModel | ScoreNormalizer, path: str | Path) -> None:
-    if isinstance(model, LrModel):
-        kind = _KIND_LR
+    if isinstance(model, (LrModel, SvmModel)):
+        kind, hyper = (_KIND_LR, model.l2) if isinstance(model, LrModel) else (_KIND_SVM, model.c)
         dim = model.weights.shape[0]
-        params = np.concatenate(
-            [model.weights, [model.bias, model.l2, _POP_CODES[model.standardizer.population]],
-             model.standardizer.mean, model.standardizer.std]
-        )
-    elif isinstance(model, SvmModel):
-        kind = _KIND_SVM
-        dim = model.weights.shape[0]
-        params = np.concatenate(
-            [model.weights, [model.bias, model.c, _POP_CODES[model.standardizer.population]],
-             model.standardizer.mean, model.standardizer.std]
-        )
+        std = model.standardizer
+        params = [model.weights, [model.bias, hyper, _POP_CODES[std.population]], std.mean, std.std]
     elif isinstance(model, ScoreNormalizer):
         kind = _KIND_NORM
         dim = 0
-        params = np.array([model.lo, model.hi])
+        params = [[model.lo, model.hi]]
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
     header = MODEL_MAGIC + struct.pack("<BBI", MODEL_VERSION, kind, dim)
-    atomic_write(path, header + np.asarray(params, dtype="<f8").tobytes())
+    atomic_write(path, [header, *(np.ascontiguousarray(p, dtype="<f8") for p in params)])
 
 
 def load_model(path: str | Path) -> LrModel | SvmModel | ScoreNormalizer:

@@ -163,8 +163,8 @@ def write_sample(sample: MultiChannelSample, path: str | Path) -> None:
         if max(width, height, frames) > 0xFFFF:
             raise ValueError("dimension exceeds u16 container limit")
         parts.append(_CHAN_HEADER.pack(ch.value, width, height, frames, bits))
-        parts.append(stack.astype("<u2" if bits == 16 else "u1").tobytes(order="C"))
-    atomic_write(path, b"".join(parts))
+        parts.append(np.ascontiguousarray(stack, dtype="<u2" if bits == 16 else "u1"))
+    atomic_write(path, parts)
 
 
 def read_sample(path: str | Path, meta: SampleMeta | None = None) -> MultiChannelSample:
@@ -183,6 +183,8 @@ def read_sample(path: str | Path, meta: SampleMeta | None = None) -> MultiChanne
             ch = ChannelId(code)
         except ValueError:
             raise FormatError(f"unknown channel id {code}", offset=pos) from None
+        if ch in channels:
+            raise FormatError(f"repeated channel id {code}", offset=pos)
         if bits not in (8, 16):
             raise FormatError(f"unsupported bit depth {bits}", offset=pos + 7)
         values = frames * height * width * (3 if ch is ChannelId.COLOR else 1)
@@ -240,7 +242,7 @@ def save_manifest(manifest: Manifest, path: str | Path) -> None:
     atomic_write(path, buf.getvalue())
 
 
-def load_manifest(path: str | Path, check_paths: bool = True) -> Manifest:
+def load_manifest(path: str | Path) -> Manifest:
     path = Path(path)
     entries = []
     with open(path, newline="") as fh:
@@ -259,7 +261,7 @@ def load_manifest(path: str | Path, check_paths: bool = True) -> Manifest:
             except ValueError as exc:
                 raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
             sample_path = (path.parent / rel).resolve()
-            if check_paths and not sample_path.exists():
+            if not sample_path.exists():
                 raise FileNotFoundError(f"manifest path not resolvable: {sample_path}")
             entries.append(ManifestEntry(sid, sample_path, meta))
     return Manifest(entries)

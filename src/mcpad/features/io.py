@@ -24,13 +24,12 @@ def rows_sidecar(path: str | Path) -> Path:
 
 
 def write_feature_table(path: str | Path, table: np.ndarray, rows: list[tuple[str, int]]) -> None:
-    table = np.asarray(table, dtype=np.float64)
+    table = np.ascontiguousarray(table, dtype="<f8")
     if table.ndim != 2:
         raise ValueError("feature table must be 2-d")
     if len(rows) != table.shape[0]:
         raise ValueError("row sidecar length mismatch")
-    header = MAGIC + struct.pack("<II", table.shape[0], table.shape[1])
-    atomic_write(path, header + table.astype("<f8").tobytes(order="C"))
+    atomic_write(path, [MAGIC + struct.pack("<II", *table.shape), table])
 
     buf = io.StringIO()
     writer = csv.writer(buf)

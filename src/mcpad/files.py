@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 import struct
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -25,12 +26,17 @@ class FormatError(ValueError):
         self.offset = offset
 
 
-def atomic_write(path: str | Path, data: bytes | str) -> None:
-    """Replace ``path`` with ``data`` (text is written as UTF-8, newlines
-    untranslated)."""
+def atomic_write(path: str | Path, data: bytes | str | Sequence[bytes | np.ndarray]) -> None:
+    """Replace ``path`` with ``data``: bytes, text (written as UTF-8,
+    newlines untranslated) or a sequence of parts (bytes, or C-contiguous
+    arrays as their raw bytes) written in order without joining them."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data.encode() if isinstance(data, str) else data)
+    if isinstance(data, str):
+        data = data.encode()
+    with open(tmp, "wb") as fh:
+        for part in [data] if isinstance(data, bytes) else data:
+            fh.write(part)
     os.replace(tmp, path)
 
 

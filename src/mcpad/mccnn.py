@@ -564,14 +564,14 @@ def save_model(model: McCnnModel, path: str | Path) -> None:
     parts = [MODEL_MAGIC, struct.pack("<BI", MODEL_VERSION, len(config_blob)), config_blob,
              struct.pack("<I", len(model.params))]
     for name, tensor in sorted(model.params.items()):
-        arr = np.asarray(tensor.data, dtype="<f4")
+        arr = np.ascontiguousarray(tensor.data, dtype="<f4")
         encoded = name.encode()
         parts.append(struct.pack("<H", len(encoded)))
         parts.append(encoded)
         parts.append(struct.pack("<B", arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        parts.append(arr.tobytes(order="C"))
-    atomic_write(path, b"".join(parts))
+        parts.append(arr)
+    atomic_write(path, parts)
 
 
 def load_model(path: str | Path) -> McCnnModel:
@@ -587,8 +587,11 @@ def load_model(path: str | Path) -> McCnnModel:
     (n_blocks,) = reader.take("<I", "block count")
     blocks: dict[str, np.ndarray] = {}
     for _ in range(n_blocks):
+        pos = reader.pos
         (name_len,) = reader.take("<H", "block name length")
         name = reader.raw(name_len, "block name").decode()
+        if name in blocks:
+            raise FormatError(f"repeated block name {name!r}", offset=pos)
         (ndim,) = reader.take("<B", "block rank")
         shape = reader.take(f"<{ndim}I", "block shape")
         count = math.prod(shape)

@@ -323,45 +323,26 @@ def cmd_train_baseline(cfg: RunConfig, pipeline: str) -> Path:
     scores_dir.mkdir(parents=True, exist_ok=True)
     models_dir.mkdir(parents=True, exist_ok=True)
 
+    if layout["classifier"] == "lr":
+        train, score, section = classical.lr_train, classical.lr_score, cfg.classifiers.lr
+    else:
+        train, score, section = classical.svm_train, classical.svm_score, cfg.classifiers.svm
     columns: dict[str, list[np.ndarray]] = {"dev": [], "eval": []}
     row_order: dict[str, list[tuple[str, int]]] = {}
+    attack: dict[str, np.ndarray] = {}
     normalizer_info = {}
     for channel, extractor in layout["channels"]:
         tables = {}
-        rows = {}
         for split in ("train", "dev", "eval"):
             path = _require(feature_table_path(cfg, split, channel, extractor), "feature table")
-            tables[split], rows[split] = read_feature_table(path)
-        attack = {split: _attack_codes(manifest, rows[split]) for split in rows}
-        y_train = (attack["train"] == 0).astype(np.int64)
-
-        # Histogram features can carry dimensions the fit population never
-        # touches; scale those by 1 instead of the floor (see standardize_fit).
-        if layout["classifier"] == "lr":
-            standardizer = classical.standardize_fit(
-                tables["train"], y_train, classical.POP_BONAFIDE_ONLY, degenerate_scale=1.0
-            )
-            model = classical.lr_train(
-                tables["train"], y_train,
-                l2=cfg.classifiers.lr.l2,
-                epochs=cfg.classifiers.lr.epochs,
-                lr=cfg.classifiers.lr.learning_rate,
-                standardizer=standardizer,
-            )
-            raw_scores = {s: classical.lr_score(model, tables[s]) for s in tables}
-        else:
-            standardizer = classical.standardize_fit(
-                tables["train"], y_train, classical.POP_ALL, degenerate_scale=1.0
-            )
-            model = classical.svm_train(
-                tables["train"], y_train,
-                c=cfg.classifiers.svm.c,
-                epochs=cfg.classifiers.svm.epochs,
-                lr=cfg.classifiers.svm.learning_rate,
-                standardizer=standardizer,
-            )
-            raw_scores = {s: classical.svm_score(model, tables[s]) for s in tables}
+            tables[split], rows = read_feature_table(path)
+            if split not in row_order:
+                row_order[split], attack[split] = rows, _attack_codes(manifest, rows)
+            elif rows != row_order[split]:
+                raise ValidationError("feature tables disagree on row order across channels")
+        model = train(tables["train"], (attack["train"] == 0).astype(np.int64), section)
         classical.save_model(model, models_dir / f"{channel.label}.mclm")
+        raw_scores = {s: score(model, tables[s]) for s in tables}
 
         fit_scores = np.concatenate([raw_scores["train"], raw_scores["dev"]])
         normalizer = classical.score_normalize_fit(fit_scores)
@@ -370,17 +351,13 @@ def cmd_train_baseline(cfg: RunConfig, pipeline: str) -> Path:
 
         for split in ("dev", "eval"):
             normalized = classical.score_normalize_apply(normalizer, raw_scores[split])
-            table = Scores.from_rows(rows[split], normalized, attack[split])
+            table = Scores.from_rows(row_order[split], normalized, attack[split])
             save_scores(table, scores_dir / f"{channel.label}_{split}.csv")
-            row_order.setdefault(split, rows[split])
-            if rows[split] != row_order[split]:
-                raise ValidationError("feature tables disagree on row order across channels")
             columns[split].append(normalized)
 
     for split in ("dev", "eval"):
         fused = classical.fuse_mean(np.stack(columns[split], axis=1))
-        keys = row_order[split]
-        table = Scores.from_rows(keys, fused, _attack_codes(manifest, keys))
+        table = Scores.from_rows(row_order[split], fused, attack[split])
         save_scores(table, scores_dir / f"fused_{split}.csv")
 
     info = {

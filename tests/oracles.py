@@ -39,7 +39,7 @@ import numpy as np
 
 import mcpad.autodiff as ad
 from mcpad.autodiff import Tensor
-from mcpad.classical import LrConfig, Standardizer, _lr_descent, _lr_inputs, _sigmoid
+from mcpad.classical import POP_BONAFIDE_ONLY, LrConfig, _lr_descent, _sigmoid, _standardized
 from mcpad.dataset import ChannelId, MultiChannelSample
 from mcpad.features.iqm import (
     _EPS,
@@ -460,17 +460,11 @@ def lr_loss(model_w: np.ndarray, model_b: float, xs: np.ndarray, y: np.ndarray, 
     return float(bce + l2 * np.sum(model_w**2))
 
 
-def lr_training_losses(
-    features: np.ndarray,
-    labels: np.ndarray,
-    l2: float = LrConfig.l2,
-    epochs: int = LrConfig.epochs,
-    lr: float = LrConfig.learning_rate,
-    standardizer: Standardizer | None = None,
-) -> np.ndarray:
+def lr_training_losses(features: np.ndarray, labels: np.ndarray, cfg: LrConfig = LrConfig()) -> np.ndarray:
     """Objective at init and after each epoch of ``lr_train``'s descent."""
-    xs, y, _ = _lr_inputs(features, labels, standardizer)
-    return np.array([lr_loss(w, b, xs, y, l2) for w, b in _lr_descent(xs, y, l2, epochs, lr)])
+    xs, y, _ = _standardized(features, labels, POP_BONAFIDE_ONLY)
+    descent = _lr_descent(xs, y, cfg.l2, cfg.epochs, cfg.learning_rate)
+    return np.array([lr_loss(w, b, xs, y, cfg.l2) for w, b in descent])
 
 
 # one-frame image-quality measures

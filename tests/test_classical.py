@@ -7,9 +7,11 @@ from mcpad.classical import (
     POP_ALL,
     POP_BONAFIDE_ONLY,
     FitError,
+    LrConfig,
     LrModel,
     ScoreNormalizer,
     Standardizer,
+    SvmConfig,
     SvmModel,
     fuse_mean,
     load_model,
@@ -39,10 +41,6 @@ class TestStandardizer:
         std = standardize_fit(np.array([[0.0], [2.0]]), np.array([1, 1]), POP_BONAFIDE_ONLY)
         assert std.mean[0] == 1.0 and std.std[0] == 1.0  # population std
 
-    def test_floor_applied(self):
-        std = standardize_fit(np.array([[5.0], [5.0]]), np.array([1, 1]), POP_ALL)
-        assert std.std[0] == 1e-8
-
     def test_bonafide_only_ignores_attacks(self, rng):
         x = rng.normal(size=(20, 3))
         y = np.array([1] * 10 + [0] * 10)
@@ -54,9 +52,9 @@ class TestStandardizer:
         with pytest.raises(FitError):
             standardize_fit(np.zeros((3, 2)), np.zeros(3, dtype=int), POP_BONAFIDE_ONLY)
 
-    def test_degenerate_scale_option(self):
+    def test_constant_dimension_scaled_by_one(self):
         x = np.array([[1.0, 0.0], [1.0, 5.0]])
-        std = standardize_fit(x, np.array([1, 1]), POP_ALL, degenerate_scale=1.0)
+        std = standardize_fit(x, np.array([1, 1]), POP_ALL)
         assert std.std[0] == 1.0 and std.std[1] == pytest.approx(2.5)
 
     def test_dimension_mismatch(self):
@@ -76,7 +74,7 @@ class TestLogisticRegression:
         x, y = blobs(rng)
         proj = x @ np.ones(2)
         assert proj[y == 0].max() < proj[y == 1].min()  # verifiably separable
-        model = lr_train(x, y, l2=0.01, epochs=800, lr=0.05)
+        model = lr_train(x, y, LrConfig(l2=0.01, epochs=800, learning_rate=0.05))
         decisions = (np.asarray(lr_score(model, x)) >= 0.5).astype(int)
         assert (decisions == y).mean() == 1.0
 
@@ -86,7 +84,7 @@ class TestLogisticRegression:
         norms = []
         for l2 in (0.01, 1.0, 100.0):
             # step size small enough that even the stiff l2=100 term is stable
-            model = lr_train(x, y, l2=l2, epochs=2000, lr=0.004)
+            model = lr_train(x, y, LrConfig(l2=l2, epochs=2000, learning_rate=0.004))
             scores = np.asarray(lr_score(model, x))
             spreads.append(np.abs(scores - 0.5).mean())
             norms.append(np.linalg.norm(model.weights))
@@ -100,12 +98,12 @@ class TestLogisticRegression:
 
     def test_loss_non_increasing_at_default_rate(self, rng):
         x, y = blobs(rng, n=40, separation=2.0)
-        losses = lr_training_losses(x, y, epochs=200)
+        losses = lr_training_losses(x, y, LrConfig(epochs=200))
         assert np.all(np.diff(losses) <= 1e-12)
 
     def test_score_monotone_in_logit(self, rng):
         x, y = blobs(rng)
-        model = lr_train(x, y, epochs=100)
+        model = lr_train(x, y, LrConfig(epochs=100))
         along = np.outer(np.linspace(-3, 3, 7), model.weights)
         scores = np.asarray(lr_score(model, along * model.standardizer.std + model.standardizer.mean))
         assert np.all(np.diff(scores) > 0)
@@ -115,7 +113,7 @@ class TestSvm:
     def test_symmetric_boundary_at_zero(self):
         x = np.array([[-1.0], [1.0]])
         y = np.array([0, 1])
-        model = svm_train(x, y, c=100.0, epochs=500, lr=0.1)
+        model = svm_train(x, y, SvmConfig(c=100.0, epochs=500, learning_rate=0.1))
         boundary_std = -model.bias / model.weights[0]
         boundary = boundary_std * model.standardizer.std[0] + model.standardizer.mean[0]
         assert abs(boundary) <= 0.1
@@ -127,8 +125,8 @@ class TestSvm:
 
     def test_label_swap_flips_boundary(self, rng):
         x, y = blobs(rng, n=40)
-        m1 = svm_train(x, y, c=10.0)
-        m2 = svm_train(x, 1 - y, c=10.0)
+        m1 = svm_train(x, y, SvmConfig(c=10.0))
+        m2 = svm_train(x, 1 - y, SvmConfig(c=10.0))
         cos = np.dot(m1.weights, m2.weights) / (
             np.linalg.norm(m1.weights) * np.linalg.norm(m2.weights)
         )
@@ -143,6 +141,23 @@ class TestSvm:
         model = svm_train(x, y)
         decisions = (np.asarray(svm_score(model, x)) >= 0).astype(int)
         assert (decisions == y).mean() == 1.0
+
+
+class TestFitPopulation:
+    """Each classifier scales a dimension that is constant over its own fit
+    population by 1: bonafide rows for LR, all rows for the SVM."""
+
+    def test_lr_constant_over_bonafide(self, rng):
+        x, y = blobs(rng)
+        x[y == 1, 0] = 3.0
+        std = lr_train(x, y, LrConfig(epochs=10)).standardizer
+        assert std.std[0] == 1.0 and std.mean[0] == 3.0 and std.std[1] != 1.0
+
+    def test_svm_constant_over_all_rows(self, rng):
+        x, y = blobs(rng)
+        x[:, 1] = -2.0
+        std = svm_train(x, y, SvmConfig(epochs=10)).standardizer
+        assert std.std[1] == 1.0 and std.mean[1] == -2.0 and std.std[0] != 1.0
 
 
 class TestScoreNormalizer:
@@ -199,7 +214,7 @@ class TestFusion:
 class TestSerialization:
     def test_lr_round_trip(self, rng, tmp_path):
         x, y = blobs(rng, n=20)
-        model = lr_train(x, y, epochs=50)
+        model = lr_train(x, y, LrConfig(epochs=50))
         save_model(model, tmp_path / "m.mclm")
         loaded = load_model(tmp_path / "m.mclm")
         assert isinstance(loaded, LrModel)
@@ -210,7 +225,7 @@ class TestSerialization:
 
     def test_svm_round_trip(self, rng, tmp_path):
         x, y = blobs(rng, n=20)
-        model = svm_train(x, y, epochs=50)
+        model = svm_train(x, y, SvmConfig(epochs=50))
         save_model(model, tmp_path / "m.mclm")
         loaded = load_model(tmp_path / "m.mclm")
         assert isinstance(loaded, SvmModel)
@@ -231,8 +246,8 @@ class TestDecisionInvariance:
     def test_feature_rescaling_keeps_decisions(self, rng):
         x, y = blobs(rng, n=40)
         scale = np.array([3.5, 0.25])
-        m1 = lr_train(x, y, epochs=200)
-        m2 = lr_train(x * scale, y, epochs=200)
+        m1 = lr_train(x, y, LrConfig(epochs=200))
+        m2 = lr_train(x * scale, y, LrConfig(epochs=200))
         d1 = (np.asarray(lr_score(m1, x)) >= 0.5)
         d2 = (np.asarray(lr_score(m2, x * scale)) >= 0.5)
         assert np.array_equal(d1, d2)

@@ -304,7 +304,7 @@ class TestNonSignalChannels:
         """Channels outside signal_channels carry no class information: a
         depth-quality LR trained on infrared stays in the binomial chance
         band on held-out frames."""
-        from mcpad.classical import POP_BONAFIDE_ONLY, lr_score, lr_train, standardize_fit
+        from mcpad.classical import lr_score, lr_train
 
         root, config = small_run
         fdir = root / "out" / "features" / "grandtest"
@@ -314,8 +314,7 @@ class TestNonSignalChannels:
         lookup = {e.sample_id: int(e.meta.label == "bonafide") for e in manifest}
         y_train = np.array([lookup[sid] for sid, _ in rows_train])
         y_eval = np.array([lookup[sid] for sid, _ in rows_eval])
-        std = standardize_fit(x_train, y_train, POP_BONAFIDE_ONLY, degenerate_scale=1.0)
-        model = lr_train(x_train, y_train, standardizer=std)
+        model = lr_train(x_train, y_train)
         accuracy = float(((lr_score(model, x_eval) >= 0.5).astype(int) == y_eval).mean())
         sigma = 0.5 / np.sqrt(len(y_eval))
         assert abs(accuracy - 0.5) <= 3 * sigma + 1e-9

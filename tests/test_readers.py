@@ -5,6 +5,8 @@ these, a sample whose frames are all dropped, and a stale artifact that
 names a sample its manifest lacks, without a traceback."""
 
 import re
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,6 +58,17 @@ class TestSampleContainer:
         _rejects_every_cut(blob, path, read_sample)
         _rejects_trailing(blob, path, read_sample)
 
+    def test_repeated_channel_names_offset(self, tmp_path):
+        path = tmp_path / "s.mcpd"
+        depth = np.arange(6, dtype=np.uint8).reshape(1, 2, 3)
+        write_sample(MultiChannelSample(None, {ChannelId.DEPTH: depth}), path)
+        blob = path.read_bytes()
+        # header byte 5 is the channel count; the depth section follows it
+        path.write_bytes(blob[:5] + b"\x02" + blob[6:] + blob[6:])
+        with pytest.raises(FormatError, match="repeated channel id") as err:
+            read_sample(path)
+        assert err.value.offset == len(blob)
+
 
 @pytest.fixture
 def feature_table(tmp_path):
@@ -83,6 +96,19 @@ class TestFeatureTable:
         blob = path.read_bytes()
         _rejects_every_cut(blob, path, read_feature_table)
         _rejects_trailing(blob, path, read_feature_table)
+
+    def test_write_joins_no_copy_of_the_table(self, tmp_path):
+        table = np.random.default_rng(0).normal(size=(400, 832))
+        rows = [("s", i) for i in range(400)]
+        tracemalloc.start()
+        try:
+            write_feature_table(tmp_path / "t.mcfv", table, rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < table.nbytes / 10
+        loaded, _ = read_feature_table(tmp_path / "t.mcfv")
+        assert np.array_equal(loaded, table)
 
     def test_short_sidecar_row_names_line(self, feature_table):
         path, _ = feature_table
@@ -157,6 +183,18 @@ class TestMccnnModel:
         path, blob = saved
         _rejects_trailing(blob, path, mccnn.load_model)
 
+    def test_repeated_block_names_offset(self, saved):
+        path, blob = saved
+        (config_len,) = np.frombuffer(blob, dtype="<u4", count=1, offset=5)
+        at = 9 + int(config_len)  # the block count
+        (n_blocks,) = struct.unpack_from("<I", blob, at)
+        name = b"head.fc1_b"
+        again = struct.pack("<H", len(name)) + name + struct.pack("<BI", 1, 10) + bytes(40)
+        path.write_bytes(blob[:at] + struct.pack("<I", n_blocks + 1) + blob[at + 4:] + again)
+        with pytest.raises(FormatError, match="repeated block name 'head.fc1_b'") as err:
+            mccnn.load_model(path)
+        assert err.value.offset == len(blob)
+
     @pytest.mark.parametrize("block, shape", [("head.fc1_w", (10, 7)), ("shared.C1.conv_w", (4, 1, 3, 3))])
     def test_block_shape_mismatch_names_block(self, tmp_path, block, shape):
         # a well-formed file whose block disagrees with the echoed config
@@ -211,8 +249,9 @@ class TestManifest:
     def test_bad_row_names_file_and_line(self, tmp_path, row, reason):
         path = tmp_path / "manifest.csv"
         path.write_text(f"{MANIFEST_HEADER}a,a.mcpd,0,bonafide,none,1\n{row}\n")
+        (tmp_path / "a.mcpd").touch()  # line 2 is valid, so line 3 is the one reported
         with pytest.raises(ValueError, match=f"manifest.csv: line 3: {reason}"):
-            load_manifest(path, check_paths=False)
+            load_manifest(path)
 
 
 class TestLandmarks:
