@@ -1,8 +1,9 @@
 """Batch command-line surface.
 
     mcpad synth|preprocess|extract|train-baseline|train-mccnn|eval|report
-          --config <path> [--set key=value]... [--jobs N] [command args]
+          --config <path> [--set key=value]... [command args]
 
+``extract`` alone takes ``--jobs N``, its count of worker processes.
 Exit codes: 0 success, 2 validation/configuration error, 1 runtime error.
 Every command prints the resolved configuration digest. MCPAD_SEED
 overrides the configured seed.
@@ -35,7 +36,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="YAML run configuration (defaults apply if omitted)")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="override a config entry (dotted path)")
-    parser.add_argument("--jobs", type=_positive_int, default=1, help="worker processes for data-parallel stages")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,6 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="extract features for one extractor")
     _add_common(p)
     p.add_argument("--extractor", required=True, choices=pipeline.EXTRACTORS)
+    p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes for feature extraction")
 
     p = sub.add_parser("train-baseline", help="train one fusion baseline")
     _add_common(p)

@@ -4,8 +4,9 @@ YAML/JSON values, and the inverse.
 ``build`` rejects unknown keys and mistyped values; ``plain`` turns a
 dataclass back into mappings, lists and scalars. Enums travel by label
 (``label`` / ``from_label``), tuples as lists, frozensets as sorted lists.
-Every failure, including a ``ValueError`` from a dataclass's own checks,
-surfaces as :class:`ConfigError`.
+Every bad value, including one a dataclass's own checks reject with a
+``ValueError``, surfaces as :class:`ConfigError`; a field annotation the
+codec does not know raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -71,12 +72,7 @@ def coerce(value: Any, annotation: Any, where: str) -> Any:
         if not isinstance(value, str):
             raise ConfigError(f"{where}: expected a string, got {value!r}")
         return value
-    # optional tuple fields (targets) arrive as typing unions; accept lists
-    if value is None:
-        return None
-    if isinstance(value, (list, tuple)):
-        return tuple(value)
-    return value
+    raise TypeError(f"{where}: unsupported annotation {annotation!r}")
 
 
 def build(cls, data: Mapping, where: str = "config"):
@@ -93,6 +89,8 @@ def build(cls, data: Mapping, where: str = "config"):
     }
     try:
         return cls(**kwargs)
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 

@@ -1,30 +1,32 @@
-"""Run configuration: one YAML file drives every pipeline stage. Unknown
-keys are rejected; ``--set dotted.key=value`` overrides individual fields;
-the MCPAD_SEED environment variable overrides the seed.
+"""Run configuration: one YAML file drives every pipeline stage.
+
+``load_config`` puts the YAML file, then each ``--set dotted.key=value``
+(the value parsed as YAML, at its dotted path) and MCPAD_SEED (the seed)
+into one plain mapping, and one ``codec.build`` makes the ``RunConfig``,
+rejecting unknown keys and mistyped values. Each section checks its own
+values on construction and ``RunConfig`` checks those that span sections,
+so a ``RunConfig`` is valid however it was made.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
-import typing
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import yaml
 
 from .classical import LrConfig, SvmConfig
-from .codec import ConfigError, build, coerce, plain
+from .codec import ConfigError, build, plain
 from .dataset import AttackType, SynthConfig
 from .features.haralick import GlcmConfig
 from .features.iqm import IQM_NAMES
 from .features.lbp import LbpConfig
 from .files import atomic_write
 from .mccnn import McCnnConfig
-from .preprocess import AlignTargets
 
 
 @dataclass(frozen=True)
@@ -34,18 +36,10 @@ class PathsConfig:
 
 
 @dataclass(frozen=True)
-class TargetsSection:
-    left_eye: tuple[float, float] | None = None
-    right_eye: tuple[float, float] | None = None
-    mouth: tuple[float, float] | None = None
-
-
-@dataclass(frozen=True)
 class PreprocessSection:
     out_size: int = 64
     mad_span: float = 4.0
     frames: int = 50
-    targets: TargetsSection = field(default_factory=TargetsSection)
 
 
 @dataclass(frozen=True)
@@ -53,6 +47,11 @@ class FeaturesSection:
     lbp: LbpConfig = field(default_factory=LbpConfig)
     glcm: GlcmConfig = field(default_factory=GlcmConfig)
     iqm_measures: tuple[str, ...] = IQM_NAMES
+
+    def __post_init__(self):
+        unknown = set(self.iqm_measures) - set(IQM_NAMES)
+        if unknown:
+            raise ValueError(f"unknown IQM measures {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -81,9 +80,20 @@ class MccnnSection:
 
 @dataclass(frozen=True)
 class ProtocolSection:
+    """``name`` is ``grandtest`` or ``LOO_<attack>``; the attack it leaves
+    out of training is ``left_out`` (None for grandtest)."""
+
     name: str = "grandtest"
     ratios: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
     bpcer_target: float = 0.01
+
+    def __post_init__(self):
+        left_out = None
+        if self.name != "grandtest":
+            if not self.name.startswith("LOO_"):
+                raise ValueError("protocol name must be 'grandtest' or 'LOO_<attack>'")
+            left_out = AttackType.from_label(self.name[len("LOO_"):])
+        object.__setattr__(self, "left_out", left_out)
 
 
 @dataclass(frozen=True)
@@ -97,32 +107,19 @@ class RunConfig:
     mccnn: MccnnSection = field(default_factory=MccnnSection)
     protocol: ProtocolSection = field(default_factory=ProtocolSection)
 
+    def __post_init__(self):
+        mccnn_config(self)
+
 
 # --------------------------------------------------------------------------
 # loading
 # --------------------------------------------------------------------------
 
-def _deep_get_set(obj, dotted: str, raw_value: str):
-    parts = dotted.split(".")
-    target = obj
-    owners = []
-    for part in parts[:-1]:
-        if not is_dataclass(target) or part not in {f.name for f in fields(target)}:
-            raise ConfigError(f"--set {dotted}: no such section {part!r}")
-        owners.append((target, part))
-        target = getattr(target, part)
-    leaf = parts[-1]
-    if not is_dataclass(target) or leaf not in {f.name for f in fields(target)}:
-        raise ConfigError(f"--set {dotted}: no such key {leaf!r}")
-    annotation = typing.get_type_hints(type(target))[leaf]
-    value = coerce(yaml.safe_load(raw_value), annotation, f"--set {dotted}")
+def _parse_yaml(text: str, where: str) -> Any:
     try:
-        new = dataclasses.replace(target, **{leaf: value})
-    except ValueError as exc:
-        raise ConfigError(f"--set {dotted}: {exc}") from None
-    for owner, part in reversed(owners):
-        new = dataclasses.replace(owner, **{part: new})
-    return new
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{where}: parse error: {exc}") from None
 
 
 def load_config(
@@ -130,62 +127,45 @@ def load_config(
     overrides: Sequence[str] = (),
     env: Mapping[str, str] | None = None,
 ) -> RunConfig:
-    """Load (or default) a RunConfig, apply ``--set key=value`` overrides,
-    then the MCPAD_SEED environment override."""
-    if path is None:
-        cfg = RunConfig()
-    else:
+    """The RunConfig of the YAML file at ``path`` (all defaults when None),
+    with each ``--set key=value`` override and then MCPAD_SEED applied."""
+    data = None
+    if path is not None:
         try:
-            raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+            text = Path(path).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from None
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"config parse error: {exc}") from None
-        if raw is None:
-            raw = {}
-        if not isinstance(raw, Mapping):
+        data = _parse_yaml(text, "config")
+        if not isinstance(data, (Mapping, type(None))):
             raise ConfigError("config root must be a mapping")
-        cfg = build(RunConfig, raw)
+    data = dict(data or {})
     for override in overrides:
-        if "=" not in override:
+        dotted, sep, raw_value = override.partition("=")
+        if not sep:
             raise ConfigError(f"--set expects key=value, got {override!r}")
-        dotted, raw_value = override.split("=", 1)
-        cfg = _deep_get_set(cfg, dotted.strip(), raw_value)
+        dotted = dotted.strip()
+        *sections, leaf = dotted.split(".")
+        node = data
+        for part in sections:
+            # copied on the way down, so a section that YAML aliases elsewhere stays as written there
+            section = node.get(part, {})
+            if not isinstance(section, Mapping):
+                raise ConfigError(f"--set {dotted}: {part!r} is not a section")
+            node[part] = dict(section)
+            node = node[part]
+        node[leaf] = _parse_yaml(raw_value, f"--set {dotted}")
     env = os.environ if env is None else env
     if "MCPAD_SEED" in env:
         try:
-            seed = int(env["MCPAD_SEED"])
+            data["seed"] = int(env["MCPAD_SEED"])
         except ValueError:
             raise ConfigError("MCPAD_SEED must be an integer") from None
-        cfg = dataclasses.replace(cfg, seed=seed)
-    validate_config(cfg)
-    return cfg
-
-
-def validate_config(cfg: RunConfig) -> None:
-    """Checks that span sections: the MC-CNN domain config must build, the
-    protocol must be known, and the IQM measures must exist."""
-    mccnn_config(cfg)
-    name = cfg.protocol.name
-    if name != "grandtest":
-        if not name.startswith("LOO_"):
-            raise ConfigError("protocol name must be 'grandtest' or 'LOO_<attack>'")
-        coerce(name[len("LOO_"):], AttackType, "config.protocol.name")
-    unknown = set(cfg.features.iqm_measures) - set(IQM_NAMES)
-    if unknown:
-        raise ConfigError(f"unknown IQM measures {sorted(unknown)}")
+    return build(RunConfig, data)
 
 
 # --------------------------------------------------------------------------
 # domain configs
 # --------------------------------------------------------------------------
-
-def align_targets(cfg: RunConfig) -> AlignTargets:
-    t = cfg.preprocess.targets
-    if t.left_eye is None or t.right_eye is None or t.mouth is None:
-        return AlignTargets.for_size(cfg.preprocess.out_size)
-    return AlignTargets(tuple(t.left_eye), tuple(t.right_eye), tuple(t.mouth), cfg.preprocess.out_size)
-
 
 def mccnn_config(cfg: RunConfig) -> McCnnConfig:
     """The network config: the ``mccnn`` section (less the run-level

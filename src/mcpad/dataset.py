@@ -168,8 +168,8 @@ def write_sample(sample: MultiChannelSample, path: str | Path) -> None:
 
 
 def read_sample(path: str | Path, meta: SampleMeta | None = None) -> MultiChannelSample:
-    """Parse a container file; ``meta`` is attached as-is (it lives in the
-    manifest, not in the container)."""
+    """Parse a container file into read-only arrays over its bytes; ``meta``
+    is attached as-is (it lives in the manifest, not in the container)."""
     reader = ByteReader(Path(path).read_bytes())
     reader.magic(MAGIC, "container")
     version, n_channels = reader.take("<BB", "header")
@@ -190,7 +190,7 @@ def read_sample(path: str | Path, meta: SampleMeta | None = None) -> MultiChanne
         values = frames * height * width * (3 if ch is ChannelId.COLOR else 1)
         flat = reader.array("<u2" if bits == 16 else "u1", values, "payload")
         shape = (frames, height, width, 3) if ch is ChannelId.COLOR else (frames, height, width)
-        channels[ch] = flat.reshape(shape).astype(flat.dtype.newbyteorder("="))
+        channels[ch] = flat.reshape(shape).astype(flat.dtype.newbyteorder("="), copy=False)
     reader.end()
     return MultiChannelSample(meta=meta, channels=channels)
 

@@ -40,6 +40,7 @@ def write_feature_table(path: str | Path, table: np.ndarray, rows: list[tuple[st
 
 
 def read_feature_table(path: str | Path) -> tuple[np.ndarray, list[tuple[str, int]]]:
+    """The table, a read-only array over the file's bytes, and its rows."""
     path = Path(path)
     reader = ByteReader(path.read_bytes())
     reader.magic(MAGIC, "feature-table")
@@ -58,4 +59,4 @@ def read_feature_table(path: str | Path) -> tuple[np.ndarray, list[tuple[str, in
             rows.append((line[1], int(line[2])))
     if len(rows) != count:
         raise ValueError("row sidecar length mismatch")
-    return table.astype(np.float64), rows
+    return table.astype(np.float64, copy=False), rows

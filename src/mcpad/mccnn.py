@@ -464,9 +464,7 @@ def train(data: TrainData, cfg: McCnnConfig, model: McCnnModel) -> TrainResult:
     bonafide scores for the BPCER target, and the model is left with that
     epoch's weights. A ``history`` record (a ``history.csv`` row) holds the epoch's
     ``train_loss`` as ``_adam_epochs`` defines it, ``dev_acer`` and
-    ``dev_tau``. The result carries the returned model's dev scores: the
-    selected epoch's, or, when no epoch was selected, one ``predict`` over
-    dev with the final weights.
+    ``dev_tau``. The result carries the selected epoch's dev scores.
 
     Branches with no trainable blocks (the gray reference, or every branch
     when the adapt set is empty) are frozen, so their embeddings are
@@ -512,11 +510,8 @@ def train(data: TrainData, cfg: McCnnConfig, model: McCnnModel) -> TrainResult:
             best_snapshot = [t.data.copy() for t in trainable]
             result.best_epoch = epoch
             result.dev_scores = scores
-    if best_snapshot is not None:
-        for tensor, snap in zip(trainable, best_snapshot):
-            tensor.data = snap
-    else:
-        result.dev_scores = predict(model, data.dev_x, dev_emb)
+    for tensor, snap in zip(trainable, best_snapshot):
+        tensor.data = snap
     result.best_dev_acer = best_acer
     return result
 

@@ -17,9 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import classical, mccnn
-from .config import RunConfig, align_targets, mccnn_config, write_lock
+from .config import RunConfig, mccnn_config, write_lock
 from .dataset import (
-    AttackType,
     ChannelId,
     Manifest,
     load_manifest,
@@ -54,7 +53,7 @@ from .features import (
     write_feature_table,
 )
 from .files import atomic_write
-from .preprocess import SampleError, align_color, landmarks_path, load_landmarks, preprocess_sample
+from .preprocess import AlignTargets, SampleError, align_color, landmarks_path, load_landmarks, preprocess_sample
 
 
 class ValidationError(ValueError):
@@ -127,7 +126,7 @@ def cmd_synth(cfg: RunConfig) -> Manifest:
 
 def cmd_preprocess(cfg: RunConfig) -> Manifest:
     raw_manifest = load_manifest(_require(data_root(cfg) / "manifest.csv", "raw manifest"))
-    targets = align_targets(cfg)
+    targets = AlignTargets.for_size(cfg.preprocess.out_size)
     out = proc_dir(cfg)
     samples_dir = out / "samples"
     samples_dir.mkdir(parents=True, exist_ok=True)
@@ -158,12 +157,11 @@ def cmd_preprocess(cfg: RunConfig) -> Manifest:
 # --------------------------------------------------------------------------
 
 def build_protocol(cfg: RunConfig, manifest: Manifest) -> ProtocolSpec:
-    name = cfg.protocol.name
-    if name == "grandtest":
+    left_out = cfg.protocol.left_out
+    if left_out is None:
         spec = make_grandtest(manifest, ratios=cfg.protocol.ratios, seed=cfg.seed)
     else:
-        attack = AttackType.from_label(name[len("LOO_"):])
-        spec = make_loo(manifest, attack, seed=cfg.seed, ratios=cfg.protocol.ratios)
+        spec = make_loo(manifest, left_out, seed=cfg.seed, ratios=cfg.protocol.ratios)
     proto_dir = out_root(cfg) / "protocols"
     proto_dir.mkdir(parents=True, exist_ok=True)
     save_protocol(spec, proto_dir / f"{spec.name}.json")
@@ -233,7 +231,8 @@ def _extract_one(args) -> tuple[list[int], dict[str, np.ndarray]]:
         landmarks = load_landmarks(landmarks_path(path))
         frame_count = raw.frame_count(next(iter(raw.channels)))
         indices = sample_frames(frame_count, cfg.preprocess.frames)
-        stack, _ = align_color(raw, landmarks, align_targets(cfg), frame_indices=indices)
+        targets = AlignTargets.for_size(cfg.preprocess.out_size)
+        stack, _ = align_color(raw, landmarks, targets, frame_indices=indices)
         out[ChannelId.COLOR.label] = iqm_features(stack, measures=cfg.features.iqm_measures)
         return list(range(stack.shape[0])), out
 

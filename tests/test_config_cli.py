@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 import yaml
@@ -7,6 +8,9 @@ import yaml
 from mcpad.cli import main
 from mcpad.config import (
     ConfigError,
+    FeaturesSection,
+    MccnnSection,
+    ProtocolSection,
     RunConfig,
     config_digest,
     load_config,
@@ -14,7 +18,7 @@ from mcpad.config import (
     to_canonical_json,
     write_lock,
 )
-from mcpad.codec import plain
+from mcpad.codec import build, plain
 from mcpad.dataset import AttackType, ChannelId, SynthConfig
 
 
@@ -75,6 +79,68 @@ class TestLoading:
         with pytest.raises(ConfigError):
             load_config(None, overrides=["protocol.name=LOO_nothing"], env={})
 
+    def test_malformed_set_value(self):
+        with pytest.raises(ConfigError, match="--set synth.attack_instruments: parse error"):
+            load_config(None, overrides=["synth.attack_instruments={print: 3"], env={})
+
+    def test_set_merges_into_yaml_section(self, tmp_path):
+        path = tmp_path / "c.yaml"
+        path.write_text("mccnn:\n  channels: [gray]\n")
+        cfg = load_config(path, overrides=["mccnn.epochs=2"], env={})
+        assert cfg.mccnn.channels == ("gray",) and cfg.mccnn.epochs == 2
+
+    def test_set_leaves_yaml_alias_as_written(self, tmp_path):
+        """A ``--set`` below a section that the file aliases elsewhere
+        changes that path only."""
+        path = tmp_path / "c.yaml"
+        path.write_text("classifiers:\n  lr: &c {epochs: 5}\n  svm: *c\n")
+        cfg = load_config(path, overrides=["classifiers.lr.epochs=9"], env={})
+        assert cfg.classifiers.lr.epochs == 9 and cfg.classifiers.svm.epochs == 5
+
+    def test_set_through_a_value_rejected(self):
+        with pytest.raises(ConfigError, match="'seed' is not a section"):
+            load_config(None, overrides=["seed=1", "seed.x=2"], env={})
+
+    def test_yaml_targets_rejected(self, tmp_path):
+        """``preprocess.targets`` is not part of the schema: the alignment
+        targets follow ``preprocess.out_size``."""
+        path = tmp_path / "c.yaml"
+        path.write_text("preprocess:\n  targets:\n    left_eye: [20, 24]\n")
+        with pytest.raises(ConfigError, match=r"unknown keys \['targets'\]"):
+            load_config(path, env={})
+
+
+class TestValidByConstruction:
+    @pytest.mark.parametrize("make", [
+        lambda: RunConfig(protocol=ProtocolSection(name="bogus")),
+        lambda: RunConfig(protocol=ProtocolSection(name="LOO_nothing")),
+        lambda: RunConfig(features=FeaturesSection(iqm_measures=("nope",))),
+        lambda: RunConfig(mccnn=MccnnSection(input_size=12)),
+    ], ids=["protocol-name", "loo-attack", "iqm-measure", "mccnn-input-size"])
+    def test_invalid_sections_raise(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    @pytest.mark.parametrize("name, left_out", [
+        ("grandtest", None), ("LOO_replay", AttackType.REPLAY), ("LOO_papermask", AttackType.PAPERMASK),
+    ])
+    def test_protocol_left_out(self, name, left_out):
+        assert ProtocolSection(name=name).left_out is left_out
+
+
+def test_lock_echo_builds_the_same_config(monkeypatch):
+    """A lock's ``config`` echo loads back as the run it records, for the
+    default config and for each benchmark workload's."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import harness
+
+    configs = [load_config(None, env={})]
+    configs += [harness.make_config(w, 101, Path("data"), Path("out")) for w in harness.WORKLOADS.values()]
+    assert len(configs) == 4
+    for cfg in configs:
+        assert build(RunConfig, plain(cfg)) == cfg
+        assert build(RunConfig, json.loads(to_canonical_json(cfg))) == cfg
+
 
 # Each value passes its section's type check but not its domain config's.
 @pytest.mark.parametrize("override", [
@@ -121,7 +187,7 @@ class TestAdapters:
         assert net.adapt == frozenset({"C1", "B1"})
 
 
-DEFAULT_DIGEST = "63c9d868f44a18f0425e0cd9e58f6591e17ca88520816f062f37ca8fee9eff04"
+DEFAULT_DIGEST = "e6a36f3e0074119cd5f126eb54e06eb6f49e130a29d3d5d47738440a338df9ed"
 
 
 class TestDigestsAndLocks:
@@ -130,7 +196,7 @@ class TestDigestsAndLocks:
         assert config_digest(cfg) == DEFAULT_DIGEST
         lock = write_lock(tmp_path, cfg, "synth").read_bytes()
         assert hashlib.sha256(lock).hexdigest() == (
-            "bd949a63b8b2c86e0959872cd438bce4c5f799fb647b5a1e0e4090fce121c91d"
+            "6232e83dbcf45f7cee87e8d4d7afd4865c58049e513bea7df63c951b53f126d4"
         )
 
     def test_signal_channels_lock_sorted(self):
@@ -181,6 +247,22 @@ class TestCliSurface:
 
     def test_bad_override_exits_2(self):
         assert main(["synth", "--set", "nope=1"]) == 2
+
+    @pytest.mark.parametrize("override", [
+        "synth.attack_instruments={print: 3",
+        "preprocess.targets.left_eye=[1, 2]",
+    ])
+    def test_malformed_or_removed_override_exits_2(self, override, tmp_path, capsys):
+        assert main(["synth", "--set", override, "--set", f"paths.data_root={tmp_path}"]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_jobs_only_on_extract(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--jobs", "2", "--set", f"paths.data_root={tmp_path}"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("kind", ["directory", "non-utf8"])
     def test_unreadable_config_exits_2(self, kind, tmp_path, capsys):

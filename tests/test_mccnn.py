@@ -606,16 +606,6 @@ class TestDevScores:
         assert result.dev_scores.dtype == np.float64
         assert np.array_equal(result.dev_scores, predict(result.model, data.dev_x))
 
-    def test_no_selected_epoch_scores_final_weights(self, monkeypatch):
-        import mcpad.mccnn as mod
-
-        monkeypatch.setattr(mod, "error_rates", lambda scores, bona, tau: (float("nan"),) * 2)
-        data = self._data(20)
-        cfg = mini_config(epochs=2)
-        result = train(data, cfg, fresh_model(cfg))
-        assert result.best_epoch == -1
-        assert np.array_equal(result.dev_scores, predict(result.model, data.dev_x))
-
 
 class TestTrainLoss:
     def test_unweighted_mean_of_batch_losses(self):

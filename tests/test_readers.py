@@ -110,6 +110,19 @@ class TestFeatureTable:
         loaded, _ = read_feature_table(tmp_path / "t.mcfv")
         assert np.array_equal(loaded, table)
 
+    def test_read_keeps_one_copy_of_the_table(self, tmp_path):
+        table = np.random.default_rng(0).normal(size=(400, 832))
+        path = tmp_path / "t.mcfv"
+        write_feature_table(path, table, [("s", i) for i in range(400)])
+        tracemalloc.start()
+        try:
+            loaded, _ = read_feature_table(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * path.stat().st_size
+        assert np.array_equal(loaded, table) and not loaded.flags.writeable
+
     def test_short_sidecar_row_names_line(self, feature_table):
         path, _ = feature_table
         sidecar = rows_sidecar(path)
