@@ -27,7 +27,7 @@ import pytest
 
 from mcpad.config import load_config
 from mcpad.features.iqm import iqm_features
-from mcpad.features.lbp import LbpConfig, lbp_histogram
+from mcpad.features.lbp import lbp_histogram
 from mcpad.pipeline import cmd_extract, cmd_preprocess, cmd_synth
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -57,14 +57,13 @@ def test_iqm_frame_oracle_loop(benchmark, rgb):
 
 
 def test_lbp_histogram_stack(benchmark, gray):
-    hist = benchmark(lbp_histogram, gray, LbpConfig())
+    hist = benchmark(lbp_histogram, gray)
     assert hist.shape == (gray.shape[0], 531)
 
 
 def test_lbp_frame_oracle_loop(benchmark, gray):
-    cfg = LbpConfig()
-    hist = benchmark(lambda: np.stack([lbp_histogram_frame(frame, cfg) for frame in gray]))
-    assert np.array_equal(hist, lbp_histogram(gray, cfg))
+    hist = benchmark(lambda: np.stack([lbp_histogram_frame(frame) for frame in gray]))
+    assert np.array_equal(hist, lbp_histogram(gray))
 
 
 @pytest.fixture(scope="module")

@@ -11,7 +11,7 @@ such a stack (20 frames x 4 subbands x 16 grid cells) at 8 gray levels.
 import numpy as np
 import pytest
 
-from mcpad.features.haralick import GlcmConfig, glcm, haralick13, rdwt_haralick_features
+from mcpad.features.haralick import glcm, haralick13, rdwt_haralick_features
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +26,7 @@ def test_rdwt_haralick_features_20x64x64(benchmark, stack):
 
 def test_haralick13_1280x8x8(benchmark):
     regions = np.random.default_rng(1).integers(0, 256, (1280, 16, 16)).astype(np.float64)
-    matrices = glcm(regions, GlcmConfig())
+    matrices = glcm(regions)
     assert matrices.shape == (1280, 8, 8)
     stats = benchmark(haralick13, matrices)
     assert stats.shape == (1280, 13)

@@ -42,6 +42,10 @@ class LrConfig:
     epochs: int = 800
     learning_rate: float = 0.005
 
+    def __post_init__(self):
+        if self.epochs < 1 or not self.learning_rate > 0 or not self.l2 >= 0:
+            raise ValueError("need epochs >= 1, learning_rate > 0 and l2 >= 0")
+
 
 @dataclass(frozen=True)
 class SvmConfig:
@@ -50,6 +54,10 @@ class SvmConfig:
     c: float = 1.0
     epochs: int = 500
     learning_rate: float = 0.1
+
+    def __post_init__(self):
+        if self.epochs < 1 or not self.learning_rate > 0 or not self.c > 0:
+            raise ValueError("need epochs >= 1, learning_rate > 0 and c > 0")
 
 
 class FitError(ValueError):

@@ -1,11 +1,17 @@
 """Run configuration: one YAML file drives every pipeline stage.
 
+``RunConfig`` holds the run ``seed`` and the sections ``paths``, ``synth``,
+``preprocess``, ``classifiers`` (``lr``, ``svm``), ``mccnn`` and
+``protocol``; the classical feature extractors have fixed definitions and
+no section.
+
 ``load_config`` puts the YAML file, then each ``--set dotted.key=value``
 (the value parsed as YAML, at its dotted path) and MCPAD_SEED (the seed)
 into one plain mapping, and one ``codec.build`` makes the ``RunConfig``,
 rejecting unknown keys and mistyped values. Each section checks its own
 values on construction and ``RunConfig`` checks those that span sections,
-so a ``RunConfig`` is valid however it was made.
+so a ``RunConfig`` is valid however it was made and a bad value fails at
+load, before any stage runs.
 """
 
 from __future__ import annotations
@@ -22,9 +28,6 @@ import yaml
 from .classical import LrConfig, SvmConfig
 from .codec import ConfigError, build, plain
 from .dataset import AttackType, SynthConfig
-from .features.haralick import GlcmConfig
-from .features.iqm import IQM_NAMES
-from .features.lbp import LbpConfig
 from .files import atomic_write
 from .mccnn import McCnnConfig
 
@@ -41,17 +44,9 @@ class PreprocessSection:
     mad_span: float = 4.0
     frames: int = 50
 
-
-@dataclass(frozen=True)
-class FeaturesSection:
-    lbp: LbpConfig = field(default_factory=LbpConfig)
-    glcm: GlcmConfig = field(default_factory=GlcmConfig)
-    iqm_measures: tuple[str, ...] = IQM_NAMES
-
     def __post_init__(self):
-        unknown = set(self.iqm_measures) - set(IQM_NAMES)
-        if unknown:
-            raise ValueError(f"unknown IQM measures {sorted(unknown)}")
+        if self.out_size < 8 or not self.mad_span > 0 or self.frames < 1:
+            raise ValueError("need out_size >= 8, mad_span > 0 and frames >= 1")
 
 
 @dataclass(frozen=True)
@@ -77,6 +72,11 @@ class MccnnSection:
     pretrain: bool = True
     pretrain_epochs: int = 10
 
+    # a run needs it; McCnnConfig itself accepts rate 0, which trains nothing
+    def __post_init__(self):
+        if not self.learning_rate > 0:
+            raise ValueError("learning_rate must be positive")
+
 
 @dataclass(frozen=True)
 class ProtocolSection:
@@ -93,6 +93,8 @@ class ProtocolSection:
             if not self.name.startswith("LOO_"):
                 raise ValueError("protocol name must be 'grandtest' or 'LOO_<attack>'")
             left_out = AttackType.from_label(self.name[len("LOO_"):])
+            if left_out is AttackType.NONE:
+                raise ValueError("cannot leave out the bonafide class")
         object.__setattr__(self, "left_out", left_out)
 
 
@@ -102,7 +104,6 @@ class RunConfig:
     paths: PathsConfig = field(default_factory=PathsConfig)
     synth: SynthConfig = field(default_factory=SynthConfig)
     preprocess: PreprocessSection = field(default_factory=PreprocessSection)
-    features: FeaturesSection = field(default_factory=FeaturesSection)
     classifiers: ClassifiersSection = field(default_factory=ClassifiersSection)
     mccnn: MccnnSection = field(default_factory=MccnnSection)
     protocol: ProtocolSection = field(default_factory=ProtocolSection)

@@ -1,11 +1,15 @@
 """Gray-level co-occurrence matrices, the 13 classical Haralick statistics,
 and the grid-blocked RDWT+Haralick descriptor.
 
+The GLCM is fixed: 8 gray levels, the offsets (dy, dx) = (0, 1), (1, 0),
+(1, 1) and (1, -1) pooled into one matrix, and symmetric counts (each pair
+counted both ways).
+
 Every function works on stacks: the leading axes are batch axes and a single
 region, matrix or frame is the stack with no batch axes.
 
 - ``quantize``: any shape, ranges broadcasting against it.
-- ``glcm``: regions ``(..., h, w)`` -> matrices ``(..., L, L)``.
+- ``glcm``: regions ``(..., h, w)`` -> matrices ``(..., 8, 8)``.
 - ``haralick13``: matrices ``(..., L, L)`` -> statistics ``(..., 13)``.
 - ``rdwt_haralick_features``: frames ``(..., H, W)`` -> ``(..., 832)`` on
   the default 4x4 grid.
@@ -18,26 +22,13 @@ when it is processed on its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .wavelet import rdwt_haar
 
+LEVELS = 8
+OFFSETS = ((0, 1), (1, 0), (1, 1), (1, -1))
 _EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class GlcmConfig:
-    levels: int = 8
-    offsets: tuple[tuple[int, int], ...] = ((0, 1), (1, 0), (1, 1), (1, -1))
-    symmetric: bool = True
-
-    def __post_init__(self):
-        if self.levels < 2:
-            raise ValueError("levels must be >= 2")
-        if not self.offsets:
-            raise ValueError("offsets must be nonempty")
 
 
 def quantize(region: np.ndarray, levels: int, value_range=None) -> np.ndarray:
@@ -59,38 +50,36 @@ def quantize(region: np.ndarray, levels: int, value_range=None) -> np.ndarray:
     return q.astype(np.int64)
 
 
-def glcm(region: np.ndarray, cfg: GlcmConfig, value_range=None) -> np.ndarray:
-    """Normalized co-occurrence matrices of regions ``(..., h, w)``, returned
-    as ``(..., L, L)``; counts are pooled over all offsets ((dy, dx)
-    displacements) before normalization. ``value_range = (lo, hi)`` may
-    broadcast against ``region``; it defaults to each region's own min-max."""
+def glcm(region: np.ndarray, value_range=None) -> np.ndarray:
+    """Normalized symmetric co-occurrence matrices of regions ``(..., h, w)``,
+    returned as ``(..., 8, 8)``; counts are pooled over the four offsets
+    before normalization. ``value_range = (lo, hi)`` may broadcast against
+    ``region``; it defaults to each region's own min-max."""
     region = np.asarray(region, dtype=np.float64)
     if region.ndim < 2 or region.shape[-2] == 0 or region.shape[-1] == 0:
         raise ValueError("empty region")
     if value_range is None:
         value_range = (region.min(axis=(-2, -1), keepdims=True),
                        region.max(axis=(-2, -1), keepdims=True))
-    levels = cfg.levels
     *batch, h, w = region.shape
-    q = quantize(region, levels, value_range).reshape(-1, h, w)
+    q = quantize(region, LEVELS, value_range).reshape(-1, h, w)
     cells = q.shape[0]
     # code of the pair (a, b) in cell c: c*L^2 + a*L + b
-    first = q * levels
-    first += (np.arange(cells) * levels * levels)[:, None, None]
-    counts = np.zeros(cells * levels * levels, dtype=np.int64)
-    for dy, dx in cfg.offsets:
+    first = q * LEVELS
+    first += (np.arange(cells) * LEVELS * LEVELS)[:, None, None]
+    counts = np.zeros(cells * LEVELS * LEVELS, dtype=np.int64)
+    for dy, dx in OFFSETS:
         y0, y1 = max(0, -dy), min(h, h - dy)
         x0, x1 = max(0, -dx), min(w, w - dx)
         if y0 >= y1 or x0 >= x1:
             continue
         pair = first[:, y0:y1, x0:x1] + q[:, y0 + dy : y1 + dy, x0 + dx : x1 + dx]
         counts += np.bincount(pair.ravel(), minlength=counts.size)
-    matrix = counts.reshape(*batch, levels, levels)
-    if cfg.symmetric:
-        matrix = matrix + np.swapaxes(matrix, -1, -2)
+    matrix = counts.reshape(*batch, LEVELS, LEVELS)
+    matrix = matrix + np.swapaxes(matrix, -1, -2)
     total = matrix.sum(axis=(-2, -1), keepdims=True)
     if np.any(total <= 0):
-        raise ValueError("region too small for the configured offsets")
+        raise ValueError("region too small for the GLCM offsets")
     return matrix / total
 
 
@@ -176,11 +165,7 @@ def haralick13(matrix: np.ndarray) -> np.ndarray:
     return stats.reshape(*batch, 13)
 
 
-def rdwt_haralick_features(
-    gray: np.ndarray,
-    cfg: GlcmConfig | None = None,
-    grid: tuple[int, int] = (4, 4),
-) -> np.ndarray:
+def rdwt_haralick_features(gray: np.ndarray, grid: tuple[int, int] = (4, 4)) -> np.ndarray:
     """Haralick statistics of every subband x grid cell of frames
     ``(..., H, W)``, concatenated per frame into ``(..., 4 * cells * 13)``:
     4 subbands x (grid cells, row-major) x 13 statistics. Each subband of
@@ -190,7 +175,6 @@ def rdwt_haralick_features(
     rows, cols = grid
     if gray.ndim < 2 or gray.shape[-2] < 2 * rows or gray.shape[-1] < 2 * cols:
         raise ValueError("frame too small for the grid")
-    cfg = cfg or GlcmConfig()
     *batch, height, width = gray.shape
     bh, bw = height // rows, width // cols
     bands = np.stack(rdwt_haar(gray), axis=-3)
@@ -202,5 +186,5 @@ def rdwt_haralick_features(
         .swapaxes(-3, -2)
         .reshape(*batch, 4, rows * cols, bh, bw)
     )
-    stats = haralick13(glcm(cells, cfg, (lo, hi)))
+    stats = haralick13(glcm(cells, (lo, hi)))
     return stats.reshape(*batch, 4 * rows * cols * 13)

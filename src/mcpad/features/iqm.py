@@ -6,16 +6,16 @@ spans pixel-difference, correlation, spectral, gradient, and edge families
 (Galbally et al., *Image Quality Assessment for Fake Biometric Detection*,
 IEEE TIP 2014).
 
-``iqm_features`` works on stacks: frames ``(..., H, W, 3)`` give measure
-vectors ``(..., len(measures))``, and a single frame is the stack with no
-batch axes. I and R are stacked as one pair, and each intermediate (the
-Laplacians, one 2-D FFT, one gradient) is computed once for the whole pair
-and shared by every measure that reads it. The Harris corners of I and of
-R are counted in two calls, so the smoothed gradient products, the largest
-temporary, cover one image of the pair at a time.
-Every per-frame sum adds one contiguous ``H*W`` run (``_framesum``), the
-order ``np.sum`` uses on that frame alone, so each frame's vector is
-bit-identical to the one it gets on its own.
+``iqm_features`` always returns all 18 measures, in ``IQM_NAMES`` order.
+It works on stacks: frames ``(..., H, W, 3)`` give measure vectors
+``(..., 18)``, and a single frame is the stack with no batch axes. I and R
+are stacked as one pair, and each intermediate (the Laplacians, one 2-D
+FFT, one gradient) is computed once for the whole pair and shared by every
+measure that reads it. The Harris corners of I and of R are counted in two
+calls, so the smoothed gradient products, the largest temporary, cover one
+image of the pair at a time. Every per-frame sum adds one contiguous
+``H*W`` run (``_framesum``), the order ``np.sum`` uses on that frame alone,
+so each frame's vector is bit-identical to the one it gets on its own.
 """
 
 from __future__ import annotations
@@ -285,18 +285,13 @@ IQM_MEASURES: tuple[tuple[str, callable], ...] = (
 IQM_NAMES = tuple(name for name, _ in IQM_MEASURES)
 
 
-def iqm_features(rgb: np.ndarray, measures: tuple[str, ...] | None = None) -> np.ndarray:
-    """Measure vectors of RGB frames ``(..., H, W, 3)``, returned as
-    ``(..., len(measures))`` (canonical measure order by default)."""
+def iqm_features(rgb: np.ndarray) -> np.ndarray:
+    """The 18 measures of RGB frames ``(..., H, W, 3)``, returned as
+    ``(..., 18)`` in ``IQM_NAMES`` order."""
     rgb = np.asarray(rgb)
     if rgb.ndim < 3 or rgb.shape[-1] != 3:
         raise ValueError("expected (..., H, W, 3) frames")
-    selected = IQM_NAMES if measures is None else tuple(measures)
-    unknown = set(selected) - set(IQM_NAMES)
-    if unknown:
-        raise ValueError(f"unknown IQM measures: {sorted(unknown)}")
     *batch, h, w, _ = rgb.shape
     stack = _Pair(to_gray(rgb).astype(np.float64).reshape(-1, h, w))
-    table = dict(IQM_MEASURES)
-    values = np.stack([table[name](stack) for name in selected], axis=-1)
-    return values.reshape(*batch, len(selected))
+    values = np.stack([measure(stack) for _, measure in IQM_MEASURES], axis=-1)
+    return values.reshape(*batch, len(IQM_MEASURES))

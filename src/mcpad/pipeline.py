@@ -233,7 +233,7 @@ def _extract_one(args) -> tuple[list[int], dict[str, np.ndarray]]:
         indices = sample_frames(frame_count, cfg.preprocess.frames)
         targets = AlignTargets.for_size(cfg.preprocess.out_size)
         stack, _ = align_color(raw, landmarks, targets, frame_indices=indices)
-        out[ChannelId.COLOR.label] = iqm_features(stack, measures=cfg.features.iqm_measures)
+        out[ChannelId.COLOR.label] = iqm_features(stack)
         return list(range(stack.shape[0])), out
 
     sample = read_sample(path)
@@ -241,9 +241,9 @@ def _extract_one(args) -> tuple[list[int], dict[str, np.ndarray]]:
     for ch in channels:
         stack = sample.channels[ch]
         if extractor == "lbp":
-            out[ch.label] = lbp_histogram(stack, cfg.features.lbp)
+            out[ch.label] = lbp_histogram(stack)
         else:
-            out[ch.label] = rdwt_haralick_features(stack.astype(np.float64), cfg.features.glcm)
+            out[ch.label] = rdwt_haralick_features(stack.astype(np.float64))
         frames = list(range(stack.shape[0]))
     return frames, out
 
@@ -423,6 +423,9 @@ def mccnn_out_dir(cfg: RunConfig) -> Path:
 
 
 def cmd_train_mccnn(cfg: RunConfig) -> Path:
+    if cfg.mccnn.input_size != cfg.preprocess.out_size:  # checked before any frame is read
+        raise ValidationError(f"mccnn.input_size {cfg.mccnn.input_size} does not match "
+                              f"preprocess.out_size {cfg.preprocess.out_size}")
     manifest, protocol = _load_proc(cfg)
     for split in SPLITS:  # checked before training: eval is read only after it
         if split not in protocol.assignment.values():

@@ -50,7 +50,7 @@ from mcpad.features.iqm import (
     PSNR_CAP,
     gaussian_kernel,
 )
-from mcpad.features.lbp import LbpConfig, neighbor_offsets, uniform_table
+from mcpad.features.lbp import BINS, GRID, NEIGHBOR_OFFSETS, R, UNIFORM_TABLE
 from mcpad import mccnn
 from mcpad.evaluation import error_rates, threshold_from_bonafide
 from mcpad.mccnn import (
@@ -427,17 +427,16 @@ def preprocess_sample_frames(
     return MultiChannelSample(meta=raw.meta, channels=channels), dropped
 
 
-def lbp_code(image: np.ndarray, x: int, y: int, cfg: LbpConfig) -> int:
+def lbp_code(image: np.ndarray, x: int, y: int) -> int:
     """LBP code at pixel (x=column, y=row); bit k set iff the bilinear
     neighbor sample at angle 2*pi*k/P is >= the center value."""
     img = np.asarray(image, dtype=np.float64)
     h, w = img.shape
-    margin = math.ceil(cfg.r)
-    if not (margin <= x < w - margin and margin <= y < h - margin):
+    if not (R <= x < w - R and R <= y < h - R):
         raise ValueError("pixel closer than R to the border")
     center = img[y, x]
     code = 0
-    for k, (dx, dy) in enumerate(neighbor_offsets(cfg.p, cfg.r)):
+    for k, (dx, dy) in enumerate(NEIGHBOR_OFFSETS):
         sx, sy = x + dx, y + dy
         x0, y0 = int(math.floor(sx)), int(math.floor(sy))
         fx, fy = sx - x0, sy - y0
@@ -670,41 +669,33 @@ IQM_MEASURES: tuple[tuple[str, callable], ...] = (
     ("hlfi", _hlfi_delta),
 )
 
-IQM_NAMES = tuple(name for name, _ in IQM_MEASURES)
 
-
-def iqm_frame(rgb: np.ndarray, measures: tuple[str, ...] | None = None) -> np.ndarray:
-    """Measure vector for one RGB frame (canonical measure order)."""
+def iqm_frame(rgb: np.ndarray) -> np.ndarray:
+    """The 18-measure vector of one RGB frame (canonical measure order)."""
     rgb = np.asarray(rgb)
     if rgb.ndim != 3 or rgb.shape[-1] != 3:
         raise ValueError("expected an (H,W,3) frame")
-    selected = IQM_NAMES if measures is None else tuple(measures)
-    unknown = set(selected) - set(IQM_NAMES)
-    if unknown:
-        raise ValueError(f"unknown IQM measures: {sorted(unknown)}")
     lum = to_gray(rgb).astype(np.float64)
     ref = smooth(lum)
-    table = dict(IQM_MEASURES)
-    return np.array([table[name](lum, ref) for name in selected], dtype=np.float64)
+    return np.array([measure(lum, ref) for _, measure in IQM_MEASURES], dtype=np.float64)
 
 
 # one-frame local binary patterns
 
-def lbp_code_map_frame(image: np.ndarray, cfg: LbpConfig) -> np.ndarray:
-    """Vectorized code image over all pixels at least ceil(R) from the
-    border; shape (H-2m, W-2m)."""
+def lbp_code_map_frame(image: np.ndarray) -> np.ndarray:
+    """Vectorized code image over all pixels at least R from the border;
+    shape (H-2R, W-2R)."""
     img = np.asarray(image, dtype=np.float64)
     h, w = img.shape
-    m = math.ceil(cfg.r)
-    if h <= 2 * m or w <= 2 * m:
-        raise ValueError("image too small for the configured radius")
-    ch, cw = h - 2 * m, w - 2 * m
-    center = img[m : m + ch, m : m + cw]
+    if h <= 2 * R or w <= 2 * R:
+        raise ValueError("image too small for the LBP radius")
+    ch, cw = h - 2 * R, w - 2 * R
+    center = img[R : R + ch, R : R + cw]
     codes = np.zeros((ch, cw), dtype=np.int64)
-    for k, (dx, dy) in enumerate(neighbor_offsets(cfg.p, cfg.r)):
+    for k, (dx, dy) in enumerate(NEIGHBOR_OFFSETS):
         x0, y0 = math.floor(dx), math.floor(dy)
         fx, fy = dx - x0, dy - y0
-        base_y, base_x = m + y0, m + x0
+        base_y, base_x = R + y0, R + x0
         val = (1 - fx) * (1 - fy) * img[base_y : base_y + ch, base_x : base_x + cw]
         if fx:
             val = val + fx * (1 - fy) * img[base_y : base_y + ch, base_x + 1 : base_x + 1 + cw]
@@ -716,21 +707,18 @@ def lbp_code_map_frame(image: np.ndarray, cfg: LbpConfig) -> np.ndarray:
     return codes
 
 
-def lbp_histogram_frame(image: np.ndarray, cfg: LbpConfig) -> np.ndarray:
-    """Concatenated per-block L1-normalized code histograms (blocks row-major
+def lbp_histogram_frame(image: np.ndarray) -> np.ndarray:
+    """Concatenated per-block L1-normalized u2 histograms (blocks row-major
     over the code map, block sizes floored)."""
-    codes = lbp_code_map_frame(image, cfg)
-    rows, cols = cfg.grid
+    codes = lbp_code_map_frame(image)
+    rows, cols = GRID
     bh, bw = codes.shape[0] // rows, codes.shape[1] // cols
     if bh < 1 or bw < 1:
-        raise ValueError("image too small for the configured grid")
-    table = uniform_table(cfg.p) if cfg.uniform else None
-    bins = cfg.bins
+        raise ValueError("image too small for the LBP grid")
     parts = []
     for by in range(rows):
         for bx in range(cols):
             block = codes[by * bh : (by + 1) * bh, bx * bw : (bx + 1) * bw].ravel()
-            binned = table[block] if table is not None else block
-            hist = np.bincount(binned, minlength=bins).astype(np.float64)
+            hist = np.bincount(UNIFORM_TABLE[block], minlength=BINS).astype(np.float64)
             parts.append(hist / hist.sum())
     return np.concatenate(parts)

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import typing
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
@@ -8,7 +10,6 @@ import yaml
 from mcpad.cli import main
 from mcpad.config import (
     ConfigError,
-    FeaturesSection,
     MccnnSection,
     ProtocolSection,
     RunConfig,
@@ -114,9 +115,9 @@ class TestValidByConstruction:
     @pytest.mark.parametrize("make", [
         lambda: RunConfig(protocol=ProtocolSection(name="bogus")),
         lambda: RunConfig(protocol=ProtocolSection(name="LOO_nothing")),
-        lambda: RunConfig(features=FeaturesSection(iqm_measures=("nope",))),
+        lambda: RunConfig(protocol=ProtocolSection(name="LOO_none")),
         lambda: RunConfig(mccnn=MccnnSection(input_size=12)),
-    ], ids=["protocol-name", "loo-attack", "iqm-measure", "mccnn-input-size"])
+    ], ids=["protocol-name", "loo-attack", "loo-bonafide", "mccnn-input-size"])
     def test_invalid_sections_raise(self, make):
         with pytest.raises(ValueError):
             make()
@@ -142,12 +143,24 @@ def test_lock_echo_builds_the_same_config(monkeypatch):
         assert build(RunConfig, json.loads(to_canonical_json(cfg))) == cfg
 
 
-# Each value passes its section's type check but not its domain config's.
+# Each value passes its type check but not a check of its section or of
+# its domain config; ``features`` is not a section at all.
 @pytest.mark.parametrize("override", [
     "features.lbp.p=5",
     "mccnn.input_size=12",
     "mccnn.channels=[color]",
     "synth.signal_channels=[gray]",
+    "protocol.name=LOO_none",
+    "preprocess.out_size=4",
+    "preprocess.mad_span=0",
+    "preprocess.frames=0",
+    "classifiers.lr.epochs=0",
+    "classifiers.lr.learning_rate=-1",
+    "classifiers.lr.l2=-5",
+    "classifiers.svm.epochs=0",
+    "classifiers.svm.learning_rate=0",
+    "classifiers.svm.c=-1",
+    "mccnn.learning_rate=0",
 ])
 class TestDomainChecksAtLoad:
     def test_set_rejected(self, override):
@@ -187,7 +200,22 @@ class TestAdapters:
         assert net.adapt == frozenset({"C1", "B1"})
 
 
-DEFAULT_DIGEST = "e6a36f3e0074119cd5f126eb54e06eb6f49e130a29d3d5d47738440a338df9ed"
+def _settable_values(cls) -> int:
+    hints = typing.get_type_hints(cls)
+    return sum(_settable_values(hints[f.name]) if is_dataclass(hints[f.name]) else 1 for f in fields(cls))
+
+
+def test_settable_value_count():
+    """Pins the configuration surface: one independently settable value per
+    leaf dataclass field of ``RunConfig``."""
+    count = _settable_values(RunConfig)
+    assert count == 34, (
+        f"RunConfig has {count} settable values, not 34: record the knob added or removed "
+        "in CHANGES.md, then update this count"
+    )
+
+
+DEFAULT_DIGEST = "937834ea939947fe851229df90fa216ea94f1b5f8ee0d1ab040c6c357067e5b0"
 
 
 class TestDigestsAndLocks:
@@ -196,7 +224,7 @@ class TestDigestsAndLocks:
         assert config_digest(cfg) == DEFAULT_DIGEST
         lock = write_lock(tmp_path, cfg, "synth").read_bytes()
         assert hashlib.sha256(lock).hexdigest() == (
-            "6232e83dbcf45f7cee87e8d4d7afd4865c58049e513bea7df63c951b53f126d4"
+            "ee37a4842c0ce45aa0420139c7d03805a088782a7903b250327704d6e12d390e"
         )
 
     def test_signal_channels_lock_sorted(self):
@@ -256,6 +284,15 @@ class TestCliSurface:
         assert main(["synth", "--set", override, "--set", f"paths.data_root={tmp_path}"]) == 2
         assert "error:" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    def test_features_section_rejected(self, tmp_path, capsys):
+        """The classical extractors have fixed definitions: a config file
+        with a ``features`` section exits 2."""
+        config = tmp_path / "c.yaml"
+        config.write_text("features:\n  lbp: {p: 8}\n")
+        assert main(["synth", "--config", str(config), "--set", f"paths.data_root={tmp_path / 'data'}"]) == 2
+        assert "unknown keys ['features']" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
 
     def test_jobs_only_on_extract(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

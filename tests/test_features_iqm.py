@@ -76,19 +76,6 @@ class TestMeasures:
         expected = np.mean((gray - ref) ** 2)
         assert feats[index("mse")] == pytest.approx(expected, abs=1e-6)
 
-    def test_measure_subset_selection(self, rng):
-        frame = rng.integers(0, 256, (12, 12, 3)).astype(np.uint8)
-        subset = ("mse", "psnr", "hist_chi_square")
-        feats = iqm_features(frame, measures=subset)
-        full = iqm_features(frame)
-        assert feats.shape == (3,)
-        assert feats[0] == full[index("mse")]
-
-    def test_unknown_measure_rejected(self, rng):
-        frame = rng.integers(0, 256, (8, 8, 3)).astype(np.uint8)
-        with pytest.raises(ValueError):
-            iqm_features(frame, measures=("nope",))
-
     def test_non_rgb_rejected(self):
         with pytest.raises(ValueError):
             iqm_features(np.zeros((8, 8), dtype=np.uint8))
@@ -129,11 +116,9 @@ class TestStackMatchesFrameOracle:
         h, w = data.draw(st.integers(2, 14)), data.draw(st.integers(2, 14))
         kinds = data.draw(st.lists(st.sampled_from(["random", "black", "constant"]),
                                    min_size=count, max_size=count))
-        measures = data.draw(st.none() | st.permutations(IQM_NAMES).flatmap(
-            lambda names: st.integers(1, len(names)).map(lambda n: tuple(names[:n]))))
         stack = self.frames(data.draw(st.integers(0, 2**32 - 1)), count, h, w, kinds)
-        expected = np.stack([iqm_frame(frame, measures) for frame in stack])
-        assert np.array_equal(iqm_features(stack, measures), expected)
+        expected = np.stack([iqm_frame(frame) for frame in stack])
+        assert np.array_equal(iqm_features(stack), expected)
 
     @pytest.mark.parametrize("count", [1, 2, 5])
     def test_odd_size_with_degenerate_frames(self, count):
@@ -156,12 +141,6 @@ class TestStackMatchesFrameOracle:
         frame = self.frames(3, 1, 9, 13, ["random"])[0]
         assert iqm_features(frame).shape == (len(IQM_NAMES),)
         assert np.array_equal(iqm_features(frame), iqm_frame(frame))
-
-    def test_subset_in_non_canonical_order(self):
-        stack = self.frames(4, 2, 11, 9, ["random", "black"])
-        subset = ("hlfi", "total_corner_diff", "mse", "psnr", "hist_chi_square")
-        expected = np.stack([iqm_frame(frame, subset) for frame in stack])
-        assert np.array_equal(iqm_features(stack, subset), expected)
 
     def test_batch_axes_kept(self):
         stack = self.frames(5, 6, 8, 8, ["random"] * 6).reshape(2, 3, 8, 8, 3)

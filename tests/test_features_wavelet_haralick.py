@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mcpad.features.haralick import GlcmConfig, glcm, haralick13, quantize, rdwt_haralick_features
+from mcpad.features.haralick import glcm, haralick13, quantize, rdwt_haralick_features
 from mcpad.features.wavelet import rdwt_haar
 
 
@@ -37,31 +37,33 @@ class TestRdwt:
 
 class TestGlcm:
     def test_two_pixel_pairs(self):
-        cfg = GlcmConfig(levels=2, offsets=((0, 1),), symmetric=True)
-        matrix = glcm(np.array([[0, 1], [0, 1]]), cfg, value_range=(0, 1))
-        assert np.allclose(matrix, [[0, 0.5], [0.5, 0]])
+        # 0 and 1 quantize to levels 0 and 7 of 8: [[0, 7], [0, 7]]. The
+        # offsets pair (0, 7) twice at (0, 1), (0, 0) and (7, 7) at (1, 0),
+        # (0, 7) at (1, 1) and (7, 0) at (1, -1); counted both ways, that is
+        # 4 + 4 of the 12 counts off the diagonal and 2 + 2 on it
+        matrix = glcm(np.array([[0, 1], [0, 1]]), value_range=(0, 1))
+        expected = np.zeros((8, 8))
+        expected[0, 7] = expected[7, 0] = 4 / 12
+        expected[0, 0] = expected[7, 7] = 2 / 12
+        assert np.allclose(matrix, expected)
 
     def test_constant_region_mass_at_origin(self):
-        matrix = glcm(np.full((4, 4), 9.0), GlcmConfig())
+        matrix = glcm(np.full((4, 4), 9.0))
         assert matrix[0, 0] == pytest.approx(1.0)
 
     def test_symmetry_and_normalization(self, rng):
         region = rng.normal(size=(9, 9))
-        matrix = glcm(region, GlcmConfig())
+        matrix = glcm(region)
         assert np.allclose(matrix, matrix.T)
         assert matrix.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_region_rejected(self):
         with pytest.raises(ValueError):
-            glcm(np.zeros((0, 2)), GlcmConfig())
+            glcm(np.zeros((0, 2)))
 
     def test_quantize_range(self):
         q = quantize(np.array([0.0, 0.5, 1.0]), 8, (0.0, 1.0))
         assert q.tolist() == [0, 4, 7]
-
-    def test_levels_validation(self):
-        with pytest.raises(ValueError):
-            GlcmConfig(levels=1)
 
 
 class TestHaralick:
@@ -127,6 +129,8 @@ class TestRdwtHaralick:
 # --------------------------------------------------------------------------
 
 _REF_EPS = 1e-12
+_REF_LEVELS = 8
+_REF_OFFSETS = ((0, 1), (1, 0), (1, 1), (1, -1))
 
 
 def _reference_rdwt_haar(image):
@@ -150,15 +154,15 @@ def _reference_quantize(region, levels, value_range=None):
     return np.clip(q, 0, levels - 1).astype(np.int64)
 
 
-def _reference_glcm(region, cfg, value_range=None):
+def _reference_glcm(region, value_range=None):
     region = np.asarray(region, dtype=np.float64)
     if region.size == 0:
         raise ValueError("empty region")
-    q = _reference_quantize(region, cfg.levels, value_range)
+    levels = _REF_LEVELS
+    q = _reference_quantize(region, levels, value_range)
     h, w = q.shape
-    levels = cfg.levels
     counts = np.zeros(levels * levels, dtype=np.float64)
-    for dy, dx in cfg.offsets:
+    for dy, dx in _REF_OFFSETS:
         y0, y1 = max(0, -dy), min(h, h - dy)
         x0, x1 = max(0, -dx), min(w, w - dx)
         if y0 >= y1 or x0 >= x1:
@@ -167,8 +171,7 @@ def _reference_glcm(region, cfg, value_range=None):
         b = q[y0 + dy : y1 + dy, x0 + dx : x1 + dx].ravel()
         counts += np.bincount(a * levels + b, minlength=levels * levels)
     matrix = counts.reshape(levels, levels)
-    if cfg.symmetric:
-        matrix = matrix + matrix.T
+    matrix = matrix + matrix.T
     total = matrix.sum()
     if total <= 0:
         raise ValueError("region too small for the configured offsets")
@@ -234,11 +237,10 @@ def _reference_haralick13(matrix):
     )
 
 
-def _reference_rdwt_haralick_features(gray, cfg=None, grid=(4, 4)):
+def _reference_rdwt_haralick_features(gray, grid=(4, 4)):
     gray = np.asarray(gray, dtype=np.float64)
     if gray.ndim != 2 or gray.shape[0] < 2 * grid[0] or gray.shape[1] < 2 * grid[1]:
         raise ValueError("frame too small for the grid")
-    cfg = cfg or GlcmConfig()
     parts = []
     for band in _reference_rdwt_haar(gray):
         value_range = (float(band.min()), float(band.max()))
@@ -247,18 +249,15 @@ def _reference_rdwt_haralick_features(gray, cfg=None, grid=(4, 4)):
         for by in range(rows):
             for bx in range(cols):
                 cell = band[by * bh : (by + 1) * bh, bx * bw : (bx + 1) * bw]
-                parts.append(_reference_haralick13(_reference_glcm(cell, cfg, value_range)))
+                parts.append(_reference_haralick13(_reference_glcm(cell, value_range)))
     return np.concatenate(parts)
 
 
-def _assert_matches_reference(stack, cfg=None, grid=(4, 4)):
-    batched = rdwt_haralick_features(stack, cfg, grid)
-    reference = np.stack([_reference_rdwt_haralick_features(frame, cfg, grid) for frame in stack])
+def _assert_matches_reference(stack, grid=(4, 4)):
+    batched = rdwt_haralick_features(stack, grid)
+    reference = np.stack([_reference_rdwt_haralick_features(frame, grid) for frame in stack])
     assert batched.shape == reference.shape
     np.testing.assert_allclose(batched, reference, rtol=1e-12, atol=1e-12)
-
-
-_OFFSETS = ((0, 1), (1, 0), (1, 1), (1, -1))
 
 
 class TestBatchedAgainstReference:
@@ -267,32 +266,24 @@ class TestBatchedAgainstReference:
         frames = data.draw(st.integers(1, 3))
         height = data.draw(st.integers(8, 20))
         width = data.draw(st.integers(8, 20))
-        cfg = GlcmConfig(
-            levels=data.draw(st.sampled_from((2, 3, 8, 16))),
-            offsets=tuple(data.draw(st.lists(st.sampled_from(_OFFSETS), min_size=1, max_size=4,
-                                             unique=True))),
-            symmetric=data.draw(st.booleans()),
-        )
         seed = data.draw(st.integers(0, 2**31 - 1))
         rng = np.random.default_rng(seed)
         if data.draw(st.booleans()):
             stack = rng.integers(0, data.draw(st.integers(1, 256)), (frames, height, width))
         else:
             stack = rng.normal(size=(frames, height, width))
-        _assert_matches_reference(stack.astype(np.float64), cfg)
+        _assert_matches_reference(stack.astype(np.float64))
 
     @given(data=st.data())
     def test_random_glcm_and_haralick_batches(self, data):
         cells = data.draw(st.integers(1, 6))
         h, w = data.draw(st.integers(2, 9)), data.draw(st.integers(2, 9))
-        cfg = GlcmConfig(levels=data.draw(st.sampled_from((2, 5, 8))),
-                         symmetric=data.draw(st.booleans()))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
         regions = rng.integers(0, 6, (cells, h, w)).astype(np.float64)
-        matrices = glcm(regions, cfg)
-        assert matrices.shape == (cells, cfg.levels, cfg.levels)
+        matrices = glcm(regions)
+        assert matrices.shape == (cells, 8, 8)
         for region, matrix in zip(regions, matrices):
-            np.testing.assert_allclose(matrix, _reference_glcm(region, cfg), rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(matrix, _reference_glcm(region), rtol=1e-12, atol=1e-12)
         stats = haralick13(matrices)
         assert stats.shape == (cells, 13)
         for matrix, row in zip(matrices, stats):
@@ -308,16 +299,6 @@ class TestBatchedAgainstReference:
 
     def test_grid_does_not_divide_frame(self, rng):
         _assert_matches_reference(rng.integers(0, 256, (2, 66, 70)).astype(np.float64))
-
-    @pytest.mark.parametrize("levels", [2, 16])
-    def test_levels(self, rng, levels):
-        _assert_matches_reference(rng.normal(size=(2, 32, 32)), GlcmConfig(levels=levels))
-
-    def test_single_offset(self, rng):
-        _assert_matches_reference(rng.normal(size=(2, 32, 32)), GlcmConfig(offsets=((1, -1),)))
-
-    def test_asymmetric(self, rng):
-        _assert_matches_reference(rng.normal(size=(2, 32, 32)), GlcmConfig(symmetric=False))
 
     def test_single_frame_stack(self, rng):
         frame = rng.integers(0, 256, (64, 64)).astype(np.float64)
@@ -346,11 +327,9 @@ class TestBatchedAgainstReference:
         assert quantize(region[1], 4, (9.0, 3.0)).tolist() == [[0, 0, 0]]
 
     def test_cells_too_small_for_offsets_rejected(self):
-        # 8x8 frames on a 4x4 grid give 2x2 cells; a 2-row offset pairs nothing
-        with pytest.raises(ValueError, match="too small for the configured offsets"):
-            rdwt_haralick_features(np.zeros((3, 8, 8)), GlcmConfig(offsets=((2, 0),)))
-        with pytest.raises(ValueError, match="too small for the configured offsets"):
-            glcm(np.zeros((4, 1, 1)), GlcmConfig())
+        # a 1x1 region pairs nothing at any of the four offsets
+        with pytest.raises(ValueError, match="too small for the GLCM offsets"):
+            glcm(np.zeros((4, 1, 1)))
 
     def test_one_unnormalized_matrix_rejected(self):
         batch = np.full((5, 4, 4), 1 / 16)

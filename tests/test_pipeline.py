@@ -298,6 +298,23 @@ class TestMccnnChain:
         assert main(["train-mccnn", "--config", str(config), *overrides]) == 2
         assert "split 'eval' is empty" in capsys.readouterr().err
 
+    def test_input_size_mismatch_exits_before_reading_frames(self, small_run, tmp_path, monkeypatch, capsys):
+        """An ``mccnn.input_size`` other than ``preprocess.out_size`` exits 2
+        before any sample is read."""
+        import shutil
+
+        from mcpad import pipeline
+
+        def never(*args, **kwargs):
+            raise AssertionError("a sample was read")
+
+        monkeypatch.setattr(pipeline, "read_sample", never)
+        root, config = small_run
+        shutil.copytree(root / "out" / "proc", tmp_path / "proc")
+        overrides = ["--set", f"paths.out_root={tmp_path}", "--set", "mccnn.input_size=64"]
+        assert main(["train-mccnn", "--config", str(config), *overrides]) == 2
+        assert "mccnn.input_size 64 does not match preprocess.out_size 32" in capsys.readouterr().err
+
 
 class TestNonSignalChannels:
     def test_classifier_on_non_signal_channel_is_chance(self, small_run):
