@@ -4,6 +4,8 @@
           --config <path> [--set key=value]... [command args]
 
 ``extract`` alone takes ``--jobs N``, its count of worker processes.
+``eval`` scores the configured ``protocol.name`` into ``eval/<protocol>_<name>/``
+(``report.json``, ``roc.csv``); ``report`` summarizes every ``report.json``.
 Exit codes: 0 success, 2 validation/configuration error, 1 runtime error.
 Every command prints the resolved configuration digest. MCPAD_SEED
 overrides the configured seed.
@@ -57,9 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     _add_common(sub.add_parser("train-mccnn", help="train the multi-channel CNN"))
 
-    p = sub.add_parser("eval", help="metrics from dev+eval score files")
+    p = sub.add_parser("eval", help="metrics of the configured protocol from dev+eval score files")
     _add_common(p)
-    p.add_argument("--protocol", required=True, help="protocol name for the report")
     p.add_argument("--name", default=None, help="experiment label for the output directory")
     p.add_argument("dev_scores", help="dev-split score file")
     p.add_argument("eval_scores", help="eval-split score file")
@@ -88,7 +89,7 @@ def run(args: argparse.Namespace) -> int:
         out = pipeline.cmd_train_mccnn(cfg)
         print(f"train-mccnn -> {out}")
     elif command == "eval":
-        out = pipeline.cmd_eval(cfg, args.protocol, args.dev_scores, args.eval_scores, args.name)
+        out = pipeline.cmd_eval(cfg, cfg.protocol.name, args.dev_scores, args.eval_scores, args.name)
         print(f"eval -> {out}")
     elif command == "report":
         out = pipeline.cmd_report(cfg)

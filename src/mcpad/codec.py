@@ -1,9 +1,9 @@
 """Config codec: strict construction of frozen dataclasses from plain
 YAML/JSON values, and the inverse.
 
-``build`` rejects unknown keys and mistyped values; ``plain`` turns a
-dataclass back into mappings, lists and scalars. Enums travel by label
-(``label`` / ``from_label``), tuples as lists, frozensets as sorted lists.
+``build`` rejects unknown or missing keys and mistyped values; ``plain``
+turns a dataclass back into mappings, lists and scalars. Enums travel by
+label (``label`` / ``from_label``), tuples as lists, frozensets as sorted lists.
 Every bad value, including one a dataclass's own checks reject with a
 ``ValueError``, surfaces as :class:`ConfigError`; a field annotation the
 codec does not know raises ``TypeError``.
@@ -12,7 +12,7 @@ codec does not know raises ``TypeError``.
 from __future__ import annotations
 
 import typing
-from dataclasses import fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass
 from enum import Enum
 from typing import Any, Mapping
 
@@ -25,8 +25,6 @@ def coerce(value: Any, annotation: Any, where: str) -> Any:
     """``value`` as an instance of ``annotation``, or ConfigError."""
     origin = getattr(annotation, "__origin__", None)
     if is_dataclass(annotation):
-        if not isinstance(value, Mapping):
-            raise ConfigError(f"{where}: expected a mapping")
         return build(annotation, value, where)
     if origin is tuple:
         if not isinstance(value, (list, tuple)):
@@ -77,16 +75,15 @@ def coerce(value: Any, annotation: Any, where: str) -> Any:
 
 def build(cls, data: Mapping, where: str = "config"):
     """Construct dataclass ``cls`` from a mapping of its field values."""
+    if not isinstance(data, Mapping):
+        raise ConfigError(f"{where}: expected a mapping")
     known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    required = {f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
+    for problem, names in (("unknown", set(data) - known), ("missing", required - set(data))):
+        if names:
+            raise ConfigError(f"{where}: {problem} keys {sorted(names)}")
     type_hints = typing.get_type_hints(cls)
-    kwargs = {
-        name: coerce(data[name], type_hints[name], f"{where}.{name}")
-        for name in known
-        if name in data
-    }
+    kwargs = {name: coerce(value, type_hints[name], f"{where}.{name}") for name, value in data.items()}
     try:
         return cls(**kwargs)
     except ConfigError:

@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .codec import build
 from .dataset import ATTACK_CATEGORIES, LABEL_ATTACK, LABEL_BONAFIDE, AttackType, Manifest
 from .files import atomic_write
 
@@ -348,30 +349,29 @@ def build_report(
 
 
 # --------------------------------------------------------------------------
-# report files
+# report files: ``report.json`` is an experiment's one metrics record, and
+# ``roc.csv`` (the eval ROC curve) is the only other file eval writes
 # --------------------------------------------------------------------------
 
 def write_report_json(report: MetricsReport, path: str | Path) -> None:
     atomic_write(path, json.dumps(asdict(report), indent=1, sort_keys=True) + "\n")
 
 
-def write_metrics_csv(report: MetricsReport, path: str | Path) -> None:
-    lines = ["split,apcer,bpcer,acer,threshold"]
-    for split, metrics in (("dev", report.dev), ("eval", report.eval)):
-        lines.append(
-            f"{split},{metrics.apcer!r},{metrics.bpcer!r},{metrics.acer!r},{report.threshold!r}"
-        )
-    atomic_write(path, "\n".join(lines) + "\n")
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
 
 
-def write_per_pai_csv(report: MetricsReport, path: str | Path) -> None:
-    lines = ["split,attack_type,apcer,accuracy"]
-    for split, metrics in (("dev", report.dev), ("eval", report.eval)):
-        for cat in sorted(metrics.per_pai_apcer):
-            lines.append(
-                f"{split},{cat},{metrics.per_pai_apcer[cat]!r},{metrics.per_pai_accuracy[cat]!r}"
-            )
-    atomic_write(path, "\n".join(lines) + "\n")
+def load_report(path: str | Path) -> MetricsReport:
+    """The record ``write_report_json`` stored at ``path``; any damage (bad
+    text or JSON, a non-finite number, a bad field) is a ValueError naming it."""
+    try:
+        data = json.loads(Path(path).read_text(), parse_float=_finite, parse_constant=_finite)
+        return build(MetricsReport, data, "report")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_roc_csv(curve: tuple[np.ndarray, np.ndarray, np.ndarray], path: str | Path) -> None:

@@ -31,13 +31,13 @@ OFFSETS = ((0, 1), (1, 0), (1, 1), (1, -1))
 _EPS = 1e-12
 
 
-def quantize(region: np.ndarray, levels: int, value_range=None) -> np.ndarray:
-    """Uniform quantization to ``levels`` bins over ``value_range = (lo, hi)``
-    (defaults to the whole input's min-max). ``lo`` and ``hi`` may be arrays
-    that broadcast against ``region``, one range per band or region; where
-    ``hi <= lo`` the range is degenerate and everything maps to 0."""
+def quantize(region: np.ndarray, levels: int, value_range) -> np.ndarray:
+    """Uniform quantization to ``levels`` bins over ``value_range = (lo, hi)``.
+    ``lo`` and ``hi`` may be arrays that broadcast against ``region``, one
+    range per band or region; where ``hi <= lo`` the range is degenerate and
+    everything maps to 0."""
     region = np.asarray(region, dtype=np.float64)
-    lo, hi = value_range if value_range is not None else (region.min(), region.max())
+    lo, hi = value_range
     span = np.asarray(hi, dtype=np.float64) - np.asarray(lo, dtype=np.float64)
     valid = span > 0
     q = region - lo

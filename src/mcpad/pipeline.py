@@ -7,7 +7,6 @@ bytes.
 from __future__ import annotations
 
 import contextlib
-import csv
 import ctypes
 import functools
 import json
@@ -34,14 +33,13 @@ from .evaluation import (
     ProtocolSpec,
     Scores,
     build_report,
+    load_report,
     load_scores,
     make_grandtest,
     make_loo,
     roc,
     save_protocol,
     save_scores,
-    write_metrics_csv,
-    write_per_pai_csv,
     write_report_json,
     write_roc_csv,
 )
@@ -488,6 +486,9 @@ def cmd_eval(
     eval_scores_path: str | Path,
     name: str | None = None,
 ) -> Path:
+    """``report.json``, ``roc.csv`` and the lock in ``eval/<protocol>_<name>``."""
+    if protocol_name != cfg.protocol.name:
+        raise ValidationError(f"protocol {protocol_name!r} differs from the configured {cfg.protocol.name!r}")
     dev_scores = load_scores(_require(Path(dev_scores_path), "dev score file"))
     eval_scores = load_scores(_require(Path(eval_scores_path), "eval score file"))
     report = build_report(dev_scores, eval_scores, cfg.protocol.bpcer_target, protocol_name)
@@ -495,29 +496,25 @@ def cmd_eval(
     out = out_root(cfg) / "eval" / f"{protocol_name}_{label}"
     out.mkdir(parents=True, exist_ok=True)
     write_report_json(report, out / "report.json")
-    write_metrics_csv(report, out / "metrics.csv")
-    write_per_pai_csv(report, out / "per_pai.csv")
     write_roc_csv(roc(eval_scores), out / "roc.csv")
     write_lock(out, cfg, f"eval:{protocol_name}:{label}")
     return out
 
 
 def cmd_report(cfg: RunConfig) -> Path:
-    eval_root = out_root(cfg) / "eval"
-    _require(eval_root, "eval outputs")
-    rows = []
-    for metrics_file in sorted(eval_root.glob("*/metrics.csv")):
-        experiment = metrics_file.parent.name
-        with open(metrics_file, newline="") as fh:
-            reader = csv.DictReader(fh)
-            for line in reader:
-                rows.append(
-                    [experiment, line["split"], line["apcer"], line["bpcer"], line["acer"], line["threshold"]]
-                )
+    """``report/summary.csv``: the dev and eval rates of every experiment
+    directory under ``eval/``, each read from its ``report.json``."""
+    eval_root = _require(out_root(cfg) / "eval", "eval outputs")
+    lines = ["experiment,split,apcer,bpcer,acer,threshold"]
+    for experiment in sorted(path for path in eval_root.iterdir() if path.is_dir()):
+        report = load_report(_require(experiment / "report.json", "eval report"))
+        for split, metrics in (("dev", report.dev), ("eval", report.eval)):
+            lines.append(
+                f"{experiment.name},{split},{metrics.apcer!r},{metrics.bpcer!r},"
+                f"{metrics.acer!r},{report.threshold!r}"
+            )
     out = out_root(cfg) / "report"
     out.mkdir(parents=True, exist_ok=True)
-    lines = ["experiment,split,apcer,bpcer,acer,threshold"]
-    lines.extend(",".join(row) for row in rows)
     atomic_write(out / "summary.csv", "\n".join(lines) + "\n")
     write_lock(out, cfg, "report")
     return out / "summary.csv"

@@ -21,6 +21,7 @@ from mcpad.config import (
 )
 from mcpad.codec import build, plain
 from mcpad.dataset import AttackType, ChannelId, SynthConfig
+from mcpad.evaluation import SplitMetrics
 
 
 class TestLoading:
@@ -127,6 +128,15 @@ class TestValidByConstruction:
     ])
     def test_protocol_left_out(self, name, left_out):
         assert ProtocolSection(name=name).left_out is left_out
+
+
+def test_build_names_missing_required_keys():
+    """A field without a default that the mapping lacks is a ConfigError
+    naming it, not the TypeError of the dataclass constructor."""
+    data = {"apcer": 0.0, "acer": 0.0, "apcer_max_pai": 0.0,
+            "per_pai_apcer": {}, "per_pai_accuracy": {}, "counts": {}}
+    with pytest.raises(ConfigError, match=r"dev: missing keys \['bpcer'\]"):
+        build(SplitMetrics, data, "dev")
 
 
 def test_lock_echo_builds_the_same_config(monkeypatch):
@@ -259,8 +269,7 @@ class TestCliSurface:
 
     def test_eval_missing_file_exits_2(self, tmp_path):
         rc = main([
-            "eval", "--protocol", "grandtest",
-            str(tmp_path / "a.csv"), str(tmp_path / "b.csv"),
+            "eval", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"),
             "--set", "paths.out_root=" + str(tmp_path),
         ])
         assert rc == 2
@@ -313,7 +322,7 @@ class TestCliSurface:
         assert "cannot read config file" in capsys.readouterr().err
 
     def test_digest_printed(self, tmp_path, capsys):
-        main(["eval", "--protocol", "grandtest", "x.csv", "y.csv",
+        main(["eval", "x.csv", "y.csv",
               "--set", "paths.out_root=" + str(tmp_path)])
         out = capsys.readouterr().out
         assert "config digest:" in out

@@ -15,8 +15,9 @@ import pytest
 from mcpad.cli import main
 from mcpad.config import load_config
 from mcpad.dataset import ChannelId, load_manifest, read_sample
-from mcpad.evaluation import load_scores
+from mcpad.evaluation import load_report, load_scores
 from mcpad.features.io import read_feature_table
+from mcpad.pipeline import ValidationError, cmd_eval
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +103,7 @@ class TestChain:
         args = ["--config", str(config)]
         scores = root / "out" / "baselines" / "rdwt-haralick-svm" / "scores"
         assert main([
-            "eval", "--protocol", "grandtest", "--name", "rdwt-fused",
+            "eval", "--name", "rdwt-fused",
             str(scores / "fused_dev.csv"), str(scores / "fused_eval.csv"), *args,
         ]) == 0
         assert main(["report", *args]) == 0
@@ -138,16 +139,23 @@ class TestChain:
             + "\n"
         )
         assert main([
-            "eval", "--protocol", "grandtest", "--name", "toy",
+            "eval", "--name", "toy",
             str(dev), str(ev), "--config", str(config),
         ]) == 0
-        report = (root / "out" / "eval" / "grandtest_toy" / "metrics.csv").read_text().splitlines()
-        dev_row = report[1].split(",")
-        eval_row = report[2].split(",")
-        assert float(dev_row[4]) == pytest.approx(0.02)  # threshold s_{k+1}
-        assert float(eval_row[1]) == pytest.approx(100 / 3)  # apcer
-        assert float(eval_row[2]) == 0.0  # bpcer
-        assert float(eval_row[3]) == pytest.approx(100 / 6)  # acer
+        report = load_report(root / "out" / "eval" / "grandtest_toy" / "report.json")
+        assert report.threshold == pytest.approx(0.02)  # threshold s_{k+1}
+        assert report.eval.apcer == pytest.approx(100 / 3)
+        assert report.eval.bpcer == 0.0
+        assert report.eval.acer == pytest.approx(100 / 6)
+
+    def test_eval_rejects_a_protocol_other_than_the_configured_one(self, small_run):
+        """The eval directory is named after the protocol, so a name that is
+        not the configured one is refused before any score file is read."""
+        root, config = small_run
+        cfg = load_config(config, env={})
+        with pytest.raises(ValidationError, match="differs from the configured 'grandtest'"):
+            cmd_eval(cfg, "LOO_print", root / "absent_dev.csv", root / "absent_eval.csv")
+        assert not (root / "out" / "eval" / "LOO_print_absent").exists()
 
     def test_rerun_byte_identical(self, small_run):
         root, config = small_run

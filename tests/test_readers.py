@@ -1,9 +1,10 @@
 """Every binary reader rejects a cut file and trailing bytes with a typed
 ``FormatError`` carrying the byte offset; the score-file, manifest and
 landmarks readers name the file and line of a malformed row; the CLI reports
-these, a sample whose frames are all dropped, and a stale artifact that
-names a sample its manifest lacks, without a traceback."""
+these, a sample whose frames are all dropped, a stale artifact that names a
+sample its manifest lacks, and a damaged eval record, without a traceback."""
 
+import json
 import re
 import struct
 import tracemalloc
@@ -20,7 +21,7 @@ from mcpad.dataset import (
     ChannelId, FormatError, Manifest, MultiChannelSample, load_manifest, read_sample,
     save_manifest, write_sample,
 )
-from mcpad.evaluation import load_scores
+from mcpad.evaluation import Scores, build_report, load_scores, write_report_json
 from mcpad.features.io import read_feature_table, rows_sidecar, write_feature_table
 from mcpad.preprocess import landmarks_path, load_landmarks
 
@@ -286,8 +287,7 @@ class TestCliReportsWithoutTraceback:
     def test_eval_on_malformed_score_file(self, tmp_path, capsys):
         bad = tmp_path / "bad_dev.csv"
         bad.write_text("a,0,0.5,bonafide\n")
-        code = main(["eval", "--set", f"paths.out_root={tmp_path / 'out'}",
-                     "--protocol", "grandtest", str(bad), str(bad)])
+        code = main(["eval", "--set", f"paths.out_root={tmp_path / 'out'}", str(bad), str(bad)])
         err = capsys.readouterr().err
         assert code in (1, 2)
         assert "line 1" in err and "Traceback" not in err
@@ -351,3 +351,77 @@ class TestCliReportsWithoutTraceback:
         err = capsys.readouterr().err
         assert code == 2
         assert repr(dropped) in err and "Traceback" not in err
+
+
+# --------------------------------------------------------------------------
+# report over hand-written eval directories: every damage to a metrics
+# record exits 1 or 2 with one line naming the file, and writes no summary
+# --------------------------------------------------------------------------
+
+def _eval_tree(out):
+    """Two experiment directories under ``out/eval``, each holding the
+    record ``eval`` writes. Dev bonafide scores 0.9 and 0.8 set tau = 0.8;
+    on eval the print attack (0.85) is accepted and the bonafide (0.7)
+    rejected: APCER 50, BPCER 100, ACER 75."""
+    dev = Scores(["b1", "b2", "a1"], [0, 0, 0], [0.9, 0.8, 0.1], [0, 0, 1])
+    ev = Scores(["b3", "a2", "a3"], [0, 0, 0], [0.7, 0.85, 0.2], [0, 1, 2])
+    for name in ("grandtest_first", "grandtest_second"):
+        (out / "eval" / name).mkdir(parents=True)
+        write_report_json(build_report(dev, ev), out / "eval" / name / "report.json")
+
+
+def _cut_in_half(path):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def _change_first_byte(path):
+    blob = path.read_bytes()
+    path.write_bytes(bytes([blob[0] ^ 0xFF]) + blob[1:])
+
+
+def _drop_dev_bpcer(path):
+    record = json.loads(path.read_text())
+    del record["dev"]["bpcer"]
+    path.write_text(json.dumps(record))
+
+
+def _nan_rate(path):
+    path.write_text(re.sub(r'"apcer": [0-9.]+', '"apcer": NaN', path.read_text(), count=1))
+
+
+_RECORD = "eval/grandtest_first/report.json"
+_REPORT_DAMAGES = {
+    "delete": (_RECORD, lambda path: path.unlink()),
+    "empty": (_RECORD, lambda path: path.write_bytes(b"")),
+    "cut-in-half": (_RECORD, _cut_in_half),
+    "first-byte": (_RECORD, _change_first_byte),
+    "drop-dev-bpcer": (_RECORD, _drop_dev_bpcer),
+    "nan-rate": (_RECORD, _nan_rate),
+    "dir-without-record": ("eval/grandtest_third/report.json", lambda path: path.parent.mkdir()),
+}
+
+
+class TestReportFaultSweep:
+    def test_report_reads_every_record(self, tmp_path):
+        _eval_tree(tmp_path)
+        assert main(["report", "--set", f"paths.out_root={tmp_path}"]) == 0
+        assert (tmp_path / "report" / "summary.csv").read_text().splitlines() == [
+            "experiment,split,apcer,bpcer,acer,threshold",
+            "grandtest_first,dev,0.0,0.0,0.0,0.8",
+            "grandtest_first,eval,50.0,100.0,75.0,0.8",
+            "grandtest_second,dev,0.0,0.0,0.0,0.8",
+            "grandtest_second,eval,50.0,100.0,75.0,0.8",
+        ]
+
+    @pytest.mark.parametrize("damage", list(_REPORT_DAMAGES))
+    def test_damaged_record_names_the_file(self, tmp_path, capsys, damage):
+        _eval_tree(tmp_path)
+        named, apply = _REPORT_DAMAGES[damage]
+        apply(tmp_path / named)
+        code = main(["report", "--set", f"paths.out_root={tmp_path}"])
+        err = capsys.readouterr().err
+        assert code in (1, 2)
+        assert "Traceback" not in err
+        (line,) = err.splitlines()
+        assert line.startswith(("error:", "runtime error:")) and str(tmp_path / named) in line
+        assert not (tmp_path / "report").exists()
