@@ -26,7 +26,8 @@ def test_rdwt_haralick_features_20x64x64(benchmark, stack):
 
 def test_haralick13_1280x8x8(benchmark):
     regions = np.random.default_rng(1).integers(0, 256, (1280, 16, 16)).astype(np.float64)
-    matrices = glcm(regions)
+    value_range = regions.min(axis=(1, 2), keepdims=True), regions.max(axis=(1, 2), keepdims=True)
+    matrices = glcm(regions, value_range)
     assert matrices.shape == (1280, 8, 8)
     stats = benchmark(haralick13, matrices)
     assert stats.shape == (1280, 13)

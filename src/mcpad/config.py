@@ -27,7 +27,8 @@ import yaml
 
 from .classical import LrConfig, SvmConfig
 from .codec import ConfigError, build, plain
-from .dataset import AttackType, SynthConfig
+from .dataset import SynthConfig
+from .evaluation import left_out_of
 from .files import atomic_write
 from .mccnn import McCnnConfig
 
@@ -80,22 +81,15 @@ class MccnnSection:
 
 @dataclass(frozen=True)
 class ProtocolSection:
-    """``name`` is ``grandtest`` or ``LOO_<attack>``; the attack it leaves
-    out of training is ``left_out`` (None for grandtest)."""
+    """``name`` is ``grandtest`` or ``LOO_<attack>``, checked by
+    ``evaluation.left_out_of``; ``evaluation.make_protocol`` builds it."""
 
     name: str = "grandtest"
     ratios: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
     bpcer_target: float = 0.01
 
     def __post_init__(self):
-        left_out = None
-        if self.name != "grandtest":
-            if not self.name.startswith("LOO_"):
-                raise ValueError("protocol name must be 'grandtest' or 'LOO_<attack>'")
-            left_out = AttackType.from_label(self.name[len("LOO_"):])
-            if left_out is AttackType.NONE:
-                raise ValueError("cannot leave out the bonafide class")
-        object.__setattr__(self, "left_out", left_out)
+        left_out_of(self.name)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
-"""Protocol construction (grandtest, leave-one-out) and ISO 30107-3 metrics:
-BPCER-anchored thresholds, APCER/BPCER/ACER, per-PAI breakdown, and ROC
-export. The score convention everywhere: higher = more bonafide, and a
-presentation is classified bonafide iff score >= threshold.
+"""Protocols, built by ``make_protocol`` from the names that ``left_out_of``
+parses (``grandtest``, ``LOO_<attack>``), and ISO 30107-3 metrics: BPCER-
+anchored thresholds, APCER/BPCER/ACER, per-PAI breakdown, and ROC export.
+The score convention everywhere: higher = more bonafide, and a presentation
+is classified bonafide iff score >= threshold.
 """
 
 from __future__ import annotations
@@ -143,83 +144,56 @@ def largest_remainder(n: int, ratios: Sequence[float]) -> list[int]:
     return base
 
 
-def _clients_by_category(manifest: Manifest) -> dict[AttackType, list[int]]:
-    groups: dict[AttackType, set[int]] = {}
-    for entry in manifest:
-        groups.setdefault(entry.meta.attack_type, set()).add(entry.meta.client_id)
-    return {cat: sorted(clients) for cat, clients in groups.items()}
+#: The leave-one-out protocol names, each with the attack it leaves out.
+LOO_NAMES = {f"LOO_{cat.value}": cat for cat in ATTACK_CATEGORIES}
 
 
-def _split_clients(clients: list[int], counts: Sequence[int], rng: np.random.Generator) -> dict[int, str]:
-    perm = [clients[i] for i in rng.permutation(len(clients))]
-    out: dict[int, str] = {}
-    pos = 0
-    for split, count in zip(SPLITS, counts):
-        for client in perm[pos : pos + count]:
-            out[client] = split
-        pos += count
-    return out
+def left_out_of(name: str) -> AttackType | None:
+    """The attack that protocol ``name`` leaves out of training: None for
+    ``grandtest``, the attack of ``LOO_<attack>``; any other name, and
+    ``LOO_none``, is a ``ProtocolError``."""
+    if name != "grandtest" and name not in LOO_NAMES:
+        raise ProtocolError(f"protocol {name!r} is not 'grandtest' or one of {list(LOO_NAMES)}")
+    return LOO_NAMES.get(name)
 
 
-def make_grandtest(
+def make_protocol(
     manifest: Manifest,
+    name: str,
     ratios: Sequence[float] = (1 / 3, 1 / 3, 1 / 3),
     seed: int = 0,
-    name: str = "grandtest",
 ) -> ProtocolSpec:
-    """Seen-attack protocol: within each category (and bonafide), clients are
-    shuffled and apportioned to train/dev/eval by largest remainder; all of a
-    client's samples follow the client."""
+    """The ``grandtest`` or ``LOO_<attack>`` protocol. The clients of each
+    category present, shuffled by seed ``(seed, 59, index)``, are apportioned
+    by largest remainder and take their samples with them: the left-out
+    attack all to eval, the other attacks under LOO half/half to train and
+    dev, and bonafide, and every category under grandtest, by ``ratios``
+    (at least 3 clients needed)."""
+    left_out = left_out_of(name)
     if len(ratios) != len(SPLITS):
         raise ValueError("need one ratio per split")
-    by_cat = _clients_by_category(manifest)
+    by_cat: dict[AttackType, set[int]] = {}
+    for entry in manifest:
+        by_cat.setdefault(entry.meta.attack_type, set()).add(entry.meta.client_id)
+    if left_out is not None and left_out not in by_cat:
+        raise ProtocolError(f"attack {left_out.value} absent from manifest")
     client_split: dict[int, str] = {}
-    for cat_index, cat in enumerate([AttackType.NONE, *ATTACK_CATEGORIES]):
-        clients = by_cat.get(cat)
-        if clients is None:
+    for index, cat in enumerate(AttackType):
+        clients = sorted(by_cat.get(cat, ()))
+        if not clients and cat is not AttackType.NONE:
             continue
-        if len(clients) < 3:
+        if cat is left_out:
+            client_split.update(dict.fromkeys(clients, "eval"))
+            continue
+        by_ratios = left_out is None or cat is AttackType.NONE
+        if by_ratios and len(clients) < 3:
             raise ProtocolError(f"category {cat.value}: need >= 3 clients, have {len(clients)}")
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 59, cat_index)))
-        counts = largest_remainder(len(clients), ratios)
-        client_split.update(_split_clients(clients, counts, rng))
+        counts = largest_remainder(len(clients), ratios if by_ratios else (0.5, 0.5, 0.0))
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 59, index)))
+        splits = [split for split, count in zip(SPLITS, counts) for _ in range(count)]
+        client_split.update(zip(rng.permutation(clients).tolist(), splits))
     assignment = {e.sample_id: client_split[e.meta.client_id] for e in manifest}
-    return ProtocolSpec(name=name, assignment=assignment, left_out=None)
-
-
-def make_loo(
-    manifest: Manifest,
-    attack: AttackType,
-    seed: int = 0,
-    ratios: Sequence[float] = (1 / 3, 1 / 3, 1 / 3),
-) -> ProtocolSpec:
-    """Unseen-attack protocol: the left-out category appears only in eval;
-    other attack categories split half/half between train and dev; bonafide
-    clients split three ways so eval keeps bonafide coverage."""
-    if attack is AttackType.NONE:
-        raise ProtocolError("cannot leave out the bonafide class")
-    by_cat = _clients_by_category(manifest)
-    if attack not in by_cat:
-        raise ProtocolError(f"attack {attack.value} absent from manifest")
-    client_split: dict[int, str] = {}
-    bona = by_cat.get(AttackType.NONE, [])
-    if len(bona) < 3:
-        raise ProtocolError("need >= 3 bonafide clients")
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 59, 0)))
-    client_split.update(_split_clients(bona, largest_remainder(len(bona), ratios), rng))
-    for cat_index, cat in enumerate(ATTACK_CATEGORIES, start=1):
-        clients = by_cat.get(cat)
-        if clients is None:
-            continue
-        if cat is attack:
-            for client in clients:
-                client_split[client] = "eval"
-            continue
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 59, cat_index)))
-        n_train, n_dev = largest_remainder(len(clients), (0.5, 0.5))
-        client_split.update(_split_clients(clients, (n_train, n_dev, 0), rng))
-    assignment = {e.sample_id: client_split[e.meta.client_id] for e in manifest}
-    return ProtocolSpec(name=f"LOO_{attack.value}", assignment=assignment, left_out=attack)
+    return ProtocolSpec(name=name, assignment=assignment, left_out=left_out)
 
 
 def save_protocol(spec: ProtocolSpec, path: str | Path) -> None:

@@ -3,7 +3,7 @@ and the grid-blocked RDWT+Haralick descriptor.
 
 The GLCM is fixed: 8 gray levels, the offsets (dy, dx) = (0, 1), (1, 0),
 (1, 1) and (1, -1) pooled into one matrix, and symmetric counts (each pair
-counted both ways).
+counted both ways). So is the descriptor's grid, 4x4 cells (``GRID``).
 
 Every function works on stacks: the leading axes are batch axes and a single
 region, matrix or frame is the stack with no batch axes.
@@ -11,8 +11,7 @@ region, matrix or frame is the stack with no batch axes.
 - ``quantize``: any shape, ranges broadcasting against it.
 - ``glcm``: regions ``(..., h, w)`` -> matrices ``(..., 8, 8)``.
 - ``haralick13``: matrices ``(..., L, L)`` -> statistics ``(..., 13)``.
-- ``rdwt_haralick_features``: frames ``(..., H, W)`` -> ``(..., 832)`` on
-  the default 4x4 grid.
+- ``rdwt_haralick_features``: frames ``(..., H, W)`` -> ``(..., 832)``.
 
 The co-occurrence counts of every region of a stack come from one
 ``np.bincount`` per offset, and each statistic is one reduction over the last
@@ -28,6 +27,7 @@ from .wavelet import rdwt_haar
 
 LEVELS = 8
 OFFSETS = ((0, 1), (1, 0), (1, 1), (1, -1))
+GRID = (4, 4)
 _EPS = 1e-12
 
 
@@ -50,17 +50,14 @@ def quantize(region: np.ndarray, levels: int, value_range) -> np.ndarray:
     return q.astype(np.int64)
 
 
-def glcm(region: np.ndarray, value_range=None) -> np.ndarray:
+def glcm(region: np.ndarray, value_range) -> np.ndarray:
     """Normalized symmetric co-occurrence matrices of regions ``(..., h, w)``,
     returned as ``(..., 8, 8)``; counts are pooled over the four offsets
-    before normalization. ``value_range = (lo, hi)`` may broadcast against
-    ``region``; it defaults to each region's own min-max."""
+    before normalization. The regions are quantized over
+    ``value_range = (lo, hi)``, which may broadcast against ``region``."""
     region = np.asarray(region, dtype=np.float64)
     if region.ndim < 2 or region.shape[-2] == 0 or region.shape[-1] == 0:
         raise ValueError("empty region")
-    if value_range is None:
-        value_range = (region.min(axis=(-2, -1), keepdims=True),
-                       region.max(axis=(-2, -1), keepdims=True))
     *batch, h, w = region.shape
     q = quantize(region, LEVELS, value_range).reshape(-1, h, w)
     cells = q.shape[0]
@@ -165,14 +162,14 @@ def haralick13(matrix: np.ndarray) -> np.ndarray:
     return stats.reshape(*batch, 13)
 
 
-def rdwt_haralick_features(gray: np.ndarray, grid: tuple[int, int] = (4, 4)) -> np.ndarray:
-    """Haralick statistics of every subband x grid cell of frames
-    ``(..., H, W)``, concatenated per frame into ``(..., 4 * cells * 13)``:
-    4 subbands x (grid cells, row-major) x 13 statistics. Each subband of
-    each frame is quantized over its own min-max range; rows and columns
-    past the last whole cell are ignored."""
+def rdwt_haralick_features(gray: np.ndarray) -> np.ndarray:
+    """Haralick statistics of every subband x ``GRID`` cell of frames
+    ``(..., H, W)``, concatenated per frame into ``(..., 832)``: 4 subbands
+    x 16 cells (row-major) x 13 statistics. Each subband of each frame is
+    quantized over its own min-max range; rows and columns past the last
+    whole cell are ignored."""
     gray = np.asarray(gray, dtype=np.float64)
-    rows, cols = grid
+    rows, cols = GRID
     if gray.ndim < 2 or gray.shape[-2] < 2 * rows or gray.shape[-1] < 2 * cols:
         raise ValueError("frame too small for the grid")
     *batch, height, width = gray.shape

@@ -35,8 +35,7 @@ from .evaluation import (
     build_report,
     load_report,
     load_scores,
-    make_grandtest,
-    make_loo,
+    make_protocol,
     roc,
     save_protocol,
     save_scores,
@@ -155,20 +154,15 @@ def cmd_preprocess(cfg: RunConfig) -> Manifest:
 # --------------------------------------------------------------------------
 
 def build_protocol(cfg: RunConfig, manifest: Manifest) -> ProtocolSpec:
-    left_out = cfg.protocol.left_out
-    if left_out is None:
-        spec = make_grandtest(manifest, ratios=cfg.protocol.ratios, seed=cfg.seed)
-    else:
-        spec = make_loo(manifest, left_out, seed=cfg.seed, ratios=cfg.protocol.ratios)
+    spec = make_protocol(manifest, cfg.protocol.name, cfg.protocol.ratios, cfg.seed)
     proto_dir = out_root(cfg) / "protocols"
     proto_dir.mkdir(parents=True, exist_ok=True)
     save_protocol(spec, proto_dir / f"{spec.name}.json")
     return spec
 
 
-def _load_proc(cfg: RunConfig) -> tuple[Manifest, ProtocolSpec]:
-    manifest = load_manifest(_require(proc_dir(cfg) / "manifest.csv", "preprocessed manifest"))
-    return manifest, build_protocol(cfg, manifest)
+def _proc_manifest(cfg: RunConfig) -> Manifest:
+    return load_manifest(_require(proc_dir(cfg) / "manifest.csv", "preprocessed manifest"))
 
 
 # --------------------------------------------------------------------------
@@ -219,6 +213,16 @@ def _keep_freed_heap() -> None:
     mallopt(_M_TRIM_THRESHOLD, 128 << 20)
 
 
+def _read_channels(path, channels, meta=None):
+    """The sample at ``path``; a ValidationError names it and the first of
+    ``channels`` that it lacks."""
+    sample = read_sample(path, meta=meta)
+    for ch in channels:
+        if ch not in sample.channels:
+            raise ValidationError(f"sample {path} has no {ch.label} channel")
+    return sample
+
+
 def _extract_one(args) -> tuple[list[int], dict[str, np.ndarray]]:
     """Per-sample feature worker on the raw sample (iqm) or the preprocessed
     one: returns (frame indices, {channel-label: (F, dim) features})."""
@@ -234,7 +238,7 @@ def _extract_one(args) -> tuple[list[int], dict[str, np.ndarray]]:
         out[ChannelId.COLOR.label] = iqm_features(stack)
         return list(range(stack.shape[0])), out
 
-    sample = read_sample(path)
+    sample = _read_channels(path, channels)
     frames = None
     for ch in channels:
         stack = sample.channels[ch]
@@ -259,7 +263,8 @@ def cmd_extract(cfg: RunConfig, extractor: str, jobs: int = 1) -> None:
         raise ValidationError(f"unknown extractor {extractor!r} (choose from {EXTRACTORS})")
     channels = tuple(ch for layout in _PIPELINE_LAYOUT.values()
                      for ch, ext in layout["channels"] if ext == extractor)
-    proc_manifest, protocol = _load_proc(cfg)
+    proc_manifest = _proc_manifest(cfg)
+    protocol = build_protocol(cfg, proc_manifest)
     _keep_freed_heap()
     raw_manifest = None
     if extractor == "iqm":
@@ -313,7 +318,7 @@ def cmd_train_baseline(cfg: RunConfig, pipeline: str) -> Path:
     if pipeline not in PIPELINES:
         raise ValidationError(f"unknown pipeline {pipeline!r} (choose from {PIPELINES})")
     layout = _PIPELINE_LAYOUT[pipeline]
-    manifest, _protocol = _load_proc(cfg)
+    manifest = _proc_manifest(cfg)
     base_dir = out_root(cfg) / "baselines" / pipeline
     scores_dir = base_dir / "scores"
     models_dir = base_dir / "models"
@@ -394,13 +399,11 @@ def _split_arrays(
     for entry in manifest:
         if protocol.split_of(entry.sample_id) != split:
             continue
-        sample = read_sample(entry.path, meta=entry.meta)
+        sample = _read_channels(entry.path, channels, entry.meta)
         count = sample.frame_count(channels[0])
         for ch in channels:
             stacks[ch].append(sample.channels[ch])
         rows.extend((entry.sample_id, i) for i in range(count))
-    if not rows:
-        raise ValidationError(f"split {split!r} is empty")
     return _SplitArrays(
         frames={ch: np.concatenate(stacks[ch]) for ch in channels},
         rows=rows,
@@ -424,7 +427,8 @@ def cmd_train_mccnn(cfg: RunConfig) -> Path:
     if cfg.mccnn.input_size != cfg.preprocess.out_size:  # checked before any frame is read
         raise ValidationError(f"mccnn.input_size {cfg.mccnn.input_size} does not match "
                               f"preprocess.out_size {cfg.preprocess.out_size}")
-    manifest, protocol = _load_proc(cfg)
+    manifest = _proc_manifest(cfg)
+    protocol = build_protocol(cfg, manifest)
     for split in SPLITS:  # checked before training: eval is read only after it
         if split not in protocol.assignment.values():
             raise ValidationError(f"split {split!r} is empty")

@@ -123,12 +123,6 @@ class TestValidByConstruction:
         with pytest.raises(ValueError):
             make()
 
-    @pytest.mark.parametrize("name, left_out", [
-        ("grandtest", None), ("LOO_replay", AttackType.REPLAY), ("LOO_papermask", AttackType.PAPERMASK),
-    ])
-    def test_protocol_left_out(self, name, left_out):
-        assert ProtocolSection(name=name).left_out is left_out
-
 
 def test_build_names_missing_required_keys():
     """A field without a default that the mapping lacks is a ConfigError

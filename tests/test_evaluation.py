@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -5,20 +6,30 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mcpad.dataset import ATTACK_CATEGORIES, AttackType, Manifest, ManifestEntry, SampleMeta
+from mcpad.dataset import (
+    ATTACK_CATEGORIES,
+    AttackType,
+    Manifest,
+    ManifestEntry,
+    SampleMeta,
+    SynthConfig,
+    synth_generate,
+)
 from mcpad.evaluation import (
     ATTACK_TYPES,
+    LOO_NAMES,
     MetricError,
     ProtocolError,
     Scores,
     build_report,
     compute_metrics,
     largest_remainder,
+    left_out_of,
     load_report,
     load_scores,
-    make_grandtest,
-    make_loo,
+    make_protocol,
     roc,
+    save_protocol,
     save_scores,
     threshold_from_bonafide,
     write_report_json,
@@ -88,7 +99,7 @@ class TestLargestRemainder:
 class TestGrandtest:
     def test_nine_bonafide_three_way(self):
         manifest = toy_manifest(bonafide=9)
-        spec = make_grandtest(manifest, seed=1)
+        spec = make_protocol(manifest, "grandtest", seed=1)
         bona_splits = {}
         for e in manifest:
             if is_bonafide(e):
@@ -97,7 +108,7 @@ class TestGrandtest:
 
     def test_client_disjointness(self):
         manifest = toy_manifest()
-        spec = make_grandtest(manifest, seed=3)
+        spec = make_protocol(manifest, "grandtest", seed=3)
         split_clients = {"train": set(), "dev": set(), "eval": set()}
         for e in manifest:
             split_clients[spec.split_of(e.sample_id)].add(e.meta.client_id)
@@ -107,7 +118,7 @@ class TestGrandtest:
 
     def test_largest_remainder_on_clients(self):
         manifest = toy_manifest(bonafide=10)
-        spec = make_grandtest(manifest, seed=0)
+        spec = make_protocol(manifest, "grandtest", seed=0)
         counts = {"train": set(), "dev": set(), "eval": set()}
         for e in manifest:
             if is_bonafide(e):
@@ -117,12 +128,21 @@ class TestGrandtest:
     def test_too_few_clients(self):
         manifest = toy_manifest(per_category={"print": 2, "replay": 4, "rigidmask": 4})
         with pytest.raises(ProtocolError):
-            make_grandtest(manifest)
+            make_protocol(manifest, "grandtest")
+
+    def test_no_bonafide_client_rejected(self):
+        """Bonafide splits by the ratios under grandtest as under LOO, so a
+        manifest without bonafide clients cannot build either."""
+        manifest = toy_manifest(bonafide=0)
+        with pytest.raises(ProtocolError, match="category none: need >= 3 clients, have 0"):
+            make_protocol(manifest, "grandtest")
+        with pytest.raises(ProtocolError, match="category none"):
+            make_protocol(manifest, "LOO_print")
 
     @given(seed=st.integers(0, 30))
     def test_property_disjoint_for_any_seed(self, seed):
         manifest = toy_manifest(bonafide=7, per_category={"print": 5, "replay": 3})
-        spec = make_grandtest(manifest, seed=seed)
+        spec = make_protocol(manifest, "grandtest", seed=seed)
         clients = {}
         for e in manifest:
             split = spec.split_of(e.sample_id)
@@ -132,7 +152,7 @@ class TestGrandtest:
 class TestLoo:
     def test_left_out_only_in_eval(self):
         manifest = toy_manifest()
-        spec = make_loo(manifest, AttackType.PRINT, seed=2)
+        spec = make_protocol(manifest, "LOO_print", seed=2)
         assert spec.name == "LOO_print"
         for e in manifest:
             split = spec.split_of(e.sample_id)
@@ -148,7 +168,7 @@ class TestLoo:
 
     def test_other_categories_stay_in_train_dev(self):
         manifest = toy_manifest()
-        spec = make_loo(manifest, AttackType.PRINT, seed=2)
+        spec = make_protocol(manifest, "LOO_print", seed=2)
         cats = {
             e.meta.attack_type.value
             for e in manifest
@@ -159,12 +179,12 @@ class TestLoo:
     def test_absent_attack_rejected(self):
         manifest = toy_manifest(per_category={"print": 4, "replay": 4, "rigidmask": 4})
         with pytest.raises(ProtocolError):
-            make_loo(manifest, AttackType.GLASSES)
+            make_protocol(manifest, "LOO_glasses")
 
     def test_seven_protocol_names(self):
         manifest = toy_manifest(per_category={cat.value: 2 for cat in ATTACK_CATEGORIES})
-        names = {make_loo(manifest, cat).name for cat in ATTACK_CATEGORIES}
-        assert names == {
+        names = {make_protocol(manifest, f"LOO_{cat.value}").name for cat in ATTACK_CATEGORIES}
+        assert names == set(LOO_NAMES) == {
             "LOO_glasses", "LOO_fakehead", "LOO_print", "LOO_replay",
             "LOO_rigidmask", "LOO_flexiblemask", "LOO_papermask",
         }
@@ -172,13 +192,69 @@ class TestLoo:
     @given(seed=st.integers(0, 20))
     def test_exclusion_containment_property(self, seed):
         manifest = toy_manifest(bonafide=6, per_category={"print": 4, "replay": 4})
-        spec = make_loo(manifest, AttackType.REPLAY, seed=seed)
+        spec = make_protocol(manifest, "LOO_replay", seed=seed)
         clients = {}
         for e in manifest:
             split = spec.split_of(e.sample_id)
             assert clients.setdefault(e.meta.client_id, split) == split
             if e.meta.attack_type is AttackType.REPLAY:
                 assert split == "eval"
+
+
+class TestLeftOutOf:
+    @pytest.mark.parametrize("name, left_out", [
+        ("grandtest", None), ("LOO_replay", AttackType.REPLAY), ("LOO_papermask", AttackType.PAPERMASK),
+    ])
+    def test_left_out(self, name, left_out):
+        assert left_out_of(name) is left_out
+
+    @pytest.mark.parametrize("name", ["bogus", "LOO_nothing", "LOO_none", "LOO_", "loo_print", "grandtest "])
+    def test_other_names_rejected(self, name):
+        with pytest.raises(ProtocolError, match="is not 'grandtest' or one of"):
+            left_out_of(name)
+        with pytest.raises(ProtocolError):
+            make_protocol(toy_manifest(), name)
+
+
+# sha256 of the file ``save_protocol`` writes for every protocol of the
+# default synth roster (16 bonafide clients, 4 instruments per attack)
+PROTOCOL_SHA256 = {
+    (101, "grandtest"): "546050270ebc64adf0cf20221de2e81e382cdc37ea0af3ce49a7434839297475",
+    (101, "LOO_glasses"): "c7d695adaea4fb90bfbfcecba3e7994edd0b8ee393b790fcd601b425943ee2ab",
+    (101, "LOO_fakehead"): "6dd8521fca6ac6fabd4af1cbefee842be6e2b2337739a0001dda7be42aabf93a",
+    (101, "LOO_print"): "200bb36c1e4ea7c31ac6f4d61e2ba4e5611a1dfe75b1c07e34223b4568052697",
+    (101, "LOO_replay"): "115ebbd99c63c951914600c25a9ff959f9db075e0ab99234d24e5d8e45ef3698",
+    (101, "LOO_rigidmask"): "7b0834ba7d5edd70604612cdd0a85f31fde5a16ed3bf0be817637f34e07f5de2",
+    (101, "LOO_flexiblemask"): "3d5418fcc4d886fc9f9b4ed0818c3fceb32742c5d976cbcdef770bd9f8946b67",
+    (101, "LOO_papermask"): "583dffad1c5db9b674dd5709a6280d60d4914b786481faac30722be653ac14b6",
+    (102, "grandtest"): "4381b35fd93dfdcea879873f26a19c4918052b62ee499ff287ed28098f60a305",
+    (102, "LOO_glasses"): "274d848506694d88893f9afe0cc01fc86ab7005a085a53d1c943b4355fc88a7f",
+    (102, "LOO_fakehead"): "dc78ed728a0fb6369bc77c7bdc36c977c91b6601c54313a5e05913e88a55c71d",
+    (102, "LOO_print"): "c4bc63134a54298559988b454e3543a61ef618347d7b451f85d1b5585e450062",
+    (102, "LOO_replay"): "5e7c69fa10f6d9479c5505c31366dec1b0a1191b35e36f395ace5d5deace78b6",
+    (102, "LOO_rigidmask"): "7bd77fc2aed138b02c1b036f52b469841095318507a71d449f010207406dabb9",
+    (102, "LOO_flexiblemask"): "acfea54ad30fc554369a9c106c6ba97c19ee190447b5c938b634f080a7118595",
+    (102, "LOO_papermask"): "7760b84d4e5b688a00746c7ebec4a0b7631e6b44fb4d4af12bb278012af86d33",
+    (103, "grandtest"): "8be96fc3f6c2fb4579987ed823451141a5d0879a513d28afc0ea048317241ecc",
+    (103, "LOO_glasses"): "17838b3f6307638a50bc5f3477b3a38750950383a88ed345ffb8091030a3cc55",
+    (103, "LOO_fakehead"): "632c95301bf02b13d9596742afa5a3e645eb565406e334c1d7c44229610308de",
+    (103, "LOO_print"): "e27415c5ed35780c2545fef22bb4e77b4b3e22283a81e78f38d4c378bd2ace1e",
+    (103, "LOO_replay"): "918cf720c3b383c53e7164c531ee9e2c808f4e764c5f591839e32fb2658cea3d",
+    (103, "LOO_rigidmask"): "d83a3ec625459436f2aaf42ade4200d3ca5694b371e309e9eaee4bd877bfaa96",
+    (103, "LOO_flexiblemask"): "6294ebbafdadc37888ebf15d069cc63b7d4b9ba2669525e4865693f7bef31565",
+    (103, "LOO_papermask"): "6ccc30f67fe52d9c24a5d3f4f1715481e5f2cdee1672bd9630aa876a2cde3745",
+}
+
+
+@pytest.fixture(scope="module")
+def synth_roster(tmp_path_factory):
+    return synth_generate(SynthConfig(frames_per_sample=1, image_size=16), 0, tmp_path_factory.mktemp("roster"))
+
+
+@pytest.mark.parametrize("seed, name", list(PROTOCOL_SHA256))
+def test_saved_protocol_bytes_pinned(synth_roster, tmp_path, seed, name):
+    save_protocol(make_protocol(synth_roster, name, seed=seed), tmp_path / "p.json")
+    assert hashlib.sha256((tmp_path / "p.json").read_bytes()).hexdigest() == PROTOCOL_SHA256[seed, name]
 
 
 class TestThreshold:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mcpad.features.haralick import glcm, haralick13, quantize, rdwt_haralick_features
+from mcpad.features.haralick import GRID, glcm, haralick13, quantize, rdwt_haralick_features
 from mcpad.features.wavelet import rdwt_haar
 
 
@@ -48,18 +48,18 @@ class TestGlcm:
         assert np.allclose(matrix, expected)
 
     def test_constant_region_mass_at_origin(self):
-        matrix = glcm(np.full((4, 4), 9.0))
+        matrix = glcm(np.full((4, 4), 9.0), (9.0, 9.0))
         assert matrix[0, 0] == pytest.approx(1.0)
 
     def test_symmetry_and_normalization(self, rng):
         region = rng.normal(size=(9, 9))
-        matrix = glcm(region)
+        matrix = glcm(region, (region.min(), region.max()))
         assert np.allclose(matrix, matrix.T)
         assert matrix.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_region_rejected(self):
         with pytest.raises(ValueError):
-            glcm(np.zeros((0, 2)))
+            glcm(np.zeros((0, 2)), (0.0, 1.0))
 
     def test_quantize_range(self):
         q = quantize(np.array([0.0, 0.5, 1.0]), 8, (0.0, 1.0))
@@ -253,9 +253,9 @@ def _reference_rdwt_haralick_features(gray, grid=(4, 4)):
     return np.concatenate(parts)
 
 
-def _assert_matches_reference(stack, grid=(4, 4)):
-    batched = rdwt_haralick_features(stack, grid)
-    reference = np.stack([_reference_rdwt_haralick_features(frame, grid) for frame in stack])
+def _assert_matches_reference(stack):
+    batched = rdwt_haralick_features(stack)
+    reference = np.stack([_reference_rdwt_haralick_features(frame, GRID) for frame in stack])
     assert batched.shape == reference.shape
     np.testing.assert_allclose(batched, reference, rtol=1e-12, atol=1e-12)
 
@@ -280,7 +280,8 @@ class TestBatchedAgainstReference:
         h, w = data.draw(st.integers(2, 9)), data.draw(st.integers(2, 9))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
         regions = rng.integers(0, 6, (cells, h, w)).astype(np.float64)
-        matrices = glcm(regions)
+        value_range = regions.min(axis=(1, 2), keepdims=True), regions.max(axis=(1, 2), keepdims=True)
+        matrices = glcm(regions, value_range)
         assert matrices.shape == (cells, 8, 8)
         for region, matrix in zip(regions, matrices):
             np.testing.assert_allclose(matrix, _reference_glcm(region), rtol=1e-12, atol=1e-12)
@@ -329,7 +330,7 @@ class TestBatchedAgainstReference:
     def test_cells_too_small_for_offsets_rejected(self):
         # a 1x1 region pairs nothing at any of the four offsets
         with pytest.raises(ValueError, match="too small for the GLCM offsets"):
-            glcm(np.zeros((4, 1, 1)))
+            glcm(np.zeros((4, 1, 1)), (0.0, 1.0))
 
     def test_one_unnormalized_matrix_rejected(self):
         batch = np.full((5, 4, 4), 1 / 16)

@@ -176,7 +176,7 @@ class TestMccnnChain:
 
         from mcpad.evaluation import Scores, save_scores
         from mcpad.mccnn import load_model, predict
-        from mcpad.pipeline import _load_proc, _split_arrays, mccnn_out_dir
+        from mcpad.pipeline import _proc_manifest, _split_arrays, build_protocol, mccnn_out_dir
 
         root, config = small_run
         out = tmp_path / "out"
@@ -186,7 +186,8 @@ class TestMccnnChain:
         cfg = load_config(config, [f"paths.out_root={out}"])
         run_dir = mccnn_out_dir(cfg)
         model = load_model(run_dir / "model.mcnn")
-        manifest, protocol = _load_proc(cfg)
+        manifest = _proc_manifest(cfg)
+        protocol = build_protocol(cfg, manifest)
         for split in ("dev", "eval"):
             data = _split_arrays(cfg, manifest, protocol, model.config.channels, split)
             scores = predict(model, data.frames)
@@ -206,7 +207,7 @@ class TestMccnnChain:
         from mcpad import mccnn
         from mcpad.config import mccnn_config
         from mcpad.evaluation import Scores, save_scores
-        from mcpad.pipeline import _load_proc, _split_arrays, mccnn_out_dir
+        from mcpad.pipeline import _proc_manifest, _split_arrays, build_protocol, mccnn_out_dir
 
         root, config = small_run
         out = tmp_path / "out"
@@ -215,7 +216,8 @@ class TestMccnnChain:
         cfg = load_config(config, [f"paths.out_root={out}"])
         run_dir = mccnn_out_dir(cfg)
         net_cfg = mccnn_config(cfg)
-        manifest, protocol = _load_proc(cfg)
+        manifest = _proc_manifest(cfg)
+        protocol = build_protocol(cfg, manifest)
         train_split, dev_split = (_split_arrays(cfg, manifest, protocol, net_cfg.channels, split)
                                   for split in ("train", "dev"))
         data = mccnn.TrainData(train_split.frames, train_split.labels, dev_split.frames, dev_split.labels)
@@ -243,12 +245,13 @@ class TestMccnnChain:
         ``mccnn`` maps them to network input batch by batch."""
         import shutil
 
-        from mcpad.pipeline import _load_proc, _split_arrays
+        from mcpad.pipeline import _proc_manifest, _split_arrays, build_protocol
 
         root, config = small_run
         shutil.copytree(root / "out" / "proc", tmp_path / "proc")
         cfg = load_config(config, [f"paths.out_root={tmp_path}"])
-        manifest, protocol = _load_proc(cfg)
+        manifest = _proc_manifest(cfg)
+        protocol = build_protocol(cfg, manifest)
         channels = (ChannelId.GRAY, ChannelId.DEPTH, ChannelId.INFRARED, ChannelId.THERMAL)
         for split in ("train", "dev", "eval"):
             data = _split_arrays(cfg, manifest, protocol, channels, split)
@@ -269,7 +272,8 @@ class TestMccnnChain:
         root, config = small_run
         shutil.copytree(root / "out" / "proc", tmp_path / "proc")
         cfg = load_config(config, [f"paths.out_root={tmp_path}"])
-        manifest, protocol = pipeline._load_proc(cfg)
+        manifest = pipeline._proc_manifest(cfg)
+        protocol = pipeline.build_protocol(cfg, manifest)
         split_of = {str(e.path): protocol.split_of(e.sample_id) for e in manifest}
         real_read, real_train = pipeline.read_sample, mccnn.train
         events = []
@@ -535,7 +539,8 @@ class TestExtractSplitBySplit:
         from mcpad import pipeline
 
         cfg = roster_many_frames
-        manifest, protocol = pipeline._load_proc(cfg)
+        manifest = pipeline._proc_manifest(cfg)
+        protocol = pipeline.build_protocol(cfg, manifest)
         split_rows = Counter()
         transient = 0
         for entry in manifest:
@@ -562,7 +567,8 @@ class TestExtractSplitBySplit:
         from mcpad import pipeline
 
         cfg = roster_many_frames
-        manifest, protocol = pipeline._load_proc(cfg)
+        manifest = pipeline._proc_manifest(cfg)
+        protocol = pipeline.build_protocol(cfg, manifest)
         sample_of = {str(e.path): e.sample_id for e in manifest}
         pools, calls = [], []
 
@@ -588,6 +594,33 @@ class TestExtractSplitBySplit:
 
 
 class TestCorruptInputs:
+    def test_missing_channel_exits_without_traceback(self, small_run, tmp_path, capsys):
+        """Raw samples without thermal preprocess, but ``extract`` (lbp and
+        rdwt-haralick) and ``train-mccnn``, which read thermal, exit 2 with
+        one ``error:`` line naming the sample and the channel."""
+        import shutil
+
+        from mcpad.dataset import MultiChannelSample, write_sample
+
+        root, config = small_run
+        data = tmp_path / "data"
+        shutil.copytree(root / "data", data)
+        for path in (data / "samples").glob("*.mcpd"):
+            sample = read_sample(path)
+            del sample.channels[ChannelId.THERMAL]
+            write_sample(MultiChannelSample(meta=None, channels=sample.channels), path)
+        args = ["--config", str(config), "--set", f"paths.data_root={data}",
+                "--set", f"paths.out_root={tmp_path / 'out'}"]
+        assert main(["preprocess", *args]) == 0
+        capsys.readouterr()
+        for stage in (["extract", "--extractor", "lbp"], ["extract", "--extractor", "rdwt-haralick"],
+                      ["train-mccnn"]):
+            assert main([*stage, *args]) == 2, stage
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            [line] = err.splitlines()
+            assert line.startswith("error: sample ") and line.endswith(".mcpd has no thermal channel"), line
+
     def test_truncated_feature_table_exits_without_traceback(self, small_run, tmp_path, capsys):
         import shutil
 
