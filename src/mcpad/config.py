@@ -29,7 +29,7 @@ from .classical import LrConfig, SvmConfig
 from .codec import ConfigError, build, plain
 from .dataset import SynthConfig
 from .evaluation import left_out_of
-from .files import atomic_write
+from .files import write_json
 from .mccnn import McCnnConfig
 
 
@@ -188,7 +188,6 @@ def write_lock(directory: str | Path, cfg: RunConfig, command: str) -> Path:
     with identical inputs rewrite identical bytes."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    payload = {"command": command, "digest": config_digest(cfg), "config": plain(cfg)}
     path = directory / "config.lock"
-    atomic_write(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    write_json(path, {"command": command, "digest": config_digest(cfg), "config": plain(cfg)})
     return path

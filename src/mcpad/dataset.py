@@ -8,14 +8,14 @@ Container layout (little-endian, normative):
         width u16 | height u16 | frame count u16 | bit depth u8 (8|16)
         frames row-major (color interleaved R,G,B)
 
-Manifest format: CSV with header ``sample_id,path,client_id,label,attack_type,session``.
+Manifest format: CSV with header ``sample_id,path,client_id,label,attack_type,session``,
+written by ``files.write_csv`` and read by ``files.read_csv`` (lines end in LF;
+CRLF reads alike). The synthetic landmark sidecars go through ``write_csv`` too.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import os
 import struct
 from dataclasses import dataclass, field
@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .files import ByteReader, FormatError, atomic_write
+from .files import ByteReader, FormatError, atomic_write, read_csv, write_csv
 
 MAGIC = b"MCPD"
 CONTAINER_VERSION = 1
@@ -214,9 +214,11 @@ class Manifest:
     entries: list[ManifestEntry] = field(default_factory=list)
 
     def __post_init__(self):
-        self._by_id = {e.sample_id: e for e in self.entries}
-        if len(self._by_id) != len(self.entries):
-            raise ValueError("duplicate sample_ids in manifest")
+        self._by_id = {}
+        for e in self.entries:
+            if e.sample_id in self._by_id:
+                raise ValueError(f"duplicate sample_id {e.sample_id!r} in manifest")
+            self._by_id[e.sample_id] = e
 
     def __iter__(self):
         return iter(self.entries)
@@ -229,42 +231,28 @@ class Manifest:
 
 
 def save_manifest(manifest: Manifest, path: str | Path) -> None:
-    path = Path(path)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(MANIFEST_HEADER)
-    for e in manifest.entries:
-        rel = os.path.relpath(e.path, path.parent)
-        writer.writerow(
-            [e.sample_id, rel, e.meta.client_id, e.meta.label,
-             e.meta.attack_type.value, e.meta.session_id]
-        )
-    atomic_write(path, buf.getvalue())
+    parent = Path(path).parent
+    rows = ([e.sample_id, os.path.relpath(e.path, parent), e.meta.client_id, e.meta.label,
+             e.meta.attack_type.value, e.meta.session_id] for e in manifest.entries)
+    write_csv(path, rows, MANIFEST_HEADER)
 
 
 def load_manifest(path: str | Path) -> Manifest:
     path = Path(path)
-    entries = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != MANIFEST_HEADER:
-            raise ValueError(f"bad manifest header {header!r}")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                if len(row) != len(MANIFEST_HEADER):
-                    raise ValueError(f"expected {len(MANIFEST_HEADER)} columns, found {len(row)}")
-                sid, rel, client, label, attack, session = row
-                meta = SampleMeta(sid, int(client), label, AttackType.from_label(attack), int(session))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-            sample_path = (path.parent / rel).resolve()
-            if not sample_path.exists():
-                raise FileNotFoundError(f"manifest path not resolvable: {sample_path}")
-            entries.append(ManifestEntry(sid, sample_path, meta))
-    return Manifest(entries)
+
+    def entry(row: list[str]) -> ManifestEntry:
+        sid, rel, client, label, attack, session = row
+        meta = SampleMeta(sid, int(client), label, AttackType.from_label(attack), int(session))
+        sample_path = (path.parent / rel).resolve()
+        if not sample_path.exists():
+            raise FileNotFoundError(f"manifest path not resolvable: {sample_path}")
+        return ManifestEntry(sid, sample_path, meta)
+
+    entries = read_csv(path, len(MANIFEST_HEADER), entry, MANIFEST_HEADER)
+    try:
+        return Manifest(entries)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # --------------------------------------------------------------------------
@@ -455,10 +443,10 @@ def _render_channel(
     raise ValueError(f"generator renders raw channels only, not {channel.label}")
 
 
-def _landmark_lines(cfg: SynthConfig, params: _ClientParams, seed_key: tuple) -> list[str]:
+def _landmark_rows(cfg: SynthConfig, params: _ClientParams, seed_key: tuple) -> list[list]:
     size = cfg.image_size
     rng = np.random.default_rng(np.random.SeedSequence(seed_key))
-    lines = []
+    rows = []
     eye_y = (params.cy - 0.07) * size
     for frame_idx in range(cfg.frames_per_sample):
         jit = rng.uniform(-0.7, 0.7, size=6)
@@ -468,8 +456,8 @@ def _landmark_lines(cfg: SynthConfig, params: _ClientParams, seed_key: tuple) ->
         ry = eye_y + jit[3]
         mx = params.cx * size + jit[4]
         my = (params.cy + 0.18) * size + jit[5]
-        lines.append(f"{frame_idx},{lx:.3f},{ly:.3f},{rx:.3f},{ry:.3f},{mx:.3f},{my:.3f}")
-    return lines
+        rows.append([frame_idx, *(f"{v:.3f}" for v in (lx, ly, rx, ry, mx, my))])
+    return rows
 
 
 def synth_generate(cfg: SynthConfig, seed: int, out_dir: str | Path) -> Manifest:
@@ -516,8 +504,7 @@ def synth_generate(cfg: SynthConfig, seed: int, out_dir: str | Path) -> Manifest
             sample = MultiChannelSample(meta=meta, channels=channels)
             container = out_dir / f"{sample_id}.mcpd"
             write_sample(sample, container)
-            lm_lines = _landmark_lines(cfg, params, (seed, 31, client_id, k))
-            atomic_write(container.with_suffix(".landmarks"), "\n".join(lm_lines) + "\n")
+            write_csv(container.with_suffix(".landmarks"), _landmark_rows(cfg, params, (seed, 31, client_id, k)))
             entries.append(ManifestEntry(sample_id, container.resolve(), meta))
 
     entries.sort(key=lambda e: e.sample_id)

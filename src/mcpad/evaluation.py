@@ -2,7 +2,9 @@
 parses (``grandtest``, ``LOO_<attack>``), and ISO 30107-3 metrics: BPCER-
 anchored thresholds, APCER/BPCER/ACER, per-PAI breakdown, and ROC export.
 The score convention everywhere: higher = more bonafide, and a presentation
-is classified bonafide iff score >= threshold.
+is classified bonafide iff score >= threshold. Score files (LF line ends) go
+through ``files.write_csv`` and ``read_csv``, ``roc.csv`` through
+``write_csv``, protocols and ``report.json`` through ``files.write_json``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .codec import build
 from .dataset import ATTACK_CATEGORIES, LABEL_ATTACK, LABEL_BONAFIDE, AttackType, Manifest
-from .files import atomic_write
+from .files import read_csv, write_csv, write_json
 
 SPLITS = ("train", "dev", "eval")
 
@@ -36,7 +38,6 @@ class MetricError(ValueError):
 
 #: Attack codes of a score table index this tuple; code 0 is bonafide.
 ATTACK_TYPES = tuple(AttackType)
-_ATTACK_CODES = {attack.value: code for code, attack in enumerate(ATTACK_TYPES)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,23 +74,18 @@ def _label(code: int) -> str:
 def save_scores(scores: Scores, path: str | Path) -> None:
     """Score file: one ``sample_id,frame_idx,score,label,attack_type`` line
     per row (no header); the label is derived from the attack code."""
-    lines = [
-        f"{sid},{fidx},{score!r},{_label(code)},{ATTACK_TYPES[code].value}"
+    write_csv(path, (
+        (sid, fidx, score, _label(code), ATTACK_TYPES[code].value)
         for sid, fidx, score, code in zip(
             scores.sample_id.tolist(), scores.frame_idx.tolist(),
             scores.score.tolist(), scores.attack.tolist(),
         )
-    ]
-    atomic_write(path, "\n".join(lines) + ("\n" if lines else ""))
+    ))
 
 
 def _score_row(fields: list[str]) -> tuple[str, int, float, int]:
-    if len(fields) != 5:
-        raise ValueError(f"expected 5 columns, found {len(fields)}")
     sid, fidx, score, label, attack = fields
-    if attack not in _ATTACK_CODES:
-        raise ValueError(f"unknown attack type {attack!r}")
-    code = _ATTACK_CODES[attack]
+    code = ATTACK_TYPES.index(AttackType.from_label(attack))
     if label != _label(code):
         raise ValueError(f"label {label!r} does not match attack type {attack!r}")
     value = float(score)
@@ -99,15 +95,7 @@ def _score_row(fields: list[str]) -> tuple[str, int, float, int]:
 
 
 def load_scores(path: str | Path) -> Scores:
-    rows = []
-    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rows.append(_score_row(line.split(",")))
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {number}: {exc}") from None
+    rows = read_csv(path, 5, _score_row)
     sid, fidx, score, attack = zip(*rows) if rows else ((),) * 4
     return Scores(sid, fidx, score, attack)
 
@@ -197,12 +185,11 @@ def make_protocol(
 
 
 def save_protocol(spec: ProtocolSpec, path: str | Path) -> None:
-    payload = {
+    write_json(path, {
         "name": spec.name,
         "left_out": spec.left_out.value if spec.left_out else None,
         "assignment": dict(sorted(spec.assignment.items())),
-    }
-    atomic_write(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    })
 
 
 # --------------------------------------------------------------------------
@@ -328,7 +315,7 @@ def build_report(
 # --------------------------------------------------------------------------
 
 def write_report_json(report: MetricsReport, path: str | Path) -> None:
-    atomic_write(path, json.dumps(asdict(report), indent=1, sort_keys=True) + "\n")
+    write_json(path, asdict(report))
 
 
 def _finite(text: str) -> float:
@@ -349,6 +336,4 @@ def load_report(path: str | Path) -> MetricsReport:
 
 
 def write_roc_csv(curve: tuple[np.ndarray, np.ndarray, np.ndarray], path: str | Path) -> None:
-    lines = ["threshold,apcer,bpcer"]
-    lines.extend(f"{t!r},{a!r},{b!r}" for t, a, b in zip(*(column.tolist() for column in curve)))
-    atomic_write(path, "\n".join(lines) + "\n")
+    write_csv(path, zip(*(column.tolist() for column in curve)), ["threshold", "apcer", "bpcer"])

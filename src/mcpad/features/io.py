@@ -1,26 +1,26 @@
 """Binary feature tables: magic "MCFV", u32 count, u32 dim, then row-major
-float64 (little-endian), plus a CSV sidecar mapping rows to (sample_id,
-frame_idx).
+float64 (little-endian), plus a CSV sidecar with header
+``row,sample_id,frame_idx`` mapping rows 0..count-1 to (sample_id,
+frame_idx), written by ``files.write_csv`` and read by ``files.read_csv``
+(lines end in LF; CRLF reads alike).
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from ..files import ByteReader, atomic_write
+from ..files import ByteReader, atomic_write, read_csv, write_csv
 
 MAGIC = b"MCFV"
-ROWS_SUFFIX = ".rows.csv"
+ROWS_HEADER = ["row", "sample_id", "frame_idx"]
 
 
 def rows_sidecar(path: str | Path) -> Path:
     path = Path(path)
-    return path.with_name(path.name + ROWS_SUFFIX)
+    return path.with_name(path.name + ".rows.csv")
 
 
 def write_feature_table(path: str | Path, table: np.ndarray, rows: list[tuple[str, int]]) -> None:
@@ -30,13 +30,7 @@ def write_feature_table(path: str | Path, table: np.ndarray, rows: list[tuple[st
     if len(rows) != table.shape[0]:
         raise ValueError("row sidecar length mismatch")
     atomic_write(path, [MAGIC + struct.pack("<II", *table.shape), table])
-
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["row", "sample_id", "frame_idx"])
-    for row, (sid, fidx) in enumerate(rows):
-        writer.writerow([row, sid, fidx])
-    atomic_write(rows_sidecar(path), buf.getvalue())
+    write_csv(rows_sidecar(path), ((row, sid, fidx) for row, (sid, fidx) in enumerate(rows)), ROWS_HEADER)
 
 
 def read_feature_table(path: str | Path) -> tuple[np.ndarray, list[tuple[str, int]]]:
@@ -47,16 +41,15 @@ def read_feature_table(path: str | Path) -> tuple[np.ndarray, list[tuple[str, in
     count, dim = reader.take("<II", "header")
     table = reader.array("<f8", count * dim, "table").reshape(count, dim)
     reader.end()
-    rows = []
-    with open(rows_sidecar(path), newline="") as fh:
-        lines = csv.reader(fh)
-        next(lines, None)
-        for number, line in enumerate(lines, 2):
-            if not line:
-                continue
-            if len(line) != 3:
-                raise ValueError(f"{rows_sidecar(path)}: line {number}: expected 3 columns")
-            rows.append((line[1], int(line[2])))
+    rows: list[tuple[str, int]] = []
+
+    def add(fields: list[str]) -> None:
+        if int(fields[0]) != len(rows):
+            raise ValueError(f"row {fields[0]}, expected {len(rows)}")
+        rows.append((fields[1], int(fields[2])))
+
+    sidecar = rows_sidecar(path)
+    read_csv(sidecar, len(ROWS_HEADER), add, ROWS_HEADER)
     if len(rows) != count:
-        raise ValueError("row sidecar length mismatch")
+        raise ValueError(f"{sidecar}: row sidecar length mismatch: {len(rows)} rows, table has {count}")
     return table.astype(np.float64, copy=False), rows

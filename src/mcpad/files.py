@@ -1,17 +1,22 @@
-"""File helpers shared by every on-disk format.
+"""File helpers shared by every on-disk format, and the text codecs.
 
 Writes are atomic: every artifact goes to a sibling ``<name>.tmp`` file that
 is then renamed over the target, so a reader never sees a partial file.
 Binary reads go through ``ByteReader``, which turns a cut, a bad magic or
-leftover bytes into a ``FormatError`` carrying the byte offset.
+leftover bytes into a ``FormatError`` carrying the byte offset. The text
+codecs: CSV tables (UTF-8, LF line ends) go through ``write_csv`` and
+``read_csv``, JSON records through ``write_json``.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import os
 import struct
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -76,3 +81,44 @@ class ByteReader:
     def end(self) -> None:
         if self.pos != len(self.blob):
             raise FormatError("trailing bytes", offset=self.pos)
+
+
+def write_csv(path: str | Path, rows: Iterable[Sequence], header: Sequence[str] | None = None) -> None:
+    """Replace ``path`` with ``header`` (if given) and ``rows``; floats are written by ``repr``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    if header is not None:
+        writer.writerow(header)
+    writer.writerows(rows)
+    atomic_write(path, buf.getvalue())
+
+
+def read_csv(path: str | Path, columns: int, parse: Callable[[list[str]], Any],
+             header: Sequence[str] | None = None) -> list:
+    """``parse`` of each nonblank row after ``header`` (if given); a bad header, a row without
+    ``columns`` fields, bad UTF-8 or CSV, or a ``ValueError`` from ``parse`` raises one
+    ``ValueError`` naming the file and line."""
+    blob = Path(path).read_bytes()
+    try:
+        text = blob.decode()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: line {blob.count(10, 0, exc.start) + 1}: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""), strict=True)
+    out = []
+    try:
+        if header is not None and (found := next(reader, None)) != list(header):
+            raise ValueError(f"expected header {list(header)}, found {found}")
+        for fields in reader:
+            if not fields:
+                continue
+            if len(fields) != columns:
+                raise ValueError(f"expected {columns} columns, found {len(fields)}")
+            out.append(parse(fields))
+    except (ValueError, csv.Error) as exc:
+        raise ValueError(f"{path}: line {max(reader.line_num, 1)}: {exc}") from None
+    return out
+
+
+def write_json(path: str | Path, record: Any) -> None:
+    """Replace ``path`` with ``record`` as JSON: one-space indent, keys sorted, final newline."""
+    atomic_write(path, json.dumps(record, indent=1, sort_keys=True) + "\n")

@@ -9,7 +9,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,6 +17,7 @@ import numpy as np
 from . import classical, mccnn
 from .config import RunConfig, mccnn_config, write_lock
 from .dataset import (
+    RAW_CHANNELS,
     ChannelId,
     Manifest,
     load_manifest,
@@ -49,7 +49,7 @@ from .features import (
     read_feature_table,
     write_feature_table,
 )
-from .files import atomic_write
+from .files import write_csv, write_json
 from .preprocess import AlignTargets, SampleError, align_color, landmarks_path, load_landmarks, preprocess_sample
 
 
@@ -129,11 +129,9 @@ def cmd_preprocess(cfg: RunConfig) -> Manifest:
     samples_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     for entry in raw_manifest:
-        raw = read_sample(entry.path, meta=entry.meta)
-        lm_file = _require(landmarks_path(entry.path), "landmarks file")
-        landmarks = load_landmarks(lm_file)
-        frame_count = raw.frame_count(next(iter(raw.channels)))
-        indices = sample_frames(frame_count, cfg.preprocess.frames)
+        raw = _read_channels(entry.path, RAW_CHANNELS, entry.meta)
+        landmarks = load_landmarks(_require(landmarks_path(entry.path), "landmarks file"))
+        indices = sample_frames(raw.frame_count(ChannelId.COLOR), cfg.preprocess.frames)
         try:
             processed, _dropped = preprocess_sample(
                 raw, landmarks, targets, mad_span=cfg.preprocess.mad_span, frame_indices=indices
@@ -369,7 +367,7 @@ def cmd_train_baseline(cfg: RunConfig, pipeline: str) -> Path:
         "normalizers": normalizer_info,
         "normalizer_fit": "train+dev",
     }
-    atomic_write(base_dir / "pipeline.json", json.dumps(info, indent=1, sort_keys=True) + "\n")
+    write_json(base_dir / "pipeline.json", info)
     write_lock(base_dir, cfg, f"train-baseline:{pipeline}")
     return base_dir
 
@@ -467,14 +465,10 @@ def cmd_train_mccnn(cfg: RunConfig) -> Path:
     eval_scores = mccnn.predict(result.model, {ch: eval_data.frames[ch] for ch in net_cfg.channels})
     save_scores(Scores.from_rows(eval_data.rows, eval_scores, eval_data.attack), out / "scores_eval.csv")
 
-    history_lines = ["epoch,train_loss,dev_acer,dev_tau"]
-    for i, loss in enumerate(pretrain_losses):
-        history_lines.append(f"pretrain_{i},{loss!r},,")
-    for record in result.history:
-        history_lines.append(
-            f"{record['epoch']},{record['train_loss']!r},{record['dev_acer']!r},{record['dev_tau']!r}"
-        )
-    atomic_write(out / "history.csv", "\n".join(history_lines) + "\n")
+    history_header = ["epoch", "train_loss", "dev_acer", "dev_tau"]
+    history = [(f"pretrain_{i}", loss, None, None) for i, loss in enumerate(pretrain_losses)]
+    history.extend([record[key] for key in history_header] for record in result.history)
+    write_csv(out / "history.csv", history, history_header)
     write_lock(out, cfg, "train-mccnn")
     return out
 
@@ -496,7 +490,7 @@ def cmd_eval(
     dev_scores = load_scores(_require(Path(dev_scores_path), "dev score file"))
     eval_scores = load_scores(_require(Path(eval_scores_path), "eval score file"))
     report = build_report(dev_scores, eval_scores, cfg.protocol.bpcer_target, protocol_name)
-    label = name or Path(dev_scores_path).stem.replace("_dev", "")
+    label = name or Path(dev_scores_path).stem.removesuffix("_dev")
     out = out_root(cfg) / "eval" / f"{protocol_name}_{label}"
     out.mkdir(parents=True, exist_ok=True)
     write_report_json(report, out / "report.json")
@@ -509,16 +503,13 @@ def cmd_report(cfg: RunConfig) -> Path:
     """``report/summary.csv``: the dev and eval rates of every experiment
     directory under ``eval/``, each read from its ``report.json``."""
     eval_root = _require(out_root(cfg) / "eval", "eval outputs")
-    lines = ["experiment,split,apcer,bpcer,acer,threshold"]
+    rows = []
     for experiment in sorted(path for path in eval_root.iterdir() if path.is_dir()):
         report = load_report(_require(experiment / "report.json", "eval report"))
         for split, metrics in (("dev", report.dev), ("eval", report.eval)):
-            lines.append(
-                f"{experiment.name},{split},{metrics.apcer!r},{metrics.bpcer!r},"
-                f"{metrics.acer!r},{report.threshold!r}"
-            )
+            rows.append((experiment.name, split, metrics.apcer, metrics.bpcer, metrics.acer, report.threshold))
     out = out_root(cfg) / "report"
     out.mkdir(parents=True, exist_ok=True)
-    atomic_write(out / "summary.csv", "\n".join(lines) + "\n")
+    write_csv(out / "summary.csv", rows, ["experiment", "split", "apcer", "bpcer", "acer", "threshold"])
     write_lock(out, cfg, "report")
     return out / "summary.csv"

@@ -8,8 +8,9 @@ frame's sampling grid (inverse map, tap indices and bilinear weights) once
 and gathers gray, depth, infrared and thermal through it together;
 ``mad_fit`` and ``mad_normalize`` take a median and MAD per frame of a stack.
 
-Landmark sidecar format: one text line per annotated frame,
-``frame_idx,lx,ly,rx,ry,mx,my`` (color-frame pixel coordinates).
+Landmark sidecar format: one CSV line per annotated frame, no header,
+``frame_idx,lx,ly,rx,ry,mx,my`` (color-frame pixel coordinates), read by
+``files.read_csv`` (lines end in LF; CRLF reads alike).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dataset import ChannelId, MultiChannelSample
+from .files import read_csv
 
 
 class GeometryError(ValueError):
@@ -242,21 +244,15 @@ def load_landmarks(path: str | Path) -> dict[int, Landmarks]:
     """Landmarks by frame index; a malformed line or a repeated frame index
     raises ``ValueError`` naming the file and line."""
     table: dict[int, Landmarks] = {}
-    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            parts = line.split(",")
-            if len(parts) != 7:
-                raise ValueError(f"expected 7 fields, found {len(parts)}")
-            idx = int(parts[0])
-            if idx in table:
-                raise ValueError(f"duplicate frame index {idx}")
-            lx, ly, rx, ry, mx, my = (float(v) for v in parts[1:])
-            table[idx] = Landmarks((lx, ly), (rx, ry), (mx, my))
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {number}: {exc}") from None
+
+    def add(fields: list[str]) -> None:
+        idx = int(fields[0])
+        if idx in table:
+            raise ValueError(f"duplicate frame index {idx}")
+        lx, ly, rx, ry, mx, my = (float(v) for v in fields[1:])
+        table[idx] = Landmarks((lx, ly), (rx, ry), (mx, my))
+
+    read_csv(path, 7, add)
     return table
 
 

@@ -157,6 +157,15 @@ class TestChain:
             cmd_eval(cfg, "LOO_print", root / "absent_dev.csv", root / "absent_eval.csv")
         assert not (root / "out" / "eval" / "LOO_print_absent").exists()
 
+    def test_eval_label_drops_only_a_trailing_dev(self, small_run, tmp_path):
+        root, config = small_run
+        cfg = load_config(config, overrides=[f"paths.out_root={tmp_path}"], env={})
+        scores = root / "out" / "baselines" / "rdwt-haralick-svm" / "scores"
+        dev = tmp_path / "my_developer_dev.csv"
+        dev.write_bytes((scores / "fused_dev.csv").read_bytes())
+        out = cmd_eval(cfg, "grandtest", dev, scores / "fused_eval.csv")
+        assert out == tmp_path / "eval" / "grandtest_my_developer"
+
     def test_rerun_byte_identical(self, small_run):
         root, config = small_run
         args = ["--config", str(config)]
@@ -595,26 +604,25 @@ class TestExtractSplitBySplit:
 
 class TestCorruptInputs:
     def test_missing_channel_exits_without_traceback(self, small_run, tmp_path, capsys):
-        """Raw samples without thermal preprocess, but ``extract`` (lbp and
-        rdwt-haralick) and ``train-mccnn``, which read thermal, exit 2 with
-        one ``error:`` line naming the sample and the channel."""
+        """``preprocess`` on raw samples without thermal, and ``extract`` (lbp
+        and rdwt-haralick) and ``train-mccnn`` on processed samples without
+        it, exit 2 with one ``error:`` line naming the sample and the channel."""
         import shutil
 
         from mcpad.dataset import MultiChannelSample, write_sample
 
         root, config = small_run
-        data = tmp_path / "data"
-        shutil.copytree(root / "data", data)
-        for path in (data / "samples").glob("*.mcpd"):
-            sample = read_sample(path)
-            del sample.channels[ChannelId.THERMAL]
-            write_sample(MultiChannelSample(meta=None, channels=sample.channels), path)
-        args = ["--config", str(config), "--set", f"paths.data_root={data}",
+        for tree in ("data", "out/proc"):
+            shutil.copytree(root / tree, tmp_path / tree)
+            for path in (tmp_path / tree / "samples").glob("*.mcpd"):
+                sample = read_sample(path)
+                del sample.channels[ChannelId.THERMAL]
+                write_sample(MultiChannelSample(meta=None, channels=sample.channels), path)
+        args = ["--config", str(config), "--set", f"paths.data_root={tmp_path / 'data'}",
                 "--set", f"paths.out_root={tmp_path / 'out'}"]
-        assert main(["preprocess", *args]) == 0
         capsys.readouterr()
-        for stage in (["extract", "--extractor", "lbp"], ["extract", "--extractor", "rdwt-haralick"],
-                      ["train-mccnn"]):
+        for stage in (["preprocess"], ["extract", "--extractor", "lbp"],
+                      ["extract", "--extractor", "rdwt-haralick"], ["train-mccnn"]):
             assert main([*stage, *args]) == 2, stage
             err = capsys.readouterr().err
             assert "Traceback" not in err

@@ -1,13 +1,17 @@
 """Every binary reader rejects a cut file and trailing bytes with a typed
-``FormatError`` carrying the byte offset; the score-file, manifest and
-landmarks readers name the file and line of a malformed row; the CLI reports
-these, a sample whose frames are all dropped, a stale artifact that names a
-sample its manifest lacks, and a damaged eval record, without a traceback."""
+``FormatError`` carrying the byte offset; the four text readers (manifest,
+feature-table rows sidecar, score file, landmarks) name the file and line of
+a bad header, a short row, a bad value or a bad byte; the CLI reports these,
+a sample whose frames are all dropped, a stale artifact that names a sample
+its manifest lacks, and a damaged eval record, without a traceback; and only
+``mcpad.files`` holds a text codec."""
 
+import ast
 import json
 import re
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +25,7 @@ from mcpad.dataset import (
     ChannelId, FormatError, Manifest, MultiChannelSample, load_manifest, read_sample,
     save_manifest, write_sample,
 )
-from mcpad.evaluation import Scores, build_report, load_scores, write_report_json
+from mcpad.evaluation import Scores, build_report, load_scores, save_scores, write_report_json
 from mcpad.features.io import read_feature_table, rows_sidecar, write_feature_table
 from mcpad.preprocess import landmarks_path, load_landmarks
 
@@ -129,6 +133,18 @@ class TestFeatureTable:
         sidecar = rows_sidecar(path)
         sidecar.write_text("row,sample_id,frame_idx\n0,s0,0\n1,s0\n2,s1,0\n")
         with pytest.raises(ValueError, match="line 3"):
+            read_feature_table(path)
+
+    def test_swapped_sidecar_rows_name_the_line(self, feature_table):
+        path, _ = feature_table
+        rows_sidecar(path).write_text("row,sample_id,frame_idx\n0,s0,0\n2,s1,0\n1,s0,1\n")
+        with pytest.raises(ValueError, match=re.escape(f"{rows_sidecar(path)}: line 3: row 2, expected 1")):
+            read_feature_table(path)
+
+    def test_short_sidecar_names_the_sidecar(self, feature_table):
+        path, _ = feature_table
+        rows_sidecar(path).write_text("row,sample_id,frame_idx\n0,s0,0\n1,s0,1\n")
+        with pytest.raises(ValueError, match=re.escape(f"{rows_sidecar(path)}: row sidecar length mismatch")):
             read_feature_table(path)
 
 
@@ -267,11 +283,18 @@ class TestManifest:
         with pytest.raises(ValueError, match=f"manifest.csv: line 3: {reason}"):
             load_manifest(path)
 
+    def test_duplicate_id_names_file_and_id(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        path.write_text(f"{MANIFEST_HEADER}a,a.mcpd,0,bonafide,none,1\na,a.mcpd,0,bonafide,none,1\n")
+        (tmp_path / "a.mcpd").touch()
+        with pytest.raises(ValueError, match=re.escape(f"{path}: duplicate sample_id 'a' in manifest")):
+            load_manifest(path)
+
 
 class TestLandmarks:
     @pytest.mark.parametrize("line, reason", [
         ("1,0,1,2,3,4,x", "could not convert string to float"),
-        ("1,0,1,2,3,4", "expected 7 fields, found 6"),
+        ("1,0,1,2,3,4", "expected 7 columns, found 6"),
         ("x,0,1,2,3,4,5", "invalid literal for int"),
         ("0,10,10,20,10,15,20", "duplicate frame index 0"),
         ("1,10,10,10,10,15,20", "eye centers must be distinct"),
@@ -281,6 +304,109 @@ class TestLandmarks:
         path.write_text(f"0,10,10,20,10,15,20\n{line}\n")
         with pytest.raises(ValueError, match=f"s.landmarks: line 2: {reason}"):
             load_landmarks(path)
+
+
+# --------------------------------------------------------------------------
+# the four text readers under one sweep: each damage is one ValueError that
+# names the file and the line
+# --------------------------------------------------------------------------
+
+def _manifest(tmp_path):
+    for sid in ("a", "b"):
+        (tmp_path / f"{sid}.mcpd").touch()
+    path = tmp_path / "manifest.csv"
+    path.write_text(f"{MANIFEST_HEADER}a,a.mcpd,0,bonafide,none,1\nb,b.mcpd,1,attack,print,2\n")
+    save_manifest(load_manifest(path), path)  # the writer's own bytes
+    return path, load_manifest, lambda m: [(e.sample_id, e.path, e.meta) for e in m]
+
+
+def _sidecar(tmp_path):
+    table = tmp_path / "t.mcfv"
+    write_feature_table(table, np.zeros((2, 3)), [("a", 0), ("b", 7)])
+    return rows_sidecar(table), lambda _: read_feature_table(table), lambda loaded: loaded[1]
+
+
+def _score_file(tmp_path):
+    path = tmp_path / "s.csv"
+    save_scores(Scores(["a", "b"], [0, 1], [0.75, 0.25], [0, 1]), path)
+    return path, load_scores, lambda s: [s.sample_id.tolist(), s.frame_idx.tolist(), s.score.tolist(),
+                                         s.attack.tolist()]
+
+
+def _landmarks(tmp_path):
+    path = tmp_path / "s.landmarks"
+    path.write_text("0,10.000,10.000,20.000,10.000,15.000,20.000\n1,10.500,10.000,20.000,10.000,15.000,20.000\n")
+    return path, load_landmarks, lambda table: table
+
+
+#: Each format: its fixture, whether it has a header, the column of a number.
+_TEXT_FORMATS = {"manifest": (_manifest, True, 2), "rows-sidecar": (_sidecar, True, 2),
+                 "scores": (_score_file, False, 2), "landmarks": (_landmarks, False, 1)}
+
+
+def _set_field(line: bytes, column: int, value: bytes) -> bytes:
+    fields = line.split(b",")
+    fields[column] = value
+    return b",".join(fields)
+
+
+#: Each damage: (needs a header, lines -> damaged lines, index of the line reported).
+_TEXT_DAMAGES = {
+    "wrong-header": (True, lambda lines, col: [b"sample,x,y", *lines[1:]], 0),
+    "missing-header": (True, lambda lines, col: lines[1:], 0),
+    "short-row": (False, lambda lines, col: [*lines[:-1], lines[-1].rsplit(b",", 1)[0]], -1),
+    "bad-value": (False, lambda lines, col: [*lines[:-1], _set_field(lines[-1], col, b"x")], -1),
+    "bad-utf8": (False, lambda lines, col: [*lines[:-1], b"\xff" + lines[-1]], -1),
+}
+
+
+class TestTextReaders:
+    @pytest.mark.parametrize("fmt, damage", [
+        (fmt, damage) for fmt, (_, has_header, _) in _TEXT_FORMATS.items()
+        for damage, (needs_header, _, _) in _TEXT_DAMAGES.items() if has_header or not needs_header
+    ])
+    def test_damage_names_file_and_line(self, tmp_path, fmt, damage):
+        make, _, column = _TEXT_FORMATS[fmt]
+        _, apply, reported = _TEXT_DAMAGES[damage]
+        path, load, _ = make(tmp_path)
+        lines = path.read_bytes().splitlines()
+        damaged = apply(lines, column)
+        path.write_bytes(b"\n".join(damaged) + b"\n")
+        line = range(1, len(damaged) + 1)[reported]
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line {line}: "):
+            load(path)
+
+    @pytest.mark.parametrize("fmt", list(_TEXT_FORMATS))
+    def test_crlf_reads_like_lf(self, tmp_path, fmt):
+        path, load, view = _TEXT_FORMATS[fmt][0](tmp_path)
+        blob = path.read_bytes()
+        assert b"\r" not in blob and blob.endswith(b"\n")
+        expected = view(load(path))
+        path.write_bytes(blob.replace(b"\n", b"\r\n"))
+        assert view(load(path)) == expected
+
+
+def test_only_files_holds_a_text_codec():
+    """No module of ``mcpad`` but ``files`` imports ``csv`` or writes indented
+    JSON: every text artifact goes through ``files.write_csv``,
+    ``files.read_csv`` and ``files.write_json``."""
+    import mcpad
+
+    root = Path(mcpad.__file__).parent
+    offenders = []
+    for source in sorted(root.rglob("*.py")):
+        if source == root / "files.py":
+            continue
+        where = source.relative_to(root)
+        for node in ast.walk(ast.parse(source.read_text(), str(source))):
+            imported = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                        else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(name.split(".")[0] == "csv" for name in imported):
+                offenders.append(f"{where}:{node.lineno}: imports csv")
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "dumps" and any(k.arg == "indent" for k in node.keywords)):
+                offenders.append(f"{where}:{node.lineno}: json.dumps with indent")
+    assert offenders == []
 
 
 class TestCliReportsWithoutTraceback:
